@@ -48,7 +48,6 @@ from .prototype import (
     admissibility_inner_product,
     bump_prototype,
     check_theta_conditions,
-    eval_prototype,
     gaussian_prototype,
     hann_prototype,
     l2_norm,
@@ -106,13 +105,11 @@ from .kernels import (
     weight_m,
 )
 from .io import (
-    read_atom_cache,
     read_coefficients,
     read_descriptor,
     read_signal,
     system_from_config,
     system_to_config,
-    write_atom_cache,
     write_coefficients,
     write_descriptor,
     write_signal,

@@ -3,19 +3,18 @@
 Subcommands: ``design``, ``analyze``, ``synthesize``, ``diagnose``,
 ``kernel``, ``cover-dump``, ``spectrogram``.  Exit codes: 0 success,
 2 configuration, 3 shape mismatch, 4 file format, 5 capability,
-1 internal.  All numeric output uses 17 significant digits.
-
-``--threads`` (or ``WARPFT_THREADS``) caps the worker pool.  The
-numerics are vectorized single-process, so the cap has no effect on
-results — which also makes the determinism guarantee trivial.
+1 internal.  Numeric text output uses 17 significant digits; the JSON
+report of ``diagnose`` prints floats in Python's shortest round-trip
+form and non-finite values as ``null``.  Either way printed doubles
+round-trip exactly.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import json
+import math
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .discretization import (check_cover_admissible, frame_bounds_painless,
 from .errors import (CapabilityError, ConfigError, FormatError,
                      NotPainlessError, ShapeError, WarpFTError)
 from .io import (fmt, read_coefficients, read_descriptor, read_signal,
-                 system_from_config, read_config, write_atom_cache,
-                 write_coefficients, write_descriptor, write_signal)
+                 system_from_config, read_config, write_coefficients,
+                 write_descriptor, write_signal)
 from .kernels import (KernelEvalSpec, gramian, kernel_norm_I,
                       osc_norm_estimate, oscillation, stationary_phase_check)
 from .transform import (analyze, coefficient_deviation, export_spectrogram,
@@ -40,41 +39,18 @@ _EXIT_FORMAT = 4
 _EXIT_CAPABILITY = 5
 
 
-def _resolve_threads(value: Optional[str]) -> int:
-    raw = value if value is not None else os.environ.get("WARPFT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"--threads: {raw!r} is not an integer") from None
-    if threads < 1:
-        raise ConfigError("--threads must be at least 1")
-    return threads
-
-
-# -- JSON-like report rendering (stable key order, 17-digit floats) --------
-
-
-def _render(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+def _jsonable(obj):
+    """``obj`` with numpy scalars made Python ones and non-finite floats
+    made ``None``, ready for :func:`json.dumps`."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{pad}  "{k}": {_render(v, indent + 1)}'
-                for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v, indent) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt(obj)
-    if obj is None:
-        return "null"
-    return '"' + str(obj) + '"'
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _probe_signal(system, seed: int = 2024) -> np.ndarray:
@@ -93,8 +69,6 @@ def _probe_signal(system, seed: int = 2024) -> np.ndarray:
 def _cmd_design(args) -> int:
     system = system_from_config(read_config(args.config))
     write_descriptor(args.out, system)
-    if args.atom_cache:
-        write_atom_cache(args.atom_cache, system)
     print(f"channels = {len(system.channels)}")
     print(f"delta = {fmt(system.delta)}")
     print(f"painless = {'true' if system.painless else 'false'}")
@@ -178,7 +152,7 @@ def _cmd_diagnose(args) -> int:
                                     stft_reference(probe, system))
         verdict = "PASS" if dev <= 1e-10 else "FAIL"
         report["stft_equivalence"] = f"max_dev {fmt(dev)} <= 1e-10: {verdict}"
-    print(_render(report))
+    print(json.dumps(_jsonable(report), indent=2))
     return _EXIT_OK
 
 
@@ -269,15 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="warpft",
         description="Warped time-frequency transforms: design, analysis, "
                     "synthesis, diagnostics, kernel sweeps.")
-    parser.add_argument("--threads", default=None,
-                        help="worker-pool cap (or WARPFT_THREADS); results "
-                             "do not depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="build a system descriptor")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--atom-cache", default=None)
     p.set_defaults(fn=_cmd_design)
 
     p = sub.add_parser("analyze", help="signal -> coefficient container")
@@ -342,7 +312,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(args.threads)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NotPainlessError
+from .errors import (ConfigError, DomainError, NonConvergenceError,
+                     NotPainlessError)
 from .system import WarpedSystem
+from .transform import _frame_op, _pcg
 from .warping import (POSITIVE_HALF_LINE, WarpingFunction, WeightSpec,
                       check_moderateness, check_quasi_submultiplicative,
                       constant_weight, induced_v1, warped_weight)
@@ -340,45 +342,6 @@ def frame_bounds_painless(system: WarpedSystem) -> Tuple[float, float]:
     return float(diag.min()), float(diag.max())
 
 
-def _projected_op(system: WarpedSystem, idx: np.ndarray):
-    """Frame operator compressed to the covered band, acting on spectra.
-
-    Deliberately routed through the full analysis/synthesis pipeline so
-    the estimate is independent of the diagonal bookkeeping.
-    """
-    from .transform import apply_frame_operator
-    n = system.grid.length
-
-    def op(v: np.ndarray) -> np.ndarray:
-        vhat = np.zeros(n, dtype=complex)
-        vhat[idx] = v
-        shat = np.fft.fft(apply_frame_operator(np.fft.ifft(vhat), system))
-        return shat[idx]
-
-    return op
-
-
-def _cg_solve(op, b, precond, tol, max_iterations):
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precond * r
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    target = tol * float(np.linalg.norm(b))
-    for _ in range(max_iterations):
-        if np.linalg.norm(r) <= target:
-            return x, True
-        q = op(p)
-        alpha = rz / np.vdot(p, q).real
-        x += alpha * p
-        r -= alpha * q
-        z = precond * r
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, bool(np.linalg.norm(r) <= target)
-
-
 def frame_bounds_power_iteration(system: WarpedSystem, trials: int = 3,
                                  tol: float = 1e-8,
                                  max_iterations: int = 200
@@ -388,12 +351,15 @@ def frame_bounds_power_iteration(system: WarpedSystem, trials: int = 3,
     The upper bound comes from power iteration on the frame operator,
     the lower bound from inverse power iteration with conjugate-gradient
     solves.  ``trials`` independent random starts are run and the most
-    extreme Rayleigh quotients kept.
+    extreme Rayleigh quotients kept.  The operator is applied through
+    the transform's fold/unfold pair, which never reads the diagonal
+    profile, so the estimate is independent of it; the profile serves
+    only as the CG preconditioner.
     """
     idx = system.interior_bins()
     if idx.size == 0:
         raise ConfigError("system has no fully covered bins")
-    op = _projected_op(system, idx)
+    op = _frame_op(system, idx)
     diag = system.frame_diag()[idx]
     precond = 1.0 / np.maximum(diag, 1e-300)
 
@@ -420,10 +386,15 @@ def frame_bounds_power_iteration(system: WarpedSystem, trials: int = 3,
         # smallest eigenvalue via inverse iteration
         v = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         v /= np.linalg.norm(v)
+        rho = np.vdot(v, op(v)).real  # kept if the first solve fails
         rho_prev = np.inf
         converged_all = True
         for _ in range(max_iterations):
-            y, ok = _cg_solve(op, v, precond, 1e-10, 200)
+            try:
+                y, _, ok = _pcg(op, v, precond, 1e-10, 200)
+            except NonConvergenceError:  # S is singular to rounding here
+                converged_all = False
+                break
             converged_all = converged_all and ok
             ny = np.linalg.norm(y)
             if ny == 0:

@@ -7,16 +7,14 @@ digits so they round-trip) or little-endian binary:
 * signals — raw interleaved f64 re/im pairs, length from file size;
 * coefficients — magic ``WTC1``, u32 version, u32 channel count,
   per-channel ``{f64 center_hz, f64 hop_seconds, u64 frame_count}``
-  headers, then per-channel interleaved f64 re/im frames;
-* atom cache — magic ``WTS1``, u32 version, u32 channel count,
-  u64 transform length, per-channel ``{f64 center_hz, u64 hop,
-  u64 support_count}`` then u64 support indices and f64 values.
+  headers, then per-channel interleaved f64 re/im frames.  Reading
+  checks every header against the system it is read for.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from .transform import Coefficients
 from .warping import WarpingFunction, warp_from_params
 
 _COEFF_MAGIC = b"WTC1"
-_CACHE_MAGIC = b"WTS1"
 _VERSION = 1
 
 _WARP_PARAMS = {
@@ -212,19 +209,25 @@ def read_coefficients(path, system: WarpedSystem) -> Coefficients:
     if blob[:4] != _COEFF_MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}, "
                           f"expected {_COEFF_MAGIC!r}")
+    if len(blob) < 12:
+        raise FormatError(f"{path}: truncated header")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
     if count != len(system.channels):
         raise ShapeError(f"{path}: container has {count} channels, "
                          f"system has {len(system.channels)}")
-    off = 12
-    headers: List[Tuple[float, float, int]] = []
-    for _ in range(count):
-        headers.append(struct.unpack_from("<ddQ", blob, off))
-        off += 24
+    off = 12 + 24 * count
+    if off > len(blob):
+        raise FormatError(f"{path}: truncated channel headers")
+    centers, hops = system.channel_positions(), system.hop_seconds()
     data = []
-    for ch, (center, hop, frames) in zip(system.channels, headers):
+    for i, ch in enumerate(system.channels):
+        center, hop, frames = struct.unpack_from("<ddQ", blob, 12 + 24 * i)
+        if center != centers[i] or hop != hops[i]:
+            raise ShapeError(f"{path}: channel {ch.index} sits at "
+                             f"({fmt(center)} Hz, {fmt(hop)} s), system has "
+                             f"({fmt(centers[i])} Hz, {fmt(hops[i])} s)")
         if frames != ch.frames:
             raise ShapeError(f"{path}: channel {ch.index} has {frames} "
                              f"frames, system expects {ch.frames}")
@@ -236,53 +239,5 @@ def read_coefficients(path, system: WarpedSystem) -> Coefficients:
         off = end
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
-    return Coefficients(data, [h[0] for h in headers],
-                        [h[1] for h in headers],
-                        system.grid.sample_rate, system.grid.length)
-
-
-# -- WTS1 atom cache -------------------------------------------------------
-
-
-def write_atom_cache(path, system: WarpedSystem):
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<IIQ", _VERSION, len(system.channels),
-                             system.grid.length))
-        for ch, atom in zip(system.channels, system.atoms):
-            fh.write(struct.pack("<dQQ", ch.center_hz, ch.hop_samples,
-                                 atom.support.size))
-            fh.write(atom.support.astype("<u8").tobytes())
-            fh.write(atom.values[atom.support].astype("<f8").tobytes())
-
-
-def read_atom_cache(path) -> List[Tuple[float, int, np.ndarray, np.ndarray]]:
-    """Returns per-channel (center_hz, hop, support indices, values)."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read atom cache {path}: {exc}") from None
-    if blob[:4] != _CACHE_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, "
-                          f"expected {_CACHE_MAGIC!r}")
-    version, count, length = struct.unpack_from("<IIQ", blob, 4)
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    off = 20
-    out = []
-    for _ in range(count):
-        center, hop, nsup = struct.unpack_from("<dQQ", blob, off)
-        off += 24
-        idx = np.frombuffer(blob[off:off + 8 * nsup], dtype="<u8") \
-            .astype(np.int64)
-        off += 8 * nsup
-        vals = np.frombuffer(blob[off:off + 8 * nsup], dtype="<f8") \
-            .astype(np.float64)
-        off += 8 * nsup
-        if idx.size != nsup or vals.size != nsup or np.any(idx >= length):
-            raise FormatError(f"{path}: truncated or inconsistent cache")
-        out.append((center, int(hop), idx, vals))
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
-    return out
+    return Coefficients(data, centers, hops, system.grid.sample_rate,
+                        system.grid.length)

@@ -152,19 +152,6 @@ def prototype_from_params(kind: str, **params) -> Prototype:
     return makers[kind]()
 
 
-def eval_prototype(theta: Prototype, s, order: int = 0):
-    """Functional form of :meth:`Prototype.eval`."""
-    return theta.eval(s, order)
-
-
-def _weight_callable(weight):
-    if weight is None:
-        return lambda s: np.ones_like(np.asarray(s, dtype=float))
-    if isinstance(weight, WeightSpec):
-        return weight
-    return weight  # already a vectorized callable
-
-
 def weighted_l2_norm(theta: Prototype, weight=None,
                      quad: Optional[QuadratureSpec] = None) -> float:
     """``(∫ |theta(s)|^2 weight(s)^2 ds)^{1/2}``.
@@ -173,13 +160,13 @@ def weighted_l2_norm(theta: Prototype, weight=None,
     an adaptively expanded window.  A combination whose integrand keeps
     growing (or overflows) raises :class:`DivergenceError`.
     """
-    wfn = _weight_callable(weight)
-
     def integrand(s):
         # overflow shows up as inf/nan and is reported as divergence
         with np.errstate(over="ignore", invalid="ignore"):
             th = theta.eval(s)
-            wv = np.asarray(wfn(s), dtype=float)
+            if weight is None:
+                return th * th
+            wv = np.asarray(weight(s), dtype=float)
             return th * th * wv * wv
 
     if theta.compact:

@@ -73,10 +73,6 @@ class Channel:
     hop_samples: int         # power of two dividing the grid length
     frames: int
 
-    @property
-    def hop_seconds_at(self):  # pragma: no cover - convenience only
-        return self.hop_samples
-
 
 def _pow2_floor(x: float) -> int:
     if x < 2.0:
@@ -120,15 +116,21 @@ def design_channels(warp: WarpingFunction, delta: float, grid: SignalGrid,
 
 @dataclass(frozen=True)
 class Atom:
-    """A sampled atom: dense values plus its retained support indices."""
+    """A sampled atom, stored on its retained support only."""
 
-    values: np.ndarray        # float64, length N, zero off support
-    support: np.ndarray       # bin indices with values != 0
+    values: np.ndarray        # float64, the nonzero values on ``support``
+    support: np.ndarray       # increasing bin indices
     center_hz: float
 
     @property
     def support_bins(self) -> int:
         return int(self.support.size)
+
+    def dense(self, n: int) -> np.ndarray:
+        """The atom on all ``n`` bins of its grid, zero off the support."""
+        out = np.zeros(n)
+        out[self.support] = self.values
+        return out
 
 
 def build_atom(warp: WarpingFunction, theta: Prototype, x: float,
@@ -152,7 +154,7 @@ def build_atom(warp: WarpingFunction, theta: Prototype, x: float,
     support = np.flatnonzero(vals)
     if support.size == 0:
         raise DegenerateAtomError(f"atom at {x} Hz fully truncated")
-    return Atom(vals, support, float(x))
+    return Atom(vals[support], support, float(x))
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ class WarpedSystem:
         if self._diag is None:
             d = np.zeros(self.grid.length)
             for atom, ch in zip(self.atoms, self.channels):
-                d[atom.support] += atom.values[atom.support] ** 2 / ch.hop_samples
+                d[atom.support] += atom.values ** 2 / ch.hop_samples
             self._diag = d
         return self._diag
 
@@ -241,6 +243,10 @@ class WarpedSystem:
 
     def channel_positions(self) -> np.ndarray:
         return np.array([ch.center_hz for ch in self.channels])
+
+    def hop_seconds(self) -> np.ndarray:
+        fs = self.grid.sample_rate
+        return np.array([ch.hop_samples / fs for ch in self.channels])
 
 
 def build_system(warp: WarpingFunction, theta: Prototype, delta: float,

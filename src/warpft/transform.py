@@ -6,6 +6,13 @@ subsampled by the channel hop:
 
     c_l[k] = ifft(fft(f) * conj(g_l))[k * n_l]
 
+The hop ``n_l`` divides N, so that subsampled N-point inverse FFT is an
+``M_l``-point one (``M_l = N / n_l`` frames) of the product folded mod
+``M_l``, divided by ``n_l``.  :func:`_fold` computes ``V`` that way on
+each atom's support and :func:`_unfold` is its adjoint; analysis, the
+adjoint, the frame operator, CG synthesis and the power-iteration frame
+bounds are all built on this pair.
+
 With unit-norm prototypes these coefficients approximate the continuous
 inner products ``<f, g_{x_l, k n_l / fs}>`` directly, no extra scaling.
 
@@ -20,7 +27,7 @@ equations with conjugate gradients instead and works for any system.
 from __future__ import annotations
 
 import csv
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,41 +48,98 @@ def _as_signal(f, n: int) -> np.ndarray:
     return arr.astype(complex)
 
 
+def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
+    """Analysis in the DFT domain: ``V`` applied to the spectrum ``fhat``.
+
+    Per channel the product ``fhat * g_l`` is aliased onto the ``M_l``
+    residues of the frame lattice and inverted with an ``M_l``-point
+    FFT; that equals ``ifft_N(fhat * g_l)[::n_l]`` for any hop dividing
+    N, painless or not.
+    """
+    data = []
+    for atom, ch in zip(system.atoms, system.channels):
+        prod = fhat[atom.support] * atom.values
+        residue = atom.support % ch.frames
+        folded = (np.bincount(residue, prod.real, ch.frames)
+                  + 1j * np.bincount(residue, prod.imag, ch.frames))
+        data.append(np.fft.ifft(folded) / ch.hop_samples)
+    return data
+
+
+def _unfold(data: List[np.ndarray], system: WarpedSystem) -> np.ndarray:
+    """Synthesis in the DFT domain: the spectrum of ``V* c``."""
+    out = np.zeros(system.grid.length, dtype=complex)
+    for c, atom, ch in zip(data, system.atoms, system.channels):
+        spread = np.fft.fft(c)  # length M_l; index by j mod M_l
+        out[atom.support] += spread[atom.support % ch.frames] * atom.values
+    return out
+
+
+def _frame_op(system: WarpedSystem, idx: np.ndarray):
+    """The frame operator ``S = V* V`` in the DFT basis, compressed to the
+    bins ``idx``: maps values on ``idx`` to values on ``idx``."""
+    n = system.grid.length
+
+    def op(v: np.ndarray) -> np.ndarray:
+        vhat = np.zeros(n, dtype=complex)
+        vhat[idx] = v
+        return _unfold(_fold(vhat, system), system)[idx]
+
+    return op
+
+
+def _pcg(op, b: np.ndarray, precond: np.ndarray, tol: float,
+         max_iterations: int) -> Tuple[np.ndarray, int, bool]:
+    """Preconditioned conjugate gradients for ``op x = b``, ``op``
+    Hermitian positive definite.  Stops once the residual is at most
+    ``tol |b|``; returns ``(x, iterations, converged)``.  Raises
+    :class:`NonConvergenceError` when ``op`` turns out not positive."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precond * r
+    p = z.copy()
+    rz = np.vdot(r, z).real
+    target = tol * float(np.linalg.norm(b))
+    for it in range(max_iterations):
+        if np.linalg.norm(r) <= target:
+            return x, it, True
+        q = op(p)
+        denom = np.vdot(p, q).real
+        if denom <= 0:
+            raise NonConvergenceError("frame operator lost positivity in CG")
+        alpha = rz / denom
+        x += alpha * p
+        r -= alpha * q
+        z = precond * r
+        rz_new = np.vdot(r, z).real
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, max_iterations, bool(np.linalg.norm(r) <= target)
+
+
+def _check_layout(coeffs: Coefficients, system: WarpedSystem) -> None:
+    if not coeffs.matches_system(system):
+        raise ShapeError("coefficient layout does not match the system")
+
+
 def analyze(f, system: WarpedSystem) -> Coefficients:
     """Warped transform coefficients of ``f`` (length must match the grid)."""
     fhat = np.fft.fft(_as_signal(f, system.grid.length))
-    data = []
-    for atom, ch in zip(system.atoms, system.channels):
-        prod = np.zeros_like(fhat)
-        prod[atom.support] = fhat[atom.support] * atom.values[atom.support]
-        data.append(np.fft.ifft(prod)[::ch.hop_samples])
-    fs = system.grid.sample_rate
-    return Coefficients(data,
-                        system.channel_positions(),
-                        np.array([ch.hop_samples / fs for ch in system.channels]),
-                        fs, system.grid.length)
+    return Coefficients(_fold(fhat, system), system.channel_positions(),
+                        system.hop_seconds(), system.grid.sample_rate,
+                        system.grid.length)
 
 
 def adjoint(coeffs: Coefficients, system: WarpedSystem) -> np.ndarray:
     """Apply the synthesis map ``V* c = sum_{l,k} c_l[k] g_{l,k}``."""
-    return np.fft.ifft(_adjoint_hat(coeffs, system))
-
-
-def _adjoint_hat(coeffs: Coefficients, system: WarpedSystem) -> np.ndarray:
-    if not coeffs.matches_system(system):
-        raise ShapeError("coefficient layout does not match the system")
-    n = system.grid.length
-    out = np.zeros(n, dtype=complex)
-    for c, atom, ch in zip(coeffs.data, system.atoms, system.channels):
-        spread = np.fft.fft(c)  # length M_l; index by j mod M_l
-        idx = atom.support
-        out[idx] += spread[idx % ch.frames] * atom.values[idx]
-    return out
+    _check_layout(coeffs, system)
+    return np.fft.ifft(_unfold(coeffs.data, system))
 
 
 def apply_frame_operator(f, system: WarpedSystem) -> np.ndarray:
-    """``S f = V* V f`` via the full analysis/synthesis pipeline."""
-    return adjoint(analyze(f, system), system)
+    """``S f = V* V f``."""
+    fhat = np.fft.fft(_as_signal(f, system.grid.length))
+    return np.fft.ifft(_unfold(_fold(fhat, system), system))
 
 
 def synthesize(coeffs: Coefficients, system: WarpedSystem,
@@ -99,7 +163,8 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
     if interior.size and float(np.min(diag[interior])) < DIAG_FLOOR * peak:
         raise IllConditionedError(
             "frame profile nearly vanishes inside the covered band")
-    num = _adjoint_hat(coeffs, system)
+    _check_layout(coeffs, system)
+    num = _unfold(coeffs.data, system)
     fhat = np.zeros_like(num)
     good = diag >= DIAG_FLOOR * peak
     fhat[good] = num[good] / diag[good]
@@ -107,49 +172,21 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
 
 
 def _synthesize_cg(coeffs, system, tol, max_iterations):
-    rhs = _adjoint_hat(coeffs, system)
+    """Solve ``S x = V* c`` on the covered bins, preconditioned by the
+    diagonal profile; bins outside stay zero."""
+    _check_layout(coeffs, system)
+    rhs = _unfold(coeffs.data, system)
     diag = system.frame_diag()
-    peak = float(np.max(diag))
-    covered = diag >= DIAG_FLOOR * peak
-    precond = np.where(covered, 1.0 / np.maximum(diag, DIAG_FLOOR * peak), 0.0)
-
-    def op(v_hat):
-        out = np.zeros_like(v_hat)
-        for atom, ch in zip(system.atoms, system.channels):
-            idx = atom.support
-            prod = np.zeros_like(v_hat)
-            prod[idx] = v_hat[idx] * atom.values[idx]
-            c = np.fft.ifft(prod)[::ch.hop_samples]
-            out[idx] += np.fft.fft(c)[idx % ch.frames] * atom.values[idx]
-        return out
-
-    x = np.zeros_like(rhs)
-    r = rhs - op(x)
-    r[~covered] = 0.0
-    z = precond * r
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    target = tol * float(np.linalg.norm(rhs))
-    if np.linalg.norm(r) <= target:
-        return np.fft.ifft(x)
-    for _ in range(max_iterations):
-        q = op(p)
-        q[~covered] = 0.0
-        denom = np.vdot(p, q).real
-        if denom <= 0:
-            raise NonConvergenceError("frame operator lost positivity in CG")
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * q
-        if np.linalg.norm(r) <= target:
-            return np.fft.ifft(x)
-        z = precond * r
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise NonConvergenceError(
-        f"conjugate gradients did not reach tol={tol} "
-        f"in {max_iterations} iterations")
+    covered = np.flatnonzero(diag >= DIAG_FLOOR * float(np.max(diag)))
+    x, _, converged = _pcg(_frame_op(system, covered), rhs[covered],
+                           1.0 / diag[covered], tol, max_iterations)
+    if not converged:
+        raise NonConvergenceError(
+            f"conjugate gradients did not reach tol={tol} "
+            f"in {max_iterations} iterations")
+    fhat = np.zeros_like(rhs)
+    fhat[covered] = x
+    return np.fft.ifft(fhat)
 
 
 def roundtrip_residual(f, system: WarpedSystem, iterative: bool = False) -> float:
@@ -176,8 +213,9 @@ def moyal_residual(f1, f2, system1: WarpedSystem,
     if (s1.grid.length != s2.grid.length
             or s1.grid.sample_rate != s2.grid.sample_rate
             or s1.delta != s2.delta
-            or len(s1.channels) != len(s2.channels)
-            or s1.warp.kind != s2.warp.kind):
+            or not np.array_equal(s1.channel_positions(),
+                                  s2.channel_positions())
+            or not np.array_equal(s1.hop_seconds(), s2.hop_seconds())):
         raise ShapeError("moyal_residual needs systems on a shared layout")
     c1 = analyze(f1, s1)
     c2 = analyze(f2, s2)
@@ -205,16 +243,14 @@ def stft_reference(f, system: WarpedSystem) -> Coefficients:
     sig = _as_signal(f, n)
     data = []
     for atom, ch in zip(system.atoms, system.channels):
-        window = np.fft.ifft(atom.values.astype(complex))
+        window = np.fft.ifft(atom.dense(n))
         frames = np.empty(ch.frames, dtype=complex)
         for k in range(ch.frames):
             rolled = np.roll(sig, -k * ch.hop_samples)
             frames[k] = np.vdot(window, rolled)
         data.append(frames)
-    fs = system.grid.sample_rate
     return Coefficients(data, system.channel_positions(),
-                        np.array([ch.hop_samples / fs for ch in system.channels]),
-                        fs, n)
+                        system.hop_seconds(), system.grid.sample_rate, n)
 
 
 def coefficient_deviation(a: Coefficients, b: Coefficients) -> float:

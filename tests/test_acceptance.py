@@ -98,7 +98,7 @@ def test_02_wavelet_dilation_identity():
         x = ch.center_hz
         ref = np.zeros(grid.length)
         ref[active] = x ** -0.5 * theta.eval(np.log(freqs[active] / x))
-        dev = max(dev, float(np.max(np.abs(atom.values - ref))))
+        dev = max(dev, float(np.max(np.abs(atom.dense(grid.length) - ref))))
     _report("02 wavelet-dilation", dev <= 1e-12, f"max dev {dev:.3e} <= 1e-12")
 
 

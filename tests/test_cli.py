@@ -1,5 +1,7 @@
 """End-to-end subcommand runs, exit codes, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,17 @@ class TestAnalyzeSynthesize:
                    "--out", str(tmp_path / "r.f64")])
         assert rc == 4
 
+    def test_truncated_header_exits_4(self, erb_paths, tmp_path, capsys):
+        _, desc = erb_paths
+        bad = tmp_path / "short.wtc"
+        bad.write_bytes(b"WTC1\x01\x00")
+        capsys.readouterr()
+        rc = main(["synthesize", "--system", str(desc), "--coeffs", str(bad),
+                   "--out", str(tmp_path / "r.f64")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_non_painless_exits_5(self, tmp_path):
         cfg = tmp_path / "hard.cfg"
         cfg.write_text(ERB_CFG.replace("prototype.radius = 0.9",
@@ -193,6 +206,26 @@ class TestDiagnose:
         first = capsys.readouterr().out
         assert main(["diagnose", "--system", str(desc), "--trials", "1"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_non_finite_values_are_null(self, tmp_path, capsys,
+                                        monkeypatch):
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(FLAT_CFG)
+        desc = tmp_path / "flat.desc"
+        assert main(["design", "--config", str(cfg), "--out", str(desc)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("warpft.cli.frame_bounds_power_iteration",
+                            lambda system, trials: (float("nan"),
+                                                    float("inf")))
+        assert main(["diagnose", "--system", str(desc), "--trials", "1"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["frame_bounds_power"] == {"A": None, "B": None,
+                                                "B_over_A": None}
+        assert report["painless"] is True
 
 
 class TestKernelOps:
@@ -258,24 +291,3 @@ class TestCoverDumpAndSpectrogram:
         assert rc == 0
         header = out.read_text().splitlines()[0]
         assert header == "channel,frame,time_seconds,center_hz,magnitude"
-
-
-class TestThreads:
-    def test_bad_thread_count_exits_2(self, erb_paths):
-        _, desc = erb_paths
-        assert main(["--threads", "0", "diagnose",
-                     "--system", str(desc)]) == 2
-
-    def test_env_fallback(self, erb_paths, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("WARPFT_THREADS", "3")
-        cfg, _ = erb_paths
-        rc = main(["design", "--config", str(cfg),
-                   "--out", str(tmp_path / "t.desc")])
-        assert rc == 0
-
-    def test_env_invalid_exits_2(self, erb_paths, tmp_path, monkeypatch):
-        monkeypatch.setenv("WARPFT_THREADS", "many")
-        cfg, _ = erb_paths
-        rc = main(["design", "--config", str(cfg),
-                   "--out", str(tmp_path / "t.desc")])
-        assert rc == 2

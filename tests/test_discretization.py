@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from warpft import (ConfigError, DomainError, NotPainlessError,
-                    alpha_like_warp, erb_warp, gaussian_prototype,
-                    linear_warp, log_warp, power_law_warp)
+                    alpha_like_warp, bump_prototype, erb_warp,
+                    gaussian_prototype, linear_warp, log_warp,
+                    power_law_warp)
 from warpft.discretization import (check_cover_admissible, elements_containing,
                                    frame_bounds_painless,
                                    frame_bounds_power_iteration, induced_cover,
@@ -197,6 +198,32 @@ class TestFrameBounds:
         ae, be = frame_bounds_power_iteration(sys, trials=1)
         # Rayleigh quotients can only move inward
         assert a - 1e-8 <= ae <= be <= b + 1e-8
+
+    @pytest.mark.parametrize("radius, painless, a_ref, b_ref", [
+        (0.9, True, 0.0002945851239872677, 0.00043648385125637863),
+        (2.0, False, 0.000296370046370536, 0.0004428390695495626),
+    ])
+    def test_power_iteration_recorded_values(self, radius, painless,
+                                             a_ref, b_ref):
+        """Bounds recorded with the earlier time-domain frame operator (a
+        full N-point FFT round trip per application, plain CG)."""
+        grid = SignalGrid(1024, 16000.0)
+        sys = build_system(log_warp(), bump_prototype(radius), 0.5, grid)
+        assert sys.painless == painless
+        a, b = frame_bounds_power_iteration(sys, trials=1)
+        assert abs(a - a_ref) <= 1e-10 * a_ref
+        assert abs(b - b_ref) <= 1e-10 * b_ref
+
+    def test_singular_band_warns_instead_of_raising(self):
+        """Hops far above the painless limit leave S singular to rounding
+        on the band: CG loses positivity, and the estimate says so by a
+        warning and a lower bound at rounding level."""
+        grid = SignalGrid(256, 256.0)
+        sys = build_system(linear_warp(1.0), gaussian_prototype(8.0), 32.0,
+                           grid, time_scale=1.0 / 256)
+        with pytest.warns(RuntimeWarning, match="stalled"):
+            a, b = frame_bounds_power_iteration(sys, trials=1)
+        assert abs(a) <= 1e-12 * b
 
     def test_rayleigh_sandwich(self):
         sys = _flat_linear_system()

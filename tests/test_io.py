@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from warpft import ConfigError, FormatError, ShapeError
-from warpft.io import (format_config, parse_config, read_atom_cache,
-                       read_coefficients, read_descriptor, read_signal,
-                       system_from_config, system_to_config,
-                       write_atom_cache, write_coefficients,
+from warpft.io import (format_config, parse_config, read_coefficients,
+                       read_descriptor, read_signal, system_from_config,
+                       system_to_config, write_coefficients,
                        write_descriptor, write_signal)
-from warpft.prototype import bump_prototype
+from warpft.prototype import bump_prototype, gaussian_prototype
 from warpft.system import SignalGrid, build_system
 from warpft.transform import analyze
-from warpft.warping import erb_warp
+from warpft.warping import erb_warp, linear_warp
 
 RNG = np.random.default_rng(31)
 
@@ -61,7 +60,7 @@ class TestDescriptor:
         assert len(sys2.channels) == len(sys1.channels)
         assert sys2.delta == sys1.delta
         for a, b in zip(sys1.atoms, sys2.atoms):
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.dense(1024), b.dense(1024))
 
     def test_unknown_key_rejected(self):
         cfg = system_to_config(_erb_system())
@@ -125,6 +124,29 @@ class TestCoefficientContainer:
         with pytest.raises(FormatError):
             read_coefficients(path, system)
 
+    def test_every_prefix_rejected(self, tmp_path):
+        system = build_system(linear_warp(1.0), gaussian_prototype(4.0),
+                              16.0, SignalGrid(64, 64.0),
+                              time_scale=1.0 / 16)
+        coeffs = analyze(_signal(system), system)
+        path = tmp_path / "c.wtc"
+        write_coefficients(path, coeffs)
+        blob = path.read_bytes()
+        assert len(blob) < 2048
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises((FormatError, ShapeError)):
+                read_coefficients(path, system)
+
+    def test_patched_centre_rejected(self, tmp_path):
+        system = _erb_system()
+        coeffs = analyze(_signal(system), system)
+        coeffs.centers_hz[0] += 1e-9
+        path = tmp_path / "c.wtc"
+        write_coefficients(path, coeffs)
+        with pytest.raises(ShapeError, match="Hz"):
+            read_coefficients(path, system)
+
     def test_channel_count_mismatch(self, tmp_path):
         system = _erb_system()
         other = build_system(erb_warp(), bump_prototype(0.9), 1.0,
@@ -134,24 +156,3 @@ class TestCoefficientContainer:
         write_coefficients(path, coeffs)
         with pytest.raises(ShapeError, match="channels"):
             read_coefficients(path, other)
-
-
-class TestAtomCache:
-    def test_round_trip(self, tmp_path):
-        system = _erb_system()
-        path = tmp_path / "a.wts"
-        write_atom_cache(path, system)
-        cached = read_atom_cache(path)
-        assert len(cached) == len(system.channels)
-        for (center, hop, idx, vals), ch, atom in zip(
-                cached, system.channels, system.atoms):
-            assert center == ch.center_hz
-            assert hop == ch.hop_samples
-            assert np.array_equal(idx, atom.support)
-            assert np.array_equal(vals, atom.values[atom.support])
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.wts"
-        path.write_bytes(b"WTC1" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="magic"):
-            read_atom_cache(path)

@@ -93,20 +93,21 @@ class TestBuildAtom:
     def test_linear_atom_values(self):
         grid = SignalGrid(1024, 1024.0)
         theta = gaussian_prototype(16.0)
-        atom = build_atom(linear_warp(1.0), theta, 32.0, grid)
-        assert atom.values[32] == pytest.approx(1.0)  # sqrt(F') theta(0) = 1
+        atom = build_atom(linear_warp(1.0), theta, 32.0, grid).dense(1024)
+        assert atom[32] == pytest.approx(1.0)  # sqrt(F') theta(0) = 1
         # even symmetry about the centre bin
         for k in (1, 5, 40, 90):
-            assert atom.values[32 + k] == pytest.approx(atom.values[32 - k])
+            assert atom[32 + k] == pytest.approx(atom[32 - k])
 
     def test_truncation_support(self):
         grid = SignalGrid(1024, 1024.0)
         atom = build_atom(linear_warp(1.0), gaussian_prototype(16.0), 0.0,
                           grid, truncation=1e-8)
-        peak = np.abs(atom.values).max()
-        on = atom.values[atom.support]
+        dense = atom.dense(1024)
+        peak = np.abs(dense).max()
+        on = dense[atom.support]
         assert np.all(np.abs(on) >= 1e-8 * peak)
-        off = np.delete(atom.values, atom.support)
+        off = np.delete(dense, atom.support)
         assert np.all(off == 0.0)
         # oracle: gaussian reaches 1e-8 at sigma sqrt(2 ln 1e8) ~= 97.1 Hz,
         # so bins -97..97 survive
@@ -122,8 +123,9 @@ class TestBuildAtom:
         grid = SignalGrid(256, 1000.0)
         atom = build_atom(log_warp(), gaussian_prototype(1.0), 100.0, grid)
         f = grid.bin_freqs()
-        assert np.all(atom.values[f <= 0] == 0.0)
-        assert atom.values[f > 0].max() > 0
+        dense = atom.dense(256)
+        assert np.all(dense[f <= 0] == 0.0)
+        assert dense[f > 0].max() > 0
 
     def test_off_grid_atom_degenerates(self):
         grid = SignalGrid(1024, 1024.0)
@@ -175,7 +177,7 @@ class TestFrameProfile:
         diag = sys.frame_diag()
         direct = np.zeros(1024)
         for atom, ch in zip(sys.atoms, sys.channels):
-            direct += np.abs(atom.values) ** 2 / ch.hop_samples
+            direct += np.abs(atom.dense(1024)) ** 2 / ch.hop_samples
         np.testing.assert_allclose(diag, direct, rtol=0, atol=1e-15)
         assert np.all(diag[sys.interior_bins()] > 0)
 

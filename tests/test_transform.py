@@ -7,9 +7,10 @@ from warpft import (NotPainlessError, ShapeError, bump_prototype, erb_warp,
                     gaussian_prototype, linear_warp, log_warp)
 from warpft.prototype import admissibility_inner_product, l2_norm
 from warpft.system import SignalGrid, build_atom, build_system
-from warpft.transform import (adjoint, analyze, apply_frame_operator,
-                              coefficient_deviation, moyal_residual,
-                              roundtrip_residual, stft_reference, synthesize)
+from warpft.transform import (_frame_op, adjoint, analyze,
+                              apply_frame_operator, coefficient_deviation,
+                              moyal_residual, roundtrip_residual,
+                              stft_reference, synthesize)
 
 RNG = np.random.default_rng(42)
 
@@ -23,6 +24,28 @@ def _linear_system():
 def _erb_system(radius=0.9, delta=0.5):
     grid = SignalGrid(4096, 16000.0)
     return build_system(erb_warp(), bump_prototype(radius), delta, grid)
+
+
+def _log_system(radius):
+    grid = SignalGrid(1024, 16000.0)
+    return build_system(log_warp(), bump_prototype(radius), 0.5, grid)
+
+
+# one painless and one non-painless system per warp
+SYSTEMS = {
+    "linear": _linear_system,
+    "linear-not-painless": lambda: build_system(
+        linear_warp(1.0), gaussian_prototype(16.0), 64.0,
+        SignalGrid(1024, 1024.0), time_scale=1.0 / 1024),
+    "log": lambda: _log_system(0.9),
+    "log-not-painless": lambda: _log_system(2.0),
+    "erb": _erb_system,
+    "erb-not-painless": lambda: _erb_system(radius=2.0),
+}
+
+
+def _random_signal(n, rng):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def _interior_signal(system, rng=RNG):
@@ -81,18 +104,59 @@ class TestIterative:
         assert np.linalg.norm(rec - f) < 1e-6 * np.linalg.norm(f)
 
 
+def _dense_analyze(f, system):
+    """Reference analysis: a full N-point inverse FFT of each channel's
+    spectral product, then every hop-th sample."""
+    fhat = np.fft.fft(f)
+    out = []
+    for atom, ch in zip(system.atoms, system.channels):
+        prod = np.zeros_like(fhat)
+        prod[atom.support] = fhat[atom.support] * atom.values
+        out.append(np.fft.ifft(prod)[::ch.hop_samples])
+    return out
+
+
+class TestFoldedCore:
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_analyze_matches_dense_reference(self, name):
+        sys = SYSTEMS[name]()
+        assert sys.painless == (not name.endswith("not-painless"))
+        n = sys.grid.length
+        f = _random_signal(n, np.random.default_rng(17))
+        coeffs = analyze(f, sys)
+        for l, ref in enumerate(_dense_analyze(f, sys)):
+            scale = np.abs(ref).max()
+            assert np.abs(coeffs.data[l] - ref).max() <= 1e-13 * scale, l
+
+    @pytest.mark.parametrize("name", ["linear", "erb-not-painless"])
+    def test_frame_op_matches_time_domain_operator(self, name):
+        """The compressed spectral operator equals the spectrum of the
+        time-domain frame operator on the same bins."""
+        sys = SYSTEMS[name]()
+        n = sys.grid.length
+        idx = sys.interior_bins()
+        v = _random_signal(idx.size, np.random.default_rng(23))
+        vhat = np.zeros(n, dtype=complex)
+        vhat[idx] = v
+        ref = np.fft.fft(apply_frame_operator(np.fft.ifft(vhat), sys))[idx]
+        got = _frame_op(sys, idx)(v)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 class TestAdjoint:
     def test_pairing_identity(self):
-        """<V f, c> must equal <f, V* c> for the analysis map V."""
-        sys = _linear_system()
-        rng = np.random.default_rng(3)
-        f = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-        c = analyze(np.fft.ifft(rng.standard_normal(1024)
-                                + 1j * rng.standard_normal(1024)), sys)
-        vf = analyze(f, sys)
-        lhs = sum(np.vdot(cb, ca) for ca, cb in zip(vf.data, c.data))
-        rhs = np.vdot(adjoint(c, sys), f)
-        assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+        """<V f, c> must equal <f, V* c> for the analysis map V, on every
+        system of SYSTEMS."""
+        for name, make in SYSTEMS.items():
+            sys = make()
+            n = sys.grid.length
+            rng = np.random.default_rng(3)
+            f = _random_signal(n, rng)
+            c = analyze(np.fft.ifft(_random_signal(n, rng)), sys)
+            vf = analyze(f, sys)
+            lhs = sum(np.vdot(cb, ca) for ca, cb in zip(vf.data, c.data))
+            rhs = np.vdot(adjoint(c, sys), f)
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs), name
 
     def test_frame_operator_positive(self):
         sys = _linear_system()
@@ -154,8 +218,8 @@ class TestWaveletIdentity:
             atom = build_atom(warp, theta, x, grid, truncation=0.0)
             expected = np.zeros(grid.length)
             expected[pos] = theta.eval(np.log(xi[pos] / x)) / np.sqrt(x)
-            np.testing.assert_allclose(atom.values, expected, rtol=1e-12,
-                                       atol=1e-300)
+            np.testing.assert_allclose(atom.dense(grid.length), expected,
+                                       rtol=1e-12, atol=1e-300)
 
 
 class TestMoyal:
@@ -203,6 +267,16 @@ class TestMoyal:
         scale = abs(np.vdot(f2, f1) / 16000.0
                     * admissibility_inner_product(s2.theta, s1.theta))
         assert res < 0.05 * scale
+
+    def test_warp_parameter_mismatch_rejected(self):
+        """Same warp kind and channel count, centres up to ~15 Hz apart."""
+        grid = SignalGrid(4096, 16000.0)
+        s1 = build_system(erb_warp(), bump_prototype(0.9), 0.5, grid)
+        s2 = build_system(erb_warp(c1=9.27), bump_prototype(0.9), 0.5, grid)
+        assert len(s1.channels) == len(s2.channels)
+        f = _interior_signal(s1)
+        with pytest.raises(ShapeError):
+            moyal_residual(f, f, s1, s2)
 
     def test_layout_mismatch_rejected(self):
         s1 = _erb_system(delta=0.5)
