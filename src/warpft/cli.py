@@ -3,10 +3,11 @@
 Subcommands: ``design``, ``analyze``, ``synthesize``, ``diagnose``,
 ``kernel``, ``cover-dump``, ``spectrogram``.  Exit codes: 0 success,
 2 configuration, 3 shape mismatch, 4 file format, 5 capability,
-1 internal.  Numeric text output uses 17 significant digits; the JSON
-report of ``diagnose`` prints floats in Python's shortest round-trip
-form and non-finite values as ``null``.  Either way printed doubles
-round-trip exactly.
+1 internal.  A failing subcommand prints one ``error:`` line to stderr,
+never a traceback.  Numeric text output uses 17 significant digits; the
+JSON report of ``diagnose`` prints floats in Python's shortest
+round-trip form and non-finite values as ``null``.  Either way printed
+doubles round-trip exactly.
 """
 
 from __future__ import annotations
@@ -327,6 +328,10 @@ def main(argv=None) -> int:
         return _EXIT_CAPABILITY
     except WarpFTError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INTERNAL
+    except Exception as exc:  # last resort: one line, never a traceback
+        msg = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {msg}", file=sys.stderr)
         return _EXIT_INTERNAL
 
 

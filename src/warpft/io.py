@@ -13,6 +13,7 @@ digits so they round-trip) or little-endian binary:
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Dict
 
@@ -83,10 +84,13 @@ def _take_float(cfg: Dict[str, str], key: str, default=None) -> float:
             raise ConfigError(f"missing required key {key!r}")
         return float(default)
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: {cfg[key]!r} is not a number") \
             from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {cfg[key]!r} is not finite")
+    return value
 
 
 def _take_bool(cfg: Dict[str, str], key: str, default: bool) -> bool:

@@ -19,12 +19,14 @@ zeroed and reconstructions live on positive frequencies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateAtomError, ShapeError
+from .errors import (ConfigError, DegenerateAtomError, DivergenceError,
+                     ShapeError)
 from .prototype import Prototype, normalized
 from .warping import POSITIVE_HALF_LINE, WarpingFunction
 
@@ -40,8 +42,8 @@ class SignalGrid:
         n = self.length
         if n < 16 or (n & (n - 1)) != 0:
             raise ConfigError(f"grid length must be a power of two >= 16, got {n}")
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be positive")
+        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
+            raise ConfigError("sample_rate must be positive and finite")
 
     @property
     def bin_hz(self) -> float:
@@ -49,8 +51,18 @@ class SignalGrid:
 
     def bin_freqs(self) -> np.ndarray:
         """Bin frequencies in DFT storage order, spanning (-fs/2, fs/2]."""
-        f = np.fft.fftfreq(self.length, 1.0 / self.sample_rate)
-        f[self.length // 2] = 0.5 * self.sample_rate  # Nyquist kept positive
+        k = np.arange(self.length)
+        k[self.length // 2 + 1:] -= self.length
+        return self.signed_bin_freqs(k)
+
+    def signed_bin_freqs(self, k: np.ndarray) -> np.ndarray:
+        """Frequencies of the signed bins ``k`` in ``(-N/2, N/2]``.
+
+        Bit-for-bit ``np.fft.fftfreq``, except that the Nyquist bin
+        ``N/2`` is kept positive at ``+fs/2``.
+        """
+        f = k * (1.0 / (self.length * (1.0 / self.sample_rate)))
+        f[k == self.length // 2] = 0.5 * self.sample_rate
         return f
 
     def active_mask(self, domain: str) -> np.ndarray:
@@ -84,25 +96,31 @@ def design_channels(warp: WarpingFunction, delta: float, grid: SignalGrid,
                     time_scale: float = 1.0) -> List[Channel]:
     """All channels whose centre lies in the grid's active band.
 
-    Raises :class:`ConfigError` when fewer than two channels fit.
+    Raises :class:`ConfigError` when fewer than two channels fit, or
+    more channels than the grid has bins.
     """
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
-    if time_scale <= 0:
-        raise ConfigError("time_scale must be positive")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ConfigError("delta must be positive and finite")
+    if not (time_scale > 0 and math.isfinite(time_scale)):
+        raise ConfigError("time_scale must be positive and finite")
     freqs = grid.bin_freqs()
     active = grid.active_mask(warp.domain)
     f_lo = float(np.min(freqs[active]))
     f_hi = float(np.max(freqs[active]))
     w_lo = warp.eval(f_lo)
     w_hi = warp.eval(f_hi)
-    l_min = int(np.ceil(w_lo / delta - 0.5))
-    l_max = int(np.floor(w_hi / delta - 0.5))
-    if l_max - l_min + 1 < 2:
+    # counted in floats first: a steep warp can ask for ~1e300 channels
+    l_min = np.ceil(w_lo / delta - 0.5)
+    l_max = np.floor(w_hi / delta - 0.5)
+    count = l_max - l_min + 1
+    if not count >= 2:
         raise ConfigError(
-            f"delta={delta} leaves {max(0, l_max - l_min + 1)} channel(s); need >= 2")
+            f"delta={delta} leaves {max(0, count):.0f} channel(s); need >= 2")
+    if count > grid.length:
+        raise ConfigError(f"delta={delta} gives {count:.6g} channels, more "
+                          f"than the grid's {grid.length} bins")
     channels = []
-    for l in range(l_min, l_max + 1):
+    for l in range(int(l_min), int(l_max) + 1):
         lo = float(warp.inverse(delta * l))
         hi = float(warp.inverse(delta * (l + 1)))
         center = float(warp.inverse(delta * (l + 0.5)))
@@ -139,22 +157,68 @@ def build_atom(warp: WarpingFunction, theta: Prototype, x: float,
 
     Values below ``truncation`` times the peak are zeroed; an atom with
     empty retained support raises :class:`DegenerateAtomError`.
+
+    Only the atom's window is sampled: the active bins between
+    ``F^{-1}(F(x) + c - R)`` and ``F^{-1}(F(x) + c + R)``, where ``c`` is
+    the prototype's centre and ``R = theta.support_radius(truncation)``
+    (the smallest normal double stands in for a truncation of 0),
+    widened by one guard bin on each side and by the two bins around
+    the peak frequency ``F^{-1}(F(x) + c)``.  This rests on the axioms:
+    ``F`` is increasing and ``theta`` is even about ``c`` and does not
+    increase away from it.  So the atom peaks on the bins around the
+    peak frequency and decays monotonically away from them, and once
+    the truncation drops a guard bin it drops every bin beyond it.  If
+    a guard bin is kept, ``R`` is doubled and the window resampled, up
+    to the edges of the active band.  The result equals sampling on
+    every bin, bit for bit.
     """
-    freqs = grid.bin_freqs()
-    active = grid.active_mask(warp.domain)
-    vals = np.zeros(grid.length)
     fx = warp.eval(float(x))
-    vals[active] = np.sqrt(warp.derivative(float(x))) * theta.eval(
-        warp.eval(freqs[active]) - fx)
-    peak = float(np.max(np.abs(vals)))
-    if peak == 0.0:
-        raise DegenerateAtomError(f"atom at {x} Hz vanishes on the grid")
-    if truncation:
-        vals[np.abs(vals) < truncation * peak] = 0.0
-    support = np.flatnonzero(vals)
-    if support.size == 0:
+    scale = np.sqrt(warp.derivative(float(x)))
+    u0 = fx + theta.center                      # the atom's peak, warped
+    peak_hz = float(x) if theta.center == 0 else warp.inverse(u0)
+    k_max = grid.length // 2
+    k_min = 1 if warp.domain == POSITIVE_HALF_LINE else 1 - k_max
+    bin_hz = grid.bin_hz
+    lo_edge, hi_edge = k_min * bin_hz, k_max * bin_hz
+
+    def bin_of(hz, rounding):
+        # clamped in Hz first: an overflowed inverse gives inf or nan
+        hz = min(hz, hi_edge) if hz >= lo_edge else lo_edge
+        return max(k_min, min(rounding(hz / bin_hz), k_max))
+
+    k_peak_lo = bin_of(peak_hz, math.floor)
+    k_peak_hi = bin_of(peak_hz, math.ceil)
+    radius = float(theta.support_radius(
+        truncation if 0 < truncation < 1 else np.finfo(float).tiny))
+    while True:
+        if math.isfinite(radius):
+            with np.errstate(over="ignore", invalid="ignore"):
+                lo_hz, hi_hz = warp.inverse(
+                    np.array([u0 - radius, u0 + radius]))
+            k_lo = min(bin_of(lo_hz, math.ceil) - 1, k_peak_lo)
+            k_hi = max(bin_of(hi_hz, math.floor) + 1, k_peak_hi)
+            k_lo, k_hi = max(k_lo, k_min), min(k_hi, k_max)
+        else:
+            k_lo, k_hi = k_min, k_max
+        k = np.arange(k_lo, k_hi + 1)
+        vals = scale * theta.eval(warp.eval(grid.signed_bin_freqs(k)) - fx)
+        peak = float(np.max(np.abs(vals)))
+        if peak == 0.0:
+            raise DegenerateAtomError(f"atom at {x} Hz vanishes on the grid")
+        if truncation:
+            vals[np.abs(vals) < truncation * peak] = 0.0
+        if ((k_lo == k_min or vals[0] == 0.0)
+                and (k_hi == k_max or vals[-1] == 0.0)):
+            break
+        radius *= 2.0
+    keep = np.flatnonzero(vals)
+    if keep.size == 0:
         raise DegenerateAtomError(f"atom at {x} Hz fully truncated")
-    return Atom(vals[support], support, float(x))
+    # storage order puts the negative bins after the non-negative ones
+    k, vals = k[keep], vals[keep]
+    wrap = int(np.searchsorted(k, 0))
+    return Atom(np.concatenate((vals[wrap:], vals[:wrap])),
+                np.concatenate((k[wrap:], k[:wrap] + grid.length)), float(x))
 
 
 @dataclass(frozen=True)
@@ -174,7 +238,7 @@ def painless_check(system: "WarpedSystem") -> PainlessReport:
     sup = np.array([a.support_bins * system.grid.bin_hz for a in system.atoms])
     lim = np.array([1.0 / ch.tau_seconds for ch in system.channels])
     alias = np.array([
-        np.unique(a.support % ch.frames).size == a.support.size
+        np.bincount(a.support % ch.frames, minlength=ch.frames).max() <= 1
         for a, ch in zip(system.atoms, system.channels)])
     bad = tuple(i for i in range(len(system.channels))
                 if sup[i] > lim[i] or not alias[i])
@@ -256,9 +320,16 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
 
     ``normalize=True`` (the default) rescales the prototype to unit L2
     norm first, which fixes the reconstruction constant at 1.
+    ``truncation`` must lie in ``[0, 1)``.
     """
+    if not 0 <= truncation < 1:
+        raise ConfigError(f"truncation must lie in [0, 1), got {truncation}")
     if normalize:
-        theta = normalized(theta)
+        try:
+            theta = normalized(theta)
+        except DivergenceError as exc:  # e.g. a radius whose square overflows
+            raise ConfigError(
+                f"prototype cannot be normalized: {exc}") from None
     channels = design_channels(warp, delta, grid, time_scale)
     atoms = [build_atom(warp, theta, ch.center_hz, grid, truncation)
              for ch in channels]

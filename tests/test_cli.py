@@ -1,9 +1,15 @@
 """End-to-end subcommand runs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpft.cli import main
 from warpft.io import read_coefficients, read_descriptor, write_signal
@@ -106,6 +112,65 @@ class TestDesign:
                    "--out", str(tmp_path / "x.desc")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+
+def _with_value(cfg, key, value):
+    """``cfg`` with ``key`` set to ``value`` (replaced or appended)."""
+    lines = [ln for ln in cfg.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("key,value", [("delta", "nan"),
+                                           ("sample_rate", "inf"),
+                                           ("time_scale", "inf"),
+                                           ("truncation", "nan")])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_with_value(ERB_CFG, key, value))
+        rc = main(["design", "--config", str(cfg),
+                   "--out", str(tmp_path / "x.desc")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert key in err[0]
+        assert "painless" not in captured.out
+
+    @settings(max_examples=50, deadline=None)
+    @given(key=st.sampled_from(["delta", "sample_rate", "time_scale",
+                                "truncation", "prototype.radius",
+                                "warp.c1"]),
+           value=st.sampled_from(["nan", "inf", "-inf", "0", "-1.5",
+                                  "-1e-3", "1e300"]))
+    def test_mutated_config_never_tracebacks(self, key, value):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "mut.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(_with_value(ERB_CFG, key, value))
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["design", "--config", cfg,
+                           "--out", os.path.join(tmp, "x.desc")])
+        assert rc in (0, 2, 3, 4, 5), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
+class TestLastResort:
+    def test_unexpected_exception_exits_1_with_one_line(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr("warpft.cli._cmd_design", broken)
+        cfg = tmp_path / "erb.cfg"
+        cfg.write_text(ERB_CFG)
+        rc = main(["design", "--config", str(cfg),
+                   "--out", str(tmp_path / "x.desc")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: internal: RuntimeError: boom second line"]
 
 
 class TestAnalyzeSynthesize:

@@ -1,13 +1,19 @@
 """Grid, channel-design and atom construction tests."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from warpft import (ConfigError, DegenerateAtomError, ShapeError,
                     bump_prototype, erb_warp, gaussian_prototype, linear_warp,
                     log_warp)
+from warpft.prototype import hann_prototype, normalized
 from warpft.system import (Coefficients, SignalGrid, build_atom, build_system,
                            design_channels)
+from warpft.warping import (POSITIVE_HALF_LINE, alpha_like_warp,
+                            custom_warp, power_law_warp)
 
 
 class TestSignalGrid:
@@ -88,6 +94,34 @@ class TestDesignChannels:
         with pytest.raises(ConfigError):
             design_channels(linear_warp(1.0), 4.0, grid, time_scale=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        grid = SignalGrid(64, 64.0)
+        with pytest.raises(ConfigError):
+            SignalGrid(64, bad)
+        with pytest.raises(ConfigError):
+            design_channels(linear_warp(1.0), bad, grid)
+        with pytest.raises(ConfigError):
+            design_channels(linear_warp(1.0), 4.0, grid, time_scale=bad)
+        with pytest.raises(ConfigError):
+            build_system(linear_warp(1.0), gaussian_prototype(4.0), 4.0,
+                         grid, truncation=bad)
+
+    @pytest.mark.parametrize("truncation", [-1e-8, 1.0, 2.0])
+    def test_truncation_range(self, truncation):
+        with pytest.raises(ConfigError, match="truncation"):
+            build_system(linear_warp(1.0), gaussian_prototype(4.0), 4.0,
+                         SignalGrid(64, 64.0), truncation=truncation)
+
+    def test_more_channels_than_bins_rejected(self):
+        # a steep warp asks for ~1e300 channels; refused before the loop
+        with pytest.raises(ConfigError, match="more than the grid"):
+            design_channels(erb_warp(c1=1e300), 0.5, SignalGrid(64, 64.0))
+        grid = SignalGrid(64, 64.0)
+        assert len(design_channels(linear_warp(1.0), 1.0, grid)) == 63
+        with pytest.raises(ConfigError, match="126 channels"):
+            design_channels(linear_warp(1.0), 0.5, grid)
+
 
 class TestBuildAtom:
     def test_linear_atom_values(self):
@@ -133,6 +167,120 @@ class TestBuildAtom:
             build_atom(linear_warp(1.0), gaussian_prototype(16.0), 1e6, grid)
 
 
+def _dense_atom(warp, theta, x, grid, truncation=1e-8):
+    """Reference sampler: the atom evaluated on every active bin."""
+    freqs = np.fft.fftfreq(grid.length, 1.0 / grid.sample_rate)
+    freqs[grid.length // 2] = 0.5 * grid.sample_rate
+    active = (freqs > 0 if warp.domain == POSITIVE_HALF_LINE
+              else np.ones(grid.length, dtype=bool))
+    vals = np.zeros(grid.length)
+    fx = warp.eval(float(x))
+    vals[active] = np.sqrt(warp.derivative(float(x))) * theta.eval(
+        warp.eval(freqs[active]) - fx)
+    peak = float(np.max(np.abs(vals)))
+    if peak == 0.0:
+        raise DegenerateAtomError(f"atom at {x} Hz vanishes on the grid")
+    if truncation:
+        vals[np.abs(vals) < truncation * peak] = 0.0
+    support = np.flatnonzero(vals)
+    if support.size == 0:
+        raise DegenerateAtomError(f"atom at {x} Hz fully truncated")
+    return vals[support], support
+
+
+# warp, delta on a 4096-bin grid at 16 kHz
+_WINDOW_WARPS = {
+    "linear": (linear_warp(1.0), 1000.0),
+    "log": (log_warp(), 0.3),
+    "erb": (erb_warp(), 0.5),
+    "alpha_like": (alpha_like_warp(0.5), 8.0),
+    "power_law": (power_law_warp(1.0, 100.0, 0.5), 0.25),
+}
+_WINDOW_PROTOS = {
+    "gaussian": gaussian_prototype(1.0),
+    "hann_bump": hann_prototype(1.0),
+    "smooth_bump": bump_prototype(0.9),
+}
+
+
+class TestWindowedAtoms:
+    """``build_atom`` samples a window only; it must equal dense sampling
+    on every bin, bit for bit, including the error it raises."""
+
+    GRID = SignalGrid(4096, 16000.0)
+
+    def assert_same(self, warp, theta, x, grid, truncation):
+        try:
+            values, support = _dense_atom(warp, theta, x, grid, truncation)
+        except DegenerateAtomError as exc:
+            with pytest.raises(DegenerateAtomError,
+                               match=re.escape(str(exc))):
+                build_atom(warp, theta, x, grid, truncation)
+            return
+        atom = build_atom(warp, theta, x, grid, truncation)
+        assert np.array_equal(atom.support, support)
+        assert atom.support.dtype == support.dtype
+        assert np.array_equal(atom.values, values)
+
+    @pytest.mark.parametrize("truncation", [1e-8, 0.0])
+    @pytest.mark.parametrize("proto", sorted(_WINDOW_PROTOS))
+    @pytest.mark.parametrize("kind", sorted(_WINDOW_WARPS))
+    def test_every_channel_matches_dense(self, kind, proto, truncation):
+        warp, delta = _WINDOW_WARPS[kind]
+        theta = normalized(_WINDOW_PROTOS[proto])
+        for ch in design_channels(warp, delta, self.GRID):
+            self.assert_same(warp, theta, ch.center_hz, self.GRID, truncation)
+
+    @pytest.mark.parametrize("truncation", [1e-8, 0.0])
+    @pytest.mark.parametrize("kind", sorted(_WINDOW_WARPS))
+    def test_band_edges_and_outside(self, kind, truncation):
+        warp, _ = _WINDOW_WARPS[kind]
+        fs, bin_hz = self.GRID.sample_rate, self.GRID.bin_hz
+        xs = [0.5 * fs - 0.3 * bin_hz,       # touches Nyquist
+              0.5 * fs + 0.2 * bin_hz,       # just outside, above
+              0.5 * fs + 40.0 * bin_hz,
+              0.3 * bin_hz,                  # below bin 1
+              1e6]
+        if warp.domain != POSITIVE_HALF_LINE:
+            xs += [0.0, 0.4 * bin_hz, -2.5 * bin_hz,   # windows across DC
+                   -0.5 * fs + 0.3 * bin_hz,
+                   -0.5 * fs - 0.2 * bin_hz,            # just outside, below
+                   -1e6]
+        for proto in _WINDOW_PROTOS.values():
+            theta = normalized(proto)
+            for x in xs:
+                self.assert_same(warp, theta, x, self.GRID, truncation)
+
+    @pytest.mark.parametrize("truncation", [1e-8, 0.0])
+    def test_gaussian_narrower_than_a_bin(self, truncation):
+        grid = SignalGrid(256, 256.0)
+        theta = gaussian_prototype(0.05)
+        for x in (0.0, 10.0, 10.3, 10.5, 127.9, 128.4, -127.6):
+            self.assert_same(linear_warp(1.0), theta, x, grid, truncation)
+            self.assert_same(erb_warp(), theta, x, grid, truncation)
+
+    @pytest.mark.parametrize("shift", [-2.5, 0.7])
+    def test_shifted_prototype(self, shift):
+        for proto in _WINDOW_PROTOS.values():
+            theta = replace(normalized(proto), center=shift)
+            for kind in ("linear", "erb", "log"):
+                warp, delta = _WINDOW_WARPS[kind]
+                for ch in design_channels(warp, delta, self.GRID)[::7]:
+                    self.assert_same(warp, theta, ch.center_hz, self.GRID,
+                                     1e-8)
+
+    @pytest.mark.parametrize("broken", [np.inf, np.nan])
+    def test_overflowing_inverse_still_exact(self, broken):
+        # An inverse that overflows puts the window edges at inf or nan;
+        # the window still holds the peak bins and widens to the band.
+        warp = custom_warp(lambda t: t,
+                           fn_inverse=lambda s: np.full_like(s, broken),
+                           fn_derivative=np.ones_like)
+        grid = SignalGrid(256, 256.0)
+        for x in (10.3, -40.0, 127.8):
+            self.assert_same(warp, gaussian_prototype(0.5), x, grid, 1e-8)
+
+
 class TestPainless:
     def test_linear_gaussian_painless(self):
         grid = SignalGrid(1024, 1024.0)
@@ -167,6 +315,24 @@ class TestPainless:
         grid = SignalGrid(4096, 16000.0)
         sys = build_system(erb_warp(), bump_prototype(2.0), 0.5, grid)
         assert not sys.painless
+
+    def test_alias_flags_match_unique_definition(self):
+        grid = SignalGrid(4096, 16000.0)
+        systems = [
+            build_system(erb_warp(), bump_prototype(0.9), 0.5, grid),
+            build_system(erb_warp(), bump_prototype(2.0), 0.5, grid),
+            build_system(linear_warp(1.0), gaussian_prototype(16.0), 64.0,
+                         SignalGrid(1024, 1024.0), time_scale=1.0 / 1024),
+            build_system(log_warp(), gaussian_prototype(1.0), 0.3, grid,
+                         time_scale=8.0),
+        ]
+        seen = set()
+        for sys in systems:
+            expected = [np.unique(a.support % ch.frames).size == a.support.size
+                        for a, ch in zip(sys.atoms, sys.channels)]
+            assert sys.painless_report.alias_free.tolist() == expected
+            seen.update(expected)
+        assert seen == {True, False}
 
 
 class TestFrameProfile:
