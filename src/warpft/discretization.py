@@ -33,6 +33,11 @@ from .warping import (POSITIVE_HALF_LINE, WarpingFunction, WeightSpec,
 
 _MAX_ELEMENTS = 2_000_000
 
+#: power iteration: relative Rayleigh-quotient change that ends a run,
+#: and the iteration cap of each run
+POWER_TOL = 1e-8
+POWER_MAX_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class CoverElement:
@@ -342,9 +347,7 @@ def frame_bounds_painless(system: WarpedSystem) -> Tuple[float, float]:
     return float(diag.min()), float(diag.max())
 
 
-def frame_bounds_power_iteration(system: WarpedSystem, trials: int = 3,
-                                 tol: float = 1e-8,
-                                 max_iterations: int = 200
+def frame_bounds_power_iteration(system: WarpedSystem, trials: int = 3
                                  ) -> Tuple[float, float]:
     """Estimate frame bounds over the covered band by operator iteration.
 
@@ -371,14 +374,14 @@ def frame_bounds_power_iteration(system: WarpedSystem, trials: int = 3,
         v = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         v /= np.linalg.norm(v)
         rho_prev = 0.0
-        for _ in range(max_iterations):
+        for _ in range(POWER_MAX_ITERATIONS):
             sv = op(v)
             rho = np.vdot(v, sv).real
             nv = np.linalg.norm(sv)
             if nv == 0:
                 break
             v = sv / nv
-            if abs(rho - rho_prev) <= tol * abs(rho):
+            if abs(rho - rho_prev) <= POWER_TOL * abs(rho):
                 break
             rho_prev = rho
         b_est = max(b_est, rho)
@@ -389,7 +392,7 @@ def frame_bounds_power_iteration(system: WarpedSystem, trials: int = 3,
         rho = np.vdot(v, op(v)).real  # kept if the first solve fails
         rho_prev = np.inf
         converged_all = True
-        for _ in range(max_iterations):
+        for _ in range(POWER_MAX_ITERATIONS):
             try:
                 y, _, ok = _pcg(op, v, precond, 1e-10, 200)
             except NonConvergenceError:  # S is singular to rounding here
@@ -401,7 +404,7 @@ def frame_bounds_power_iteration(system: WarpedSystem, trials: int = 3,
                 break
             v = y / ny
             rho = np.vdot(v, op(v)).real
-            if abs(rho - rho_prev) <= tol * max(abs(rho), 1e-300):
+            if abs(rho - rho_prev) <= POWER_TOL * max(abs(rho), 1e-300):
                 break
             rho_prev = rho
         if not converged_all:

@@ -20,21 +20,13 @@ from typing import Dict
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .prototype import Prototype, prototype_from_params
+from .prototype import PROTOTYPE_FAMILIES
 from .system import SignalGrid, WarpedSystem, build_system
 from .transform import Coefficients
-from .warping import WarpingFunction, warp_from_params
+from .warping import WARP_FAMILIES
 
 _COEFF_MAGIC = b"WTC1"
 _VERSION = 1
-
-_WARP_PARAMS = {
-    "linear": ("c",),
-    "log": (),
-    "power_law": ("c", "d", "l"),
-    "erb": ("c1", "c2"),
-    "alpha_like": ("l",),
-}
 
 
 def fmt(value) -> str:
@@ -103,35 +95,31 @@ def _take_bool(cfg: Dict[str, str], key: str, default: bool) -> bool:
 # -- system descriptors ----------------------------------------------------
 
 
+def _from_family(cfg: Dict[str, str], prefix: str, families, known: set):
+    """Construct the kind named by ``<prefix>.kind`` from the
+    ``<prefix>.*`` keys its family accepts; adds those keys to ``known``."""
+    kind = cfg.get(f"{prefix}.kind")
+    if kind is None:
+        raise ConfigError(f"missing required key '{prefix}.kind'")
+    if kind not in families:
+        raise ConfigError(f"unknown {prefix} kind {kind!r}")
+    make, names = families[kind]
+    keys = {p: f"{prefix}.{p}" for p in names}
+    known.update(keys.values())
+    return make(**{p: _take_float(cfg, k) for p, k in keys.items() if k in cfg})
+
+
 def system_from_config(cfg: Dict[str, str]) -> WarpedSystem:
     """Build a system from parsed descriptor/config keys."""
-    kind = cfg.get("warp.kind")
-    if kind is None:
-        raise ConfigError("missing required key 'warp.kind'")
-    if kind not in _WARP_PARAMS:
-        raise ConfigError(f"unknown warp kind {kind!r}")
-    params = {p: _take_float(cfg, f"warp.{p}")
-              for p in _WARP_PARAMS[kind] if f"warp.{p}" in cfg}
-    warp = warp_from_params(kind, **params)
-
-    pkind = cfg.get("prototype.kind")
-    if pkind is None:
-        raise ConfigError("missing required key 'prototype.kind'")
-    pparams = {}
-    if "prototype.sigma" in cfg:
-        pparams["sigma"] = _take_float(cfg, "prototype.sigma")
-    if "prototype.radius" in cfg:
-        pparams["radius"] = _take_float(cfg, "prototype.radius")
-    theta = prototype_from_params(pkind, **pparams)
+    known = {"warp.kind", "prototype.kind", "delta", "sample_rate", "length",
+             "time_scale", "truncation", "prototype.normalize"}
+    warp = _from_family(cfg, "warp", WARP_FAMILIES, known)
+    theta = _from_family(cfg, "prototype", PROTOTYPE_FAMILIES, known)
 
     length = _take_float(cfg, "length")
     if length != int(length):
         raise ConfigError("length must be an integer")
     grid = SignalGrid(int(length), _take_float(cfg, "sample_rate"))
-    known = {"warp.kind", "prototype.kind", "delta", "sample_rate", "length",
-             "time_scale", "truncation", "prototype.normalize"}
-    known |= {f"warp.{p}" for p in _WARP_PARAMS[kind]}
-    known |= {"prototype.sigma", "prototype.radius"}
     stray = sorted(set(cfg) - known)
     if stray:
         raise ConfigError(f"unknown keys: {', '.join(stray)}")
@@ -143,15 +131,13 @@ def system_from_config(cfg: Dict[str, str]) -> WarpedSystem:
 
 
 def system_to_config(system: WarpedSystem) -> Dict[str, str]:
-    warp, theta = system.warp, system.theta
-    out = {"warp.kind": warp.kind}
-    for p in _WARP_PARAMS[warp.kind]:
-        out[f"warp.{p}"] = fmt(getattr(warp, p))
-    out["prototype.kind"] = theta.kind
-    if theta.kind == "gaussian":
-        out["prototype.sigma"] = fmt(theta.sigma)
-    else:
-        out["prototype.radius"] = fmt(theta.radius)
+    out = {}
+    for prefix, families, part in (("warp", WARP_FAMILIES, system.warp),
+                                   ("prototype", PROTOTYPE_FAMILIES,
+                                    system.theta)):
+        out[f"{prefix}.kind"] = part.kind
+        for p in families[part.kind][1]:
+            out[f"{prefix}.{p}"] = fmt(getattr(part, p))
     out["prototype.normalize"] = "true" if system.normalize else "false"
     out["delta"] = fmt(system.delta)
     out["sample_rate"] = fmt(system.grid.sample_rate)
@@ -243,5 +229,4 @@ def read_coefficients(path, system: WarpedSystem) -> Coefficients:
         off = end
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
-    return Coefficients(data, centers, hops, system.grid.sample_rate,
-                        system.grid.length)
+    return Coefficients(data, centers, hops, system.grid.length)

@@ -47,10 +47,7 @@ class KernelEvalSpec:
     the offset/modulation variables of the integral at hand, or in Hz
     and seconds for phase-space boxes); ``resolution`` is the number of
     quadrature nodes per axis.  ``m1``/``m2`` are the component weights
-    of the ratio weight m; ``v1``/``v2`` are the submultiplicative
-    weights certifying their moderateness (None means constant one);
-    ``p`` is the polynomial order of the underlying decay class (0 is
-    forced on the half-line).
+    of the ratio weight m (None means constant one).
     """
 
     z_half_width: float = 8.0
@@ -58,17 +55,12 @@ class KernelEvalSpec:
     resolution: int = 64
     m1: Optional[WeightSpec] = None
     m2: Optional[WeightSpec] = None
-    v1: Optional[WeightSpec] = None
-    v2: Optional[WeightSpec] = None
-    p: int = 0
 
     def __post_init__(self):
         if self.z_half_width <= 0 or self.eta_half_width <= 0:
             raise ConfigError("truncation half-widths must be positive")
         if self.resolution < 16:
             raise ConfigError("resolution must be at least 16 nodes per axis")
-        if self.p < 0:
-            raise ConfigError("p must be a nonnegative integer")
 
 
 def _require_eligible(warp: WarpingFunction):
@@ -172,6 +164,18 @@ def _f_product(theta: Prototype, z: float, order: int):
     return fk
 
 
+def _decay_constant(warp: WarpingFunction, theta: Prototype, z: float,
+                    n: int, s: np.ndarray) -> float:
+    """``max_{k<=n} int w(-s)^n |f^{(k+1)}(s)| ds`` for
+    ``f = theta . T_z theta``, by the trapezoid rule on the grid ``s``."""
+    wneg = np.asarray(warp.weight(-s), dtype=float) ** n
+    best = 0.0
+    for k in range(n + 1):
+        deriv = _f_product(theta, z, k + 1)(s)
+        best = max(best, float(np.trapezoid(wneg * np.abs(deriv), s)))
+    return best
+
+
 def _phase_constants(warp: WarpingFunction, x: float, n: int,
                      s_grid: np.ndarray) -> float:
     """``C_n``: the largest of sup |P_{n,k}/W^n| over the support, with
@@ -270,12 +274,7 @@ def stationary_phase_check(warp: WarpingFunction, theta: Prototype, n: int,
 
     s = np.linspace(s_lo, s_hi, 4097)
     big_c = _phase_constants(warp, x, n, s)
-    wneg = np.asarray(warp.weight(-s), dtype=float) ** n
-    best = 0.0
-    for k in range(n + 1):
-        deriv = _f_product(theta, z, k + 1)(s)
-        best = max(best, float(np.trapezoid(wneg * np.abs(deriv), s)))
-    c_n = big_c * best
+    c_n = big_c * _decay_constant(warp, theta, z, n, s)
 
     f0 = _f_product(theta, z, 0)(s)
     l1w = float(np.trapezoid(np.abs(f0) * np.asarray(warp.weight(s)), s))
@@ -353,18 +352,10 @@ def kernel_norm_I(warp: WarpingFunction, theta: Prototype,
     # is tabulated at coarse z samples so rows with no prototype
     # overlap contribute nothing
     s = np.linspace(s_lo, s_hi, 2049)
-    wneg = np.asarray(warp.weight(-s), dtype=float)
     coarse = z_vals[:: max(1, nz // 8)]
     max_n = 1 if theta.kind == "hann_bump" else 2
-    c_tab = np.zeros((max_n, len(coarse)))
-    for ci, zc in enumerate(coarse):
-        for n_ord in range(1, max_n + 1):
-            best = 0.0
-            for k in range(n_ord + 1):
-                deriv = _f_product(theta, zc, k + 1)(s)
-                best = max(best, float(np.trapezoid(
-                    wneg ** n_ord * np.abs(deriv), s)))
-            c_tab[n_ord - 1, ci] = best
+    c_tab = np.array([[_decay_constant(warp, theta, zc, n_ord, s)
+                       for zc in coarse] for n_ord in range(1, max_n + 1)])
     near = np.argmin(np.abs(z_vals[:, None] - coarse[None, :]), axis=1)
     m_edge = float(np.max(mt[:, [0, -1]]))
     tail_eta = np.inf
@@ -472,25 +463,23 @@ def osc_norm_estimate(warp: WarpingFunction, theta: Prototype, delta: float,
         ys = lo + (np.arange(nb) + 0.5) * dy
         oms = pxi - wo + (np.arange(nb) + 0.5) * do
 
-        # row orientation: fixed (px, pxi), Q-sets at the grid nodes
-        grid = np.zeros((nb, nb))
-        for i, yv in enumerate(ys):
-            for j, ov in enumerate(oms):
-                o = oscillation(warp, theta, delta, gamma_on,
-                                px, pxi, yv, ov, q_resolution)
-                grid[i, j] = o * weight_m(spec.m1, spec.m2, px, yv, pxi, ov)
-        row_mass = float(grid.sum() * dy * do)
-        # column orientation: Q-set fixed at the probe, first pair varies
-        gridc = np.zeros((nb, nb))
-        for i, yv in enumerate(ys):
-            for j, ov in enumerate(oms):
-                o = oscillation(warp, theta, delta, gamma_on,
-                                yv, ov, px, pxi, q_resolution)
-                gridc[i, j] = o * weight_m(spec.m1, spec.m2, yv, px, ov, pxi)
-        col_mass = float(gridc.sum() * dy * do)
-        value = max(value, row_mass, col_mass)
-        ring = (grid[0].sum() + grid[-1].sum()
-                + grid[1:-1, 0].sum() + grid[1:-1, -1].sum()) * dy * do
-        tail = max(tail, float(ring))
+        # row orientation: fixed (px, pxi), Q-sets at the grid nodes;
+        # column orientation: Q-set fixed at the probe, first pair varies.
+        # The tail is the row grid's outer ring.
+        for row in (True, False):
+            grid = np.zeros((nb, nb))
+            for i, yv in enumerate(ys):
+                for j, ov in enumerate(oms):
+                    (x0, xi0), (y0, om0) = (((px, pxi), (yv, ov)) if row
+                                            else ((yv, ov), (px, pxi)))
+                    o = oscillation(warp, theta, delta, gamma_on,
+                                    x0, xi0, y0, om0, q_resolution)
+                    grid[i, j] = o * weight_m(spec.m1, spec.m2,
+                                              x0, y0, xi0, om0)
+            value = max(value, float(grid.sum() * dy * do))
+            if row:
+                ring = (grid[0].sum() + grid[-1].sum() + grid[1:-1, 0].sum()
+                        + grid[1:-1, -1].sum()) * dy * do
+                tail = max(tail, float(ring))
     return OscNormReport(value, tail, bool(tail > 0.1 * abs(value)),
                          gamma_on, delta)

@@ -136,20 +136,28 @@ def hann_prototype(radius: float = 1.0) -> Prototype:
 
 
 def bump_prototype(radius: float = 1.0) -> Prototype:
-    if radius <= 0:
-        raise ConfigError("smooth_bump prototype needs radius > 0")
+    # the bump is evaluated through radius**2
+    if not (radius > 0 and np.isfinite(radius * radius)):
+        raise ConfigError("smooth_bump prototype needs radius > 0 "
+                          "with a finite square")
     return Prototype("smooth_bump", radius=radius)
 
 
+#: each kind's constructor and the names of its parameters, which are
+#: also the constructor's keywords and the prototype's attributes
+PROTOTYPE_FAMILIES = {
+    "gaussian": (gaussian_prototype, ("sigma",)),
+    "hann_bump": (hann_prototype, ("radius",)),
+    "smooth_bump": (bump_prototype, ("radius",)),
+}
+
+
 def prototype_from_params(kind: str, **params) -> Prototype:
-    makers = {
-        "gaussian": lambda: gaussian_prototype(params.get("sigma", 1.0)),
-        "hann_bump": lambda: hann_prototype(params.get("radius", 1.0)),
-        "smooth_bump": lambda: bump_prototype(params.get("radius", 1.0)),
-    }
-    if kind not in makers:
+    """Construct a prototype from flat config parameters; absent ones
+    take the constructor's defaults."""
+    if kind not in PROTOTYPE_FAMILIES:
         raise ConfigError(f"unknown prototype kind {kind!r}")
-    return makers[kind]()
+    return PROTOTYPE_FAMILIES[kind][0](**params)
 
 
 def weighted_l2_norm(theta: Prototype, weight=None,
@@ -332,10 +340,6 @@ class _DerivativeView:
         self.center = theta.center
         self.radius = theta.radius
         self.sigma = theta.sigma
-
-    def support_radius(self, floor: float = 1e-8) -> float:
-        extra = 1.0 + 0.5 * self._order  # derivatives widen the Gaussian tail
-        return self._theta.support_radius(floor) * extra
 
     def eval(self, s, order: int = 0):
         return self._theta.eval(s, self._order + order)

@@ -3,7 +3,7 @@
 Composite 15-point panels refined by interval bisection until each panel
 agrees with its two halves to the panel tolerance.  Infinite domains are
 handled by window doubling with a truncation-growth test: windows stop
-expanding once the integrand drops below ``rel_floor`` of its peak, and
+expanding once the integrand drops below ``REL_FLOOR`` of its peak, and
 integrals whose tail contributions keep growing raise
 :class:`~warpft.errors.DivergenceError`.
 """
@@ -18,6 +18,11 @@ from .errors import DivergenceError, NonConvergenceError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
+#: window doubling stops once the boundary samples fall below this
+#: fraction of the running peak, and fails past this half-width
+REL_FLOOR = 1e-16
+MAX_HALF_WIDTH = 1e6
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -25,8 +30,6 @@ class QuadratureSpec:
 
     panel_tol: float = 1e-10
     max_depth: int = 40
-    rel_floor: float = 1e-16
-    max_half_width: float = 1e6
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -83,11 +86,10 @@ def integrate_decaying(fn, quad: QuadratureSpec | None = None, center: float = 0
                        initial_half_width: float = 1.0):
     """Integrate over the whole line assuming eventual decay away from ``center``.
 
-    The window doubles until boundary samples fall below ``rel_floor`` of
+    The window doubles until boundary samples fall below ``REL_FLOOR`` of
     the running peak.  Growth of successive boundary samples (or overflow)
     is reported as divergence.
     """
-    quad = quad or DEFAULT_QUAD
     w = float(initial_half_width)
     probe = np.linspace(center - w, center + w, 65)
     vals = np.abs(np.asarray(fn(probe)))
@@ -96,14 +98,14 @@ def integrate_decaying(fn, quad: QuadratureSpec | None = None, center: float = 0
     peak = float(np.max(vals))
     prev_edge = None
     grow_count = 0
-    while w < quad.max_half_width:
+    while w < MAX_HALF_WIDTH:
         edge_pts = np.array([center - w, center - 0.95 * w, center + 0.95 * w, center + w])
         edge_vals = np.asarray(fn(edge_pts))
         if not np.all(np.isfinite(edge_vals)):
             raise DivergenceError("integrand overflows while expanding the window")
         edge = float(np.max(np.abs(edge_vals)))
         peak = max(peak, edge)
-        if edge <= quad.rel_floor * max(peak, 1e-300):
+        if edge <= REL_FLOOR * max(peak, 1e-300):
             break
         if prev_edge is not None and edge > prev_edge:
             grow_count += 1
@@ -117,6 +119,6 @@ def integrate_decaying(fn, quad: QuadratureSpec | None = None, center: float = 0
         w *= 2.0
     else:
         raise DivergenceError(
-            f"no decay detected out to half-width {quad.max_half_width:.3e}"
+            f"no decay detected out to half-width {MAX_HALF_WIDTH:.3e}"
         )
     return integrate(fn, center - w, center + w, quad)

@@ -327,7 +327,7 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
     if normalize:
         try:
             theta = normalized(theta)
-        except DivergenceError as exc:  # e.g. a radius whose square overflows
+        except DivergenceError as exc:  # e.g. a gaussian too wide to integrate
             raise ConfigError(
                 f"prototype cannot be normalized: {exc}") from None
     channels = design_channels(warp, delta, grid, time_scale)
@@ -345,13 +345,12 @@ class Coefficients:
     """
 
     def __init__(self, data: List[np.ndarray], centers_hz: np.ndarray,
-                 hop_seconds: np.ndarray, sample_rate: float, length: int):
+                 hop_seconds: np.ndarray, length: int):
         if not (len(data) == len(centers_hz) == len(hop_seconds)):
             raise ShapeError("coefficient metadata lengths disagree")
         self.data = [np.asarray(c, dtype=complex) for c in data]
         self.centers_hz = np.asarray(centers_hz, dtype=float)
         self.hop_seconds = np.asarray(hop_seconds, dtype=float)
-        self.sample_rate = float(sample_rate)
         self.length = int(length)
 
     @property

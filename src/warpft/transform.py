@@ -40,6 +40,10 @@ from .system import Coefficients, WarpedSystem
 #: as uncovered by the diagonal inverse
 DIAG_FLOOR = 1e-12
 
+#: CG synthesis: relative residual target and iteration cap
+CG_TOL = 1e-10
+CG_MAX_ITERATIONS = 500
+
 
 def _as_signal(f, n: int) -> np.ndarray:
     arr = np.asarray(f)
@@ -126,8 +130,7 @@ def analyze(f, system: WarpedSystem) -> Coefficients:
     """Warped transform coefficients of ``f`` (length must match the grid)."""
     fhat = np.fft.fft(_as_signal(f, system.grid.length))
     return Coefficients(_fold(fhat, system), system.channel_positions(),
-                        system.hop_seconds(), system.grid.sample_rate,
-                        system.grid.length)
+                        system.hop_seconds(), system.grid.length)
 
 
 def adjoint(coeffs: Coefficients, system: WarpedSystem) -> np.ndarray:
@@ -143,8 +146,7 @@ def apply_frame_operator(f, system: WarpedSystem) -> np.ndarray:
 
 
 def synthesize(coeffs: Coefficients, system: WarpedSystem,
-               iterative: bool = False, tol: float = 1e-10,
-               max_iterations: int = 500) -> np.ndarray:
+               iterative: bool = False) -> np.ndarray:
     """Reconstruct a signal from coefficients.
 
     The default path requires a painless system and inverts the diagonal
@@ -152,7 +154,7 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
     gradients on the frame operator instead.
     """
     if iterative:
-        return _synthesize_cg(coeffs, system, tol, max_iterations)
+        return _synthesize_cg(coeffs, system)
     if not system.painless:
         raise NotPainlessError(
             "system fails the painless support condition; "
@@ -171,7 +173,7 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
     return np.fft.ifft(fhat)
 
 
-def _synthesize_cg(coeffs, system, tol, max_iterations):
+def _synthesize_cg(coeffs, system):
     """Solve ``S x = V* c`` on the covered bins, preconditioned by the
     diagonal profile; bins outside stay zero."""
     _check_layout(coeffs, system)
@@ -179,11 +181,11 @@ def _synthesize_cg(coeffs, system, tol, max_iterations):
     diag = system.frame_diag()
     covered = np.flatnonzero(diag >= DIAG_FLOOR * float(np.max(diag)))
     x, _, converged = _pcg(_frame_op(system, covered), rhs[covered],
-                           1.0 / diag[covered], tol, max_iterations)
+                           1.0 / diag[covered], CG_TOL, CG_MAX_ITERATIONS)
     if not converged:
         raise NonConvergenceError(
-            f"conjugate gradients did not reach tol={tol} "
-            f"in {max_iterations} iterations")
+            f"conjugate gradients did not reach tol={CG_TOL} "
+            f"in {CG_MAX_ITERATIONS} iterations")
     fhat = np.zeros_like(rhs)
     fhat[covered] = x
     return np.fft.ifft(fhat)
@@ -250,7 +252,7 @@ def stft_reference(f, system: WarpedSystem) -> Coefficients:
             frames[k] = np.vdot(window, rolled)
         data.append(frames)
     return Coefficients(data, system.channel_positions(),
-                        system.hop_seconds(), system.grid.sample_rate, n)
+                        system.hop_seconds(), n)
 
 
 def coefficient_deviation(a: Coefficients, b: Coefficients) -> float:

@@ -29,8 +29,6 @@ from .errors import ConfigError, DomainError, NonConvergenceError, UnsupportedOr
 REAL_LINE = "real_line"
 POSITIVE_HALF_LINE = "positive_half_line"
 
-_WARP_KINDS = ("linear", "log", "power_law", "erb", "alpha_like", "custom")
-
 
 def _split(t):
     arr = np.asarray(t, dtype=float)
@@ -141,8 +139,12 @@ class WarpingFunction:
         elif self.kind == "log":
             out = np.exp(arr)
         elif self.kind == "power_law":
+            # q - 1/q = r; for r < 0 the conjugate root form avoids the
+            # cancellation (and overflow) of r + sqrt(r^2 + 4)
             r = arr / self.c
-            q = 0.5 * (r + np.sqrt(r * r + 4.0))
+            rp, rn = np.maximum(r, 0.0), np.minimum(r, 0.0)
+            q = np.where(r < 0, 2.0 / (np.hypot(rn, 2.0) - rn),
+                         0.5 * (rp + np.sqrt(rp * rp + 4.0)))
             out = self.d * q ** (1.0 / self.l)
         elif self.kind == "erb":
             out = np.sign(arr) * (self.c2 * np.expm1(np.abs(arr) / self.c1))
@@ -294,7 +296,7 @@ def erb_warp(c1: float = 9.265, c2: float = 228.8) -> WarpingFunction:
     return WarpingFunction("erb", c1=c1, c2=c2)
 
 
-def alpha_like_warp(l: float) -> WarpingFunction:
+def alpha_like_warp(l: float = 1.0) -> WarpingFunction:
     """``F(t) = sgn(t)((1 + |t|)^l - 1)`` with ``0 < l <= 1``."""
     if not 0 < l <= 1:
         raise ConfigError("alpha_like warp needs 0 < l <= 1")
@@ -310,20 +312,23 @@ def custom_warp(fn, fn_inverse=None, fn_derivative=None,
                            fn_derivative=fn_derivative, custom_domain=domain)
 
 
+#: each built-in kind's constructor and the names of its parameters,
+#: which are also the constructor's keywords and the warp's attributes
+WARP_FAMILIES = {
+    "linear": (linear_warp, ("c",)),
+    "log": (log_warp, ()),
+    "power_law": (power_law_warp, ("c", "d", "l")),
+    "erb": (erb_warp, ("c1", "c2")),
+    "alpha_like": (alpha_like_warp, ("l",)),
+}
+
+
 def warp_from_params(kind: str, **params) -> WarpingFunction:
-    """Construct a built-in warp from flat config parameters."""
-    makers = {
-        "linear": lambda: linear_warp(params.get("c", 1.0)),
-        "log": log_warp,
-        "power_law": lambda: power_law_warp(params.get("c", 1.0),
-                                            params.get("d", 1.0),
-                                            params.get("l", 0.5)),
-        "erb": lambda: erb_warp(params.get("c1", 9.265), params.get("c2", 228.8)),
-        "alpha_like": lambda: alpha_like_warp(params.get("l", 1.0)),
-    }
-    if kind not in makers:
+    """Construct a built-in warp from flat config parameters; absent ones
+    take the constructor's defaults."""
+    if kind not in WARP_FAMILIES:
         raise ConfigError(f"unknown warp kind {kind!r}")
-    return makers[kind]()
+    return WARP_FAMILIES[kind][0](**params)
 
 
 # -- axiom and weight checks ----------------------------------------------
@@ -388,25 +393,9 @@ def check_warping_axioms(warp: WarpingFunction, grid=None) -> AxiomReport:
 
 
 def check_quasi_submultiplicative(warp: WarpingFunction, grid=None) -> float:
-    """Largest ``w(x+y) / (w(x) w(y))`` over a grid of warped pairs.
-
-    Overflowing weight evaluations at extreme grid points are skipped
-    with a truncation warning.
-    """
-    s = np.asarray(grid if grid is not None else np.linspace(-20.0, 20.0, 257),
-                   dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = warp.weight(s)
-        pair_sum = s[:, None] + s[None, :]
-        num = warp.weight(pair_sum)
-        ratio = num / (w[:, None] * w[None, :])
-    finite = np.isfinite(ratio)
-    if not np.all(finite):
-        warnings.warn("weight overflow at extreme grid points; ratios truncated",
-                      RuntimeWarning, stacklevel=2)
-    if not np.any(finite):
-        raise ConfigError("no finite ratios; grid entirely overflows the weight")
-    return float(np.max(ratio[finite]))
+    """Largest ``w(x+y) / (w(x) w(y))`` over a grid of warped pairs: the
+    moderateness constant of the weight ``w`` with respect to itself."""
+    return check_moderateness(warp.weight, warp.weight, grid)
 
 
 @dataclass(frozen=True)

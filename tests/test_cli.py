@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,38 @@ class TestConfigValues:
         assert "Traceback" not in err.getvalue()
 
 
+    @pytest.mark.parametrize("kind,key", [("gaussian", "prototype.radius"),
+                                          ("smooth_bump", "prototype.sigma")])
+    def test_key_of_another_prototype_kind_exits_2(self, tmp_path, capsys,
+                                                   kind, key):
+        text = _with_value(_with_value(ERB_CFG, "prototype.kind", kind),
+                           key, "0.9")
+        cfg = tmp_path / "foreign.cfg"
+        cfg.write_text(text)
+        rc = main(["design", "--config", str(cfg),
+                   "--out", str(tmp_path / "x.desc")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown keys: {key}"]
+
+    def test_overflowing_bump_radius_exits_2(self, tmp_path, capsys):
+        text = _with_value(_with_value(ERB_CFG, "prototype.radius", "1e300"),
+                           "prototype.normalize", "false")
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["design", "--config", str(cfg),
+                       "--out", str(tmp_path / "x.desc")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert caught == []
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "radius" in err[0]
+        assert "painless" not in captured.out
+
+
 class TestLastResort:
     def test_unexpected_exception_exits_1_with_one_line(self, tmp_path,
                                                         capsys, monkeypatch):
@@ -243,6 +276,60 @@ class TestAnalyzeSynthesize:
                    "--coeffs", str(coeffs),
                    "--out", str(tmp_path / "r.f64")])
         assert rc == 5
+
+
+@pytest.fixture(scope="module")
+def small_container(tmp_path_factory):
+    """An ERB descriptor at N = 2^10, its WTC1 container of a band-limited
+    signal, and the container's header length (12 + 24 per channel)."""
+    tmp = tmp_path_factory.mktemp("wtc1")
+    cfg = tmp / "erb.cfg"
+    cfg.write_text(_with_value(ERB_CFG, "length", "1024"))
+    desc, sig, coeffs = tmp / "erb.desc", tmp / "sig.f64", tmp / "c.wtc"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["design", "--config", str(cfg), "--out", str(desc)]) == 0
+        write_signal(sig, _bandlimited_signal(desc))
+        assert main(["analyze", "--system", str(desc), "--signal", str(sig),
+                     "--out", str(coeffs)]) == 0
+    header = 12 + 24 * len(read_descriptor(desc).channels)
+    return desc, coeffs.read_bytes(), header
+
+
+def _synthesize_with_bit_flipped(desc, blob, bit):
+    """Exit code and stderr lines of ``synthesize`` on ``blob`` with one
+    bit flipped."""
+    flipped = bytearray(blob)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.wtc")
+        with open(path, "wb") as fh:
+            fh.write(flipped)
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["synthesize", "--system", str(desc), "--coeffs", path,
+                       "--out", os.path.join(tmp, "r.f64")])
+    return rc, err.getvalue().splitlines()
+
+
+class TestContainerBitFlips:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_header_flip_rejected(self, small_container, data):
+        desc, blob, header = small_container
+        bit = data.draw(st.integers(0, 8 * header - 1), label="bit")
+        rc, err = _synthesize_with_bit_flipped(desc, blob, bit)
+        assert rc in (3, 4)
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_payload_flip_accepted(self, small_container, data):
+        desc, blob, header = small_container
+        bit = data.draw(st.integers(8 * header, 8 * len(blob) - 1),
+                        label="bit")
+        rc, err = _synthesize_with_bit_flipped(desc, blob, bit)
+        assert rc == 0, err
 
 
 class TestDiagnose:

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from warpft import ConfigError, FormatError, ShapeError
-from warpft.io import (format_config, parse_config, read_coefficients,
+from warpft.io import (fmt, format_config, parse_config, read_coefficients,
                        read_descriptor, read_signal, system_from_config,
                        system_to_config, write_coefficients,
                        write_descriptor, write_signal)
-from warpft.prototype import bump_prototype, gaussian_prototype
+from warpft.prototype import (bump_prototype, gaussian_prototype,
+                              hann_prototype)
 from warpft.system import SignalGrid, build_system
 from warpft.transform import analyze
-from warpft.warping import erb_warp, linear_warp
+from warpft.warping import (alpha_like_warp, erb_warp, linear_warp, log_warp,
+                            power_law_warp)
 
 RNG = np.random.default_rng(31)
 
@@ -78,6 +80,61 @@ class TestDescriptor:
         cfg = system_to_config(_erb_system())
         cfg["delta"] = "wide"
         with pytest.raises(ConfigError, match="delta"):
+            system_from_config(cfg)
+
+
+# (warp, delta) pairs that design 10-32 channels on a 256-bin grid
+FAMILY_DESIGNS = [(linear_warp(2.0), 16.0), (log_warp(), 0.5),
+                  (power_law_warp(1.5, 2.0, 0.6), 1.0),
+                  (erb_warp(9.0, 200.0), 0.5), (alpha_like_warp(0.5), 1.0)]
+
+
+def _descriptor_by_kind_branches(system):
+    """The descriptor writer as it was before the family tables: one
+    parameter list per warp kind and a branch on the prototype kind."""
+    warp_params = {"linear": ("c",), "log": (), "power_law": ("c", "d", "l"),
+                   "erb": ("c1", "c2"), "alpha_like": ("l",)}
+    warp, theta = system.warp, system.theta
+    out = {"warp.kind": warp.kind}
+    for p in warp_params[warp.kind]:
+        out[f"warp.{p}"] = fmt(getattr(warp, p))
+    out["prototype.kind"] = theta.kind
+    if theta.kind == "gaussian":
+        out["prototype.sigma"] = fmt(theta.sigma)
+    else:
+        out["prototype.radius"] = fmt(theta.radius)
+    out["prototype.normalize"] = "true" if system.normalize else "false"
+    out["delta"] = fmt(system.delta)
+    out["sample_rate"] = fmt(system.grid.sample_rate)
+    out["length"] = str(system.grid.length)
+    out["time_scale"] = fmt(system.time_scale)
+    out["truncation"] = fmt(system.truncation)
+    return format_config(out)
+
+
+class TestFamilyTables:
+    @pytest.mark.parametrize("warp,delta", FAMILY_DESIGNS,
+                             ids=[w.kind for w, _ in FAMILY_DESIGNS])
+    @pytest.mark.parametrize("make", [gaussian_prototype, hann_prototype,
+                                      bump_prototype],
+                             ids=lambda make: make.__name__)
+    def test_descriptor_unchanged_and_read_back(self, warp, delta, make):
+        theta = make(0.7 * delta)
+        system = build_system(warp, theta, delta, SignalGrid(256, 256.0),
+                              time_scale=0.5, normalize=False)
+        text = format_config(system_to_config(system))
+        assert text == _descriptor_by_kind_branches(system)
+        back = system_from_config(parse_config(text))
+        assert back.warp == warp and back.theta == theta
+
+    @pytest.mark.parametrize("key", ["warp.l", "prototype.radius",
+                                     "prototype.center"])
+    def test_key_of_another_kind_rejected(self, key):
+        cfg = system_to_config(build_system(
+            linear_warp(1.0), gaussian_prototype(4.0), 8.0,
+            SignalGrid(256, 256.0)))
+        cfg[key] = "0.5"
+        with pytest.raises(ConfigError, match=f"unknown keys: {key}"):
             system_from_config(cfg)
 
 

@@ -197,8 +197,43 @@ class TestKernelNormI:
             KernelEvalSpec(z_half_width=0.0)
         with pytest.raises(ConfigError):
             KernelEvalSpec(resolution=8)
-        with pytest.raises(ConfigError):
-            KernelEvalSpec(p=-1)
+
+
+class TestPinnedValues:
+    """Kernel outputs recorded (17 digits) before the decay constant and
+    the oscillation-norm orientations were each given one loop."""
+
+    def test_kernel_norm_linear_gaussian(self):
+        rep = kernel_norm_I(LIN, GAUSS, KernelEvalSpec(8.0, 8.0, 64), x=0.0)
+        assert rep.value == pytest.approx(1.9999995204673557, rel=1e-13)
+        assert rep.tail_estimate == pytest.approx(0.0028615972234865166,
+                                                  rel=1e-13)
+
+    def test_kernel_norm_log_hann(self):
+        hann = normalized(hann_prototype(0.9))
+        rep = kernel_norm_I(LOG, hann, KernelEvalSpec(4.0, 4.0, 64), x=0.0)
+        assert rep.value == pytest.approx(2.213881477693293, rel=1e-13)
+        assert rep.tail_estimate == pytest.approx(0.5992927465386515,
+                                                  rel=1e-13)
+
+    @pytest.mark.parametrize("n,log_bump,lin_gauss", [
+        (0, 2.134267740534865, 1.1032721959994025),
+        (1, 10.056123652004988, 1.8926976491110792),
+        (2, 421.4909508170993, 4.175917861761295)])
+    def test_stationary_phase_c_n(self, n, log_bump, lin_gauss):
+        etas = [1.0, 2.0, 4.0]
+        got = stationary_phase_check(LOG, BUMP, n, 0.0, etas, z=0.3).c_n
+        assert got == pytest.approx(log_bump, rel=1e-13)
+        got = stationary_phase_check(LIN, GAUSS, n, 0.5, etas, z=0.3).c_n
+        assert got == pytest.approx(lin_gauss, rel=1e-13)
+
+    def test_osc_norm_linear_gaussian(self):
+        # the sums over many oscillation values amplify rounding
+        rep = osc_norm_estimate(LIN, GAUSS, 0.25, KernelEvalSpec(4.0, 4.0, 16),
+                                q_resolution=2, box_resolution=8)
+        assert rep.value == pytest.approx(1.5111183252659817, rel=1e-10)
+        assert rep.tail_estimate == pytest.approx(0.05899175116396387,
+                                                  rel=1e-10)
 
 
 class TestOscillation:

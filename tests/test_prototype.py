@@ -27,9 +27,11 @@ from warpft import (
     log_warp,
     normalized,
     polynomial_weight,
+    prototype_from_params,
     warped_weight,
     weighted_l2_norm,
 )
+from warpft.prototype import PROTOTYPE_FAMILIES
 from warpft.quadrature import QuadratureSpec
 
 
@@ -170,6 +172,30 @@ class TestThetaConditions:
                                         p=0, eps=0.5)
         assert report.passed, [e.name for e in report.failures()]
 
+    def test_weighted_norm_entries_pinned(self):
+        # recorded (17 digits) before the quadrature limits became
+        # module constants and the unused derivative radius was removed
+        expected = {
+            "theta in L2_w1": 29.944154371270173,
+            "theta in L2_w2": 159.71195087251382,
+            "theta^(0) in L2_w1": 29.944154371270173,
+            "theta^(0) in L2_w3": 922.2108633091627,
+            "theta^(1) in L2_w1": 50.92687892683508,
+            "theta^(1) in L2_w3": 1947.4270706245404,
+            "theta^(2) in L2_w1": 79.66010801373159,
+            "theta^(2) in L2_w3": 3829.165013538446,
+            "theta^(3) in L2_w1": 122.95923305325672,
+            "theta^(3) in L2_w3": 7116.16228809012,
+        }
+        warp = alpha_like_warp(0.5)
+        report = check_theta_conditions(
+            gaussian_prototype(1.0), warp,
+            induced_v1(polynomial_weight(1.0), warp), p=1, eps=0.5)
+        got = {e.name: e.value for e in report.entries if "L2" in e.name}
+        assert got.keys() == expected.keys()
+        for name, value in expected.items():
+            assert got[name] == pytest.approx(value, rel=1e-13), name
+
     def test_gaussian_log_large_rate_divergent(self):
         # huge exponential rate overflows the weighted integrals
         report = check_theta_conditions(gaussian_prototype(1.0), log_warp(),
@@ -186,3 +212,22 @@ class TestThetaConditions:
         with pytest.raises(UnsupportedOrderError):
             check_theta_conditions(bump_prototype(1.0), erb_warp(),
                                    polynomial_weight(1.0), p=3, eps=0.5)
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, 1e155, 1e300,
+                                        float("inf"), float("nan")])
+    def test_bump_radius_needs_finite_square(self, radius):
+        with pytest.raises(ConfigError):
+            bump_prototype(radius)
+
+    def test_widest_accepted_bump_evaluates(self):
+        assert bump_prototype(1e150).eval(0.0) == pytest.approx(np.exp(-1.0))
+
+    def test_from_params_defaults_are_the_constructors(self):
+        for kind, (make, _) in PROTOTYPE_FAMILIES.items():
+            assert prototype_from_params(kind) == make()
+        assert prototype_from_params("hann_bump", radius=2.0) \
+            == hann_prototype(2.0)
+        with pytest.raises(ConfigError, match="unknown prototype kind"):
+            prototype_from_params("boxcar")

@@ -369,7 +369,7 @@ class TestCoefficients:
     def test_metadata_validation(self):
         with pytest.raises(ShapeError):
             Coefficients([np.zeros(4, complex)], np.array([1.0, 2.0]),
-                         np.array([0.1]), 100.0, 64)
+                         np.array([0.1]), 64)
 
     def test_matches_system(self):
         grid = SignalGrid(1024, 1024.0)
@@ -378,12 +378,12 @@ class TestCoefficients:
         data = [np.zeros(ch.frames, complex) for ch in sys.channels]
         good = Coefficients(data, sys.channel_positions(),
                             np.array([ch.hop_samples / 1024.0
-                                      for ch in sys.channels]), 1024.0, 1024)
+                                      for ch in sys.channels]), 1024)
         assert good.matches_system(sys)
         bad = Coefficients(data[:-1], sys.channel_positions()[:-1],
                            np.array([ch.hop_samples / 1024.0
                                      for ch in sys.channels[:-1]]),
-                           1024.0, 1024)
+                           1024)
         assert not bad.matches_system(sys)
         assert good.total_coefficients() == sum(ch.frames
                                                 for ch in sys.channels)

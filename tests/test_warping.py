@@ -25,8 +25,10 @@ from warpft import (
     log_warp,
     polynomial_weight,
     power_law_warp,
+    warp_from_params,
     warped_weight,
 )
+from warpft.warping import WARP_FAMILIES
 
 ALL_WARPS = [
     linear_warp(1.0),
@@ -87,6 +89,29 @@ class TestInverse:
         for warp in ALL_WARPS:
             err = np.abs(warp.eval(warp.inverse(s)) - s)
             assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(s))), warp.kind
+
+    @pytest.mark.parametrize("s", [-1e3, -1e8, -1e10, -1e150])
+    def test_power_law_round_trip_far_below_d(self, s):
+        # r + sqrt(r^2 + 4) cancels for large negative r
+        warp = power_law_warp(1.0, 1.0, 0.5)
+        assert warp.eval(warp.inverse(s)) == pytest.approx(s, rel=1e-13)
+
+    def test_power_law_inverse_monotone_below_d(self):
+        warp = power_law_warp(1.0, 1.0, 0.5)
+        t = warp.inverse(-np.geomspace(1e150, 1e-3, 200))
+        assert np.all(t > 0)
+        assert np.all(np.diff(t) > 0)
+
+    def test_power_law_inverse_no_overflow(self):
+        t = power_law_warp(1.0, 1.0, 0.5).inverse(-1e200)
+        assert np.isfinite(t) and t >= 0
+
+    def test_power_law_inverse_unchanged_above_d(self):
+        warp = power_law_warp(2.0, 3.0, 0.7)
+        s = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 50)))
+        r = s / 2.0
+        old = 3.0 * (0.5 * (r + np.sqrt(r * r + 4.0))) ** (1.0 / 0.7)
+        assert np.array_equal(warp.inverse(s), old)
 
     def test_numeric_inverse_newton(self):
         cube = custom_warp(lambda t: t ** 3, fn_derivative=lambda t: 3.0 * t * t)
@@ -190,6 +215,31 @@ class TestQuasiSubmultiplicative:
         assert np.isfinite(c)
 
 
+def _quasi_constant_reference(warp, grid=None):
+    """The pairwise ratio loop this check used before it became
+    ``check_moderateness(w, w)``."""
+    s = np.asarray(grid if grid is not None
+                   else np.linspace(-20.0, 20.0, 257), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = warp.weight(s)
+        num = warp.weight(s[:, None] + s[None, :])
+        ratio = num / (w[:, None] * w[None, :])
+    return float(np.max(ratio[np.isfinite(ratio)]))
+
+
+class TestQuasiSubmultiplicativeEquivalence:
+    @pytest.mark.parametrize("warp", ALL_WARPS, ids=lambda w: w.kind)
+    def test_equals_pairwise_ratio_loop(self, warp):
+        assert (check_quasi_submultiplicative(warp)
+                == _quasi_constant_reference(warp))
+
+    def test_equals_pairwise_ratio_loop_with_overflow(self):
+        grid = np.linspace(-600.0, 600.0, 101)
+        with pytest.warns(RuntimeWarning):
+            got = check_quasi_submultiplicative(log_warp(), grid)
+        assert got == _quasi_constant_reference(log_warp(), grid)
+
+
 class TestWeightSpecs:
     def test_values_at_least_one(self):
         x = np.linspace(-30.0, 30.0, 101)
@@ -255,3 +305,11 @@ class TestConfigValidation:
             power_law_warp(l=2.0)
         with pytest.raises(ConfigError):
             erb_warp(c1=-1.0)
+
+    def test_from_params_defaults_are_the_constructors(self):
+        for kind, (make, _) in WARP_FAMILIES.items():
+            assert warp_from_params(kind) == make()
+        assert warp_from_params("alpha_like") == alpha_like_warp(1.0)
+        assert warp_from_params("erb", c2=100.0) == erb_warp(9.265, 100.0)
+        with pytest.raises(ConfigError, match="unknown warp kind"):
+            warp_from_params("custom")
