@@ -20,10 +20,10 @@ from typing import Dict
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .prototype import PROTOTYPE_FAMILIES
+from .prototype import PROTOTYPE_FAMILIES, prototype_from_params
 from .system import SignalGrid, WarpedSystem, build_system
 from .transform import Coefficients
-from .warping import WARP_FAMILIES
+from .warping import WARP_FAMILIES, warp_from_params
 
 _COEFF_MAGIC = b"WTC1"
 _VERSION = 1
@@ -95,26 +95,27 @@ def _take_bool(cfg: Dict[str, str], key: str, default: bool) -> bool:
 # -- system descriptors ----------------------------------------------------
 
 
-def _from_family(cfg: Dict[str, str], prefix: str, families, known: set):
-    """Construct the kind named by ``<prefix>.kind`` from the
-    ``<prefix>.*`` keys its family accepts; adds those keys to ``known``."""
+def _from_family(cfg: Dict[str, str], prefix: str, families, from_params,
+                 known: set):
+    """Build ``<prefix>.kind`` with ``from_params`` from the ``<prefix>.*``
+    keys its family accepts; adds those keys to ``known``."""
     kind = cfg.get(f"{prefix}.kind")
     if kind is None:
         raise ConfigError(f"missing required key '{prefix}.kind'")
-    if kind not in families:
-        raise ConfigError(f"unknown {prefix} kind {kind!r}")
-    make, names = families[kind]
+    names = families[kind][1] if kind in families else ()  # rejected below
     keys = {p: f"{prefix}.{p}" for p in names}
     known.update(keys.values())
-    return make(**{p: _take_float(cfg, k) for p, k in keys.items() if k in cfg})
+    return from_params(kind, **{p: _take_float(cfg, k)
+                                for p, k in keys.items() if k in cfg})
 
 
 def system_from_config(cfg: Dict[str, str]) -> WarpedSystem:
     """Build a system from parsed descriptor/config keys."""
     known = {"warp.kind", "prototype.kind", "delta", "sample_rate", "length",
              "time_scale", "truncation", "prototype.normalize"}
-    warp = _from_family(cfg, "warp", WARP_FAMILIES, known)
-    theta = _from_family(cfg, "prototype", PROTOTYPE_FAMILIES, known)
+    warp = _from_family(cfg, "warp", WARP_FAMILIES, warp_from_params, known)
+    theta = _from_family(cfg, "prototype", PROTOTYPE_FAMILIES,
+                         prototype_from_params, known)
 
     length = _take_float(cfg, "length")
     if length != int(length):

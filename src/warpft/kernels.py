@@ -450,6 +450,11 @@ def osc_norm_estimate(warp: WarpingFunction, theta: Prototype, delta: float,
         tau = delta * delta / max(f_hi - f_lo, 1e-300)
         probes.append((x_hz, 0.5 * tau))
 
+    def mass(x0, xi0, y0, om0):
+        return (oscillation(warp, theta, delta, gamma_on, x0, xi0, y0, om0,
+                            q_resolution)
+                * weight_m(spec.m1, spec.m2, x0, y0, xi0, om0))
+
     wy, wo = spec.z_half_width, spec.eta_half_width
     nb = box_resolution
     value = 0.0
@@ -463,23 +468,15 @@ def osc_norm_estimate(warp: WarpingFunction, theta: Prototype, delta: float,
         ys = lo + (np.arange(nb) + 0.5) * dy
         oms = pxi - wo + (np.arange(nb) + 0.5) * do
 
-        # row orientation: fixed (px, pxi), Q-sets at the grid nodes;
-        # column orientation: Q-set fixed at the probe, first pair varies.
-        # The tail is the row grid's outer ring.
-        for row in (True, False):
-            grid = np.zeros((nb, nb))
-            for i, yv in enumerate(ys):
-                for j, ov in enumerate(oms):
-                    (x0, xi0), (y0, om0) = (((px, pxi), (yv, ov)) if row
-                                            else ((yv, ov), (px, pxi)))
-                    o = oscillation(warp, theta, delta, gamma_on,
-                                    x0, xi0, y0, om0, q_resolution)
-                    grid[i, j] = o * weight_m(spec.m1, spec.m2,
-                                              x0, y0, xi0, om0)
-            value = max(value, float(grid.sum() * dy * do))
-            if row:
-                ring = (grid[0].sum() + grid[-1].sum() + grid[1:-1, 0].sum()
-                        + grid[1:-1, -1].sum()) * dy * do
-                tail = max(tail, float(ring))
+        # row orientation: fixed (px, pxi), Q-sets at the grid nodes
+        rows = np.array([[mass(px, pxi, yv, ov) for ov in oms] for yv in ys])
+        # column orientation: Q-set fixed at the probe, first pair varies
+        cols = np.array([[mass(yv, ov, px, pxi) for ov in oms] for yv in ys])
+        value = max(value, float(rows.sum() * dy * do),
+                    float(cols.sum() * dy * do))
+        # the tail is the row grid's outer ring
+        ring = (rows[0].sum() + rows[-1].sum() + rows[1:-1, 0].sum()
+                + rows[1:-1, -1].sum()) * dy * do
+        tail = max(tail, float(ring))
     return OscNormReport(value, tail, bool(tail > 0.1 * abs(value)),
                          gamma_on, delta)

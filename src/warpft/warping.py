@@ -395,7 +395,7 @@ def check_warping_axioms(warp: WarpingFunction, grid=None) -> AxiomReport:
 def check_quasi_submultiplicative(warp: WarpingFunction, grid=None) -> float:
     """Largest ``w(x+y) / (w(x) w(y))`` over a grid of warped pairs: the
     moderateness constant of the weight ``w`` with respect to itself."""
-    return check_moderateness(warp.weight, warp.weight, grid)
+    return _max_ratio(warp.weight, warp.weight, grid)
 
 
 @dataclass(frozen=True)
@@ -457,6 +457,10 @@ def check_moderateness(w_target, v, grid=None) -> float:
     ``w_target`` and ``v`` may be :class:`WeightSpec` objects or plain
     vectorized callables.
     """
+    return _max_ratio(w_target, v, grid)
+
+
+def _max_ratio(w_target, v, grid) -> float:
     s = np.asarray(grid if grid is not None else np.linspace(-20.0, 20.0, 257),
                    dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -467,7 +471,7 @@ def check_moderateness(w_target, v, grid=None) -> float:
     finite = np.isfinite(ratio)
     if not np.all(finite):
         warnings.warn("weight overflow at extreme grid points; ratios truncated",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)
     if not np.any(finite):
         raise ConfigError("no finite ratios; grid entirely overflows the weight")
     return float(np.max(ratio[finite]))

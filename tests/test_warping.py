@@ -235,9 +235,17 @@ class TestQuasiSubmultiplicativeEquivalence:
 
     def test_equals_pairwise_ratio_loop_with_overflow(self):
         grid = np.linspace(-600.0, 600.0, 101)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as record:
             got = check_quasi_submultiplicative(log_warp(), grid)
         assert got == _quasi_constant_reference(log_warp(), grid)
+        assert [r.filename for r in record] == [__file__]
+
+    def test_moderateness_overflow_warns_at_caller(self):
+        grid = np.linspace(-600.0, 600.0, 101)
+        w = log_warp().weight
+        with pytest.warns(RuntimeWarning) as record:
+            check_moderateness(w, w, grid)
+        assert [r.filename for r in record] == [__file__]
 
 
 class TestWeightSpecs:
