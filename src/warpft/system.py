@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,10 @@ from .errors import (ConfigError, DegenerateAtomError, DivergenceError,
                      ShapeError)
 from .prototype import Prototype, normalized
 from .warping import POSITIVE_HALF_LINE, WarpingFunction
+
+#: bins with frame profile below this fraction of its peak are treated
+#: as uncovered by the diagonal inverse
+DIAG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -267,6 +271,9 @@ class WarpedSystem:
         self.normalize = normalize
         self._painless: Optional[PainlessReport] = None
         self._diag: Optional[np.ndarray] = None
+        self._groups: Optional[List[Tuple[int, int, List[int]]]] = None
+        self._interior: Optional[np.ndarray] = None
+        self._covered: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
 
     @property
     def painless_report(self) -> PainlessReport:
@@ -291,9 +298,32 @@ class WarpedSystem:
             self._diag = d
         return self._diag
 
+    def frame_groups(self) -> List[Tuple[int, int, List[int]]]:
+        """The channels grouped by frame lattice: ``(frames, hop,
+        channel indices)`` per distinct frame count, in order of first
+        appearance, each index list in channel order.
+
+        Hops are powers of two dividing N, so a bank has only a handful
+        of frame counts; the transform runs one FFT per group instead of
+        one per channel.
+        """
+        if self._groups is None:
+            groups = {}
+            for l, ch in enumerate(self.channels):
+                groups.setdefault((ch.frames, ch.hop_samples), []).append(l)
+            self._groups = [(m, hop, ls) for (m, hop), ls in groups.items()]
+        return self._groups
+
     def interior_bins(self) -> np.ndarray:
         """Bins whose warped position sees every prototype translate that
-        an unbounded channel set would contribute (full-coverage band)."""
+        an unbounded channel set would contribute (full-coverage band).
+        Computed once; the array is read-only."""
+        if self._interior is None:
+            self._interior = self._interior_bins()
+            self._interior.setflags(write=False)
+        return self._interior
+
+    def _interior_bins(self) -> np.ndarray:
         radius = self.theta.support_radius(max(self.truncation, 1e-12))
         w_lo = self.delta * (self.channels[0].index + 0.5) + radius
         w_hi = self.delta * (self.channels[-1].index + 0.5) - radius
@@ -304,6 +334,25 @@ class WarpedSystem:
         lo_hz = float(self.warp.inverse(w_lo))
         hi_hz = float(self.warp.inverse(w_hi))
         return np.flatnonzero(active & (freqs >= lo_hz) & (freqs <= hi_hz))
+
+    def covered_bins(self) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """``(bins, profile, interior_covered)``: the bins whose frame
+        profile reaches ``DIAG_FLOOR`` times its peak, the profile on
+        them, and whether every interior bin is among them.  The
+        diagonal inverse divides on these bins and leaves the rest at
+        zero.  Computed once; the arrays are read-only."""
+        if self._covered is None:
+            d = self.frame_diag()
+            floor = DIAG_FLOOR * float(np.max(d))
+            bins = np.flatnonzero(d >= floor)
+            profile = d[bins]
+            interior = self.interior_bins()
+            interior_covered = not (interior.size
+                                    and float(np.min(d[interior])) < floor)
+            bins.setflags(write=False)
+            profile.setflags(write=False)
+            self._covered = (bins, profile, interior_covered)
+        return self._covered
 
     def channel_positions(self) -> np.ndarray:
         return np.array([ch.center_hz for ch in self.channels])

@@ -13,6 +13,13 @@ each atom's support and :func:`_unfold` is its adjoint; analysis, the
 adjoint, the frame operator, CG synthesis and the power-iteration frame
 bounds are all built on this pair.
 
+Hops are powers of two, so the channels fall into a few groups that
+share one frame count (six for the 132-channel ERB bank at N = 2^16;
+see :meth:`WarpedSystem.frame_groups`).  :func:`_fold` folds a group's
+channels into the rows of one block and runs one in-place FFT per
+group; :func:`_unfold` runs one in-place FFT per :data:`UNFOLD_ROWS`
+channels of a group.
+
 With unit-norm prototypes these coefficients approximate the continuous
 inner products ``<f, g_{x_l, k n_l / fs}>`` directly, no extra scaling.
 
@@ -36,13 +43,13 @@ from .errors import (IllConditionedError, NonConvergenceError,
 from .prototype import admissibility_inner_product
 from .system import Coefficients, WarpedSystem
 
-#: bins with frame profile below this fraction of its peak are treated
-#: as uncovered by the diagonal inverse
-DIAG_FLOOR = 1e-12
-
 #: CG synthesis: relative residual target and iteration cap
 CG_TOL = 1e-10
 CG_MAX_ITERATIONS = 500
+
+#: channels of one frame-count group stacked into one FFT by the
+#: adjoint; bounds its scratch block at this many rows
+UNFOLD_ROWS = 8
 
 
 def _as_signal(f, n: int) -> np.ndarray:
@@ -58,24 +65,43 @@ def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
     Per channel the product ``fhat * g_l`` is aliased onto the ``M_l``
     residues of the frame lattice and inverted with an ``M_l``-point
     FFT; that equals ``ifft_N(fhat * g_l)[::n_l]`` for any hop dividing
-    N, painless or not.
+    N, painless or not.  The channels of a frame-count group fill the
+    rows of one block, which is inverted in place by one FFT; its rows
+    are the coefficients.
     """
-    data = []
-    for atom, ch in zip(system.atoms, system.channels):
-        prod = fhat[atom.support] * atom.values
-        residue = atom.support % ch.frames
-        folded = (np.bincount(residue, prod.real, ch.frames)
-                  + 1j * np.bincount(residue, prod.imag, ch.frames))
-        data.append(np.fft.ifft(folded) / ch.hop_samples)
+    data: List[np.ndarray] = [None] * len(system.channels)
+    for frames, hop, members in system.frame_groups():
+        blk = np.empty((len(members), frames), dtype=complex)
+        for row, l in zip(blk, members):
+            atom = system.atoms[l]
+            prod = fhat[atom.support] * atom.values
+            # frames is a power of two: the mask is the residue mod frames
+            residue = atom.support & (frames - 1)
+            row.real = np.bincount(residue, prod.real, frames)
+            row.imag = np.bincount(residue, prod.imag, frames)
+            data[l] = row
+        np.fft.ifft(blk, axis=1, out=blk)
+        # hop is a power of two, so this scaling equals dividing by it
+        blk *= 1.0 / hop
     return data
 
 
 def _unfold(data: List[np.ndarray], system: WarpedSystem) -> np.ndarray:
-    """Synthesis in the DFT domain: the spectrum of ``V* c``."""
+    """Synthesis in the DFT domain: the spectrum of ``V* c``.
+
+    Up to :data:`UNFOLD_ROWS` channels of a frame-count group share one
+    in-place FFT; each row is then spread onto its atom's support.
+    """
     out = np.zeros(system.grid.length, dtype=complex)
-    for c, atom, ch in zip(data, system.atoms, system.channels):
-        spread = np.fft.fft(c)  # length M_l; index by j mod M_l
-        out[atom.support] += spread[atom.support % ch.frames] * atom.values
+    for frames, _, members in system.frame_groups():
+        for start in range(0, len(members), UNFOLD_ROWS):
+            chunk = members[start:start + UNFOLD_ROWS]
+            blk = np.array([data[l] for l in chunk], dtype=complex)
+            np.fft.fft(blk, axis=1, out=blk)
+            for spread, l in zip(blk, chunk):  # index by j mod M_l
+                atom = system.atoms[l]
+                out[atom.support] += (spread[atom.support & (frames - 1)]
+                                      * atom.values)
     return out
 
 
@@ -159,17 +185,14 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
         raise NotPainlessError(
             "system fails the painless support condition; "
             "use the iterative path")
-    diag = system.frame_diag()
-    peak = float(np.max(diag))
-    interior = system.interior_bins()
-    if interior.size and float(np.min(diag[interior])) < DIAG_FLOOR * peak:
+    covered, profile, interior_covered = system.covered_bins()
+    if not interior_covered:
         raise IllConditionedError(
             "frame profile nearly vanishes inside the covered band")
     _check_layout(coeffs, system)
     num = _unfold(coeffs.data, system)
     fhat = np.zeros_like(num)
-    good = diag >= DIAG_FLOOR * peak
-    fhat[good] = num[good] / diag[good]
+    fhat[covered] = num[covered] / profile
     return np.fft.ifft(fhat)
 
 
@@ -178,10 +201,9 @@ def _synthesize_cg(coeffs, system):
     diagonal profile; bins outside stay zero."""
     _check_layout(coeffs, system)
     rhs = _unfold(coeffs.data, system)
-    diag = system.frame_diag()
-    covered = np.flatnonzero(diag >= DIAG_FLOOR * float(np.max(diag)))
+    covered, profile, _ = system.covered_bins()
     x, _, converged = _pcg(_frame_op(system, covered), rhs[covered],
-                           1.0 / diag[covered], CG_TOL, CG_MAX_ITERATIONS)
+                           1.0 / profile, CG_TOL, CG_MAX_ITERATIONS)
     if not converged:
         raise NonConvergenceError(
             f"conjugate gradients did not reach tol={CG_TOL} "

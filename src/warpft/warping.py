@@ -29,6 +29,9 @@ from .errors import ConfigError, DomainError, NonConvergenceError, UnsupportedOr
 REAL_LINE = "real_line"
 POSITIVE_HALF_LINE = "positive_half_line"
 
+#: above this the power-law inverse takes its root as q = r (see inverse)
+_POWER_LAW_BIG = 1e150
+
 
 def _split(t):
     arr = np.asarray(t, dtype=float)
@@ -140,11 +143,15 @@ class WarpingFunction:
             out = np.exp(arr)
         elif self.kind == "power_law":
             # q - 1/q = r; for r < 0 the conjugate root form avoids the
-            # cancellation (and overflow) of r + sqrt(r^2 + 4)
+            # cancellation (and overflow) of r + sqrt(r^2 + 4); above
+            # _POWER_LAW_BIG, 1/r is below half an ulp of r, so q = r
+            # exactly and r^2 is never formed
             r = arr / self.c
-            rp, rn = np.maximum(r, 0.0), np.minimum(r, 0.0)
+            rn = np.minimum(r, 0.0)
+            rp = np.clip(r, 0.0, _POWER_LAW_BIG)
             q = np.where(r < 0, 2.0 / (np.hypot(rn, 2.0) - rn),
-                         0.5 * (rp + np.sqrt(rp * rp + 4.0)))
+                         np.where(r > _POWER_LAW_BIG, r,
+                                  0.5 * (rp + np.sqrt(rp * rp + 4.0))))
             out = self.d * q ** (1.0 / self.l)
         elif self.kind == "erb":
             out = np.sign(arr) * (self.c2 * np.expm1(np.abs(arr) / self.c1))

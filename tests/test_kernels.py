@@ -11,7 +11,7 @@ from warpft import (CapabilityError, ConfigError, DomainError,
 from warpft.kernels import (KernelEvalSpec, _gramian_batch, gramian,
                             kernel_norm_I, osc_norm_estimate, oscillation,
                             stationary_phase_check, weight_m)
-from warpft.prototype import normalized
+from warpft.prototype import l2_norm, normalized
 from warpft.quadrature import QuadratureSpec
 from warpft.warping import polynomial_weight
 
@@ -85,7 +85,8 @@ class TestGramian:
         rng = np.random.default_rng(5)
         ys = rng.uniform(-2, 2, 8)
         oms = rng.uniform(-1, 1, 8)
-        batch = _gramian_batch(LIN, GAUSS, 0.3, 0.2, ys, oms)
+        batch = _gramian_batch(LIN, GAUSS, 0.3, 0.2, ys, oms,
+                               l2_norm(GAUSS) ** 2)
         single = np.array([gramian(LIN, GAUSS, 0.3, 0.2, y, o)
                            for y, o in zip(ys, oms)])
         assert np.max(np.abs(batch - single)) < 1e-10
@@ -287,6 +288,21 @@ class TestOscNormEstimate:
         b = osc_norm_estimate(LIN, GAUSS, 0.25, weighted,
                               q_resolution=2, box_resolution=8).value
         assert b >= a
+
+    def test_prototype_norm_computed_once(self, monkeypatch):
+        import warpft.kernels as wk
+        calls = []
+
+        def counting(theta, *args):
+            calls.append(theta)
+            return l2_norm(theta, *args)
+
+        monkeypatch.setattr(wk, "l2_norm", counting)
+        osc_norm_estimate(LIN, GAUSS, 0.25, KernelEvalSpec(4.0, 4.0, 16),
+                          q_resolution=2, box_resolution=4)
+        assert len(calls) == 1
+        oscillation(LIN, GAUSS, 0.25, True, 0.0, 0.0, 0.1, 0.1)
+        assert len(calls) == 2
 
     def test_gamma_on_below_gamma_off(self):
         spec = KernelEvalSpec(4.0, 4.0, 16)

@@ -7,7 +7,8 @@ from warpft import (NotPainlessError, ShapeError, bump_prototype, erb_warp,
                     gaussian_prototype, linear_warp, log_warp)
 from warpft.prototype import admissibility_inner_product, l2_norm
 from warpft.system import SignalGrid, build_atom, build_system
-from warpft.transform import (_frame_op, adjoint, analyze,
+from warpft.transform import (UNFOLD_ROWS, _fold, _frame_op, _unfold,
+                              adjoint, analyze,
                               apply_frame_operator, coefficient_deviation,
                               moyal_residual, roundtrip_residual,
                               stft_reference, synthesize)
@@ -141,6 +142,111 @@ class TestFoldedCore:
         ref = np.fft.fft(apply_frame_operator(np.fft.ifft(vhat), sys))[idx]
         got = _frame_op(sys, idx)(v)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _per_channel_fold(fhat, system):
+    """The fold as it ran before frame-count grouping: one bincount fold,
+    one ``M_l``-point inverse FFT and one division per channel."""
+    data = []
+    for atom, ch in zip(system.atoms, system.channels):
+        prod = fhat[atom.support] * atom.values
+        residue = atom.support % ch.frames
+        folded = (np.bincount(residue, prod.real, ch.frames)
+                  + 1j * np.bincount(residue, prod.imag, ch.frames))
+        data.append(np.fft.ifft(folded) / ch.hop_samples)
+    return data
+
+
+def _per_channel_unfold(data, system):
+    """The adjoint as it ran before grouping: one FFT per channel,
+    accumulated in channel order."""
+    out = np.zeros(system.grid.length, dtype=complex)
+    for c, atom, ch in zip(data, system.atoms, system.channels):
+        spread = np.fft.fft(c)
+        out[atom.support] += spread[atom.support % ch.frames] * atom.values
+    return out
+
+
+GROUPED_SYSTEMS = dict(SYSTEMS)
+# one frame count shared by every channel (and more than UNFOLD_ROWS of them)
+GROUPED_SYSTEMS["one-group"] = _linear_system
+# a log bank one octave per channel: no two channels share a frame count
+GROUPED_SYSTEMS["no-shared-group"] = lambda: build_system(
+    log_warp(), bump_prototype(0.9), np.log(2.0), SignalGrid(1024, 16000.0))
+
+
+class TestGroupedCore:
+    def test_group_shapes(self):
+        one = GROUPED_SYSTEMS["one-group"]()
+        assert len(one.frame_groups()) == 1
+        assert len(one.channels) > UNFOLD_ROWS
+        lone = GROUPED_SYSTEMS["no-shared-group"]()
+        assert all(len(ls) == 1 for _, _, ls in lone.frame_groups())
+        assert len(lone.frame_groups()) == len(lone.channels) > 2
+
+    @pytest.mark.parametrize("name", sorted(GROUPED_SYSTEMS))
+    def test_groups_partition_channels(self, name):
+        sys = GROUPED_SYSTEMS[name]()
+        seen = []
+        for frames, hop, members in sys.frame_groups():
+            assert members == sorted(members)
+            assert frames * hop == sys.grid.length
+            for l in members:
+                ch = sys.channels[l]
+                assert (ch.frames, ch.hop_samples) == (frames, hop)
+            seen += members
+        assert sorted(seen) == list(range(len(sys.channels)))
+        assert len({g[0] for g in sys.frame_groups()}) == len(sys.frame_groups())
+
+    @pytest.mark.parametrize("name", sorted(GROUPED_SYSTEMS))
+    def test_fold_equals_per_channel_fold(self, name):
+        sys = GROUPED_SYSTEMS[name]()
+        fhat = _random_signal(sys.grid.length, np.random.default_rng(29))
+        got = _fold(fhat, sys)
+        ref = _per_channel_fold(fhat, sys)
+        assert len(got) == len(ref)
+        for l, (g, r) in enumerate(zip(got, ref)):
+            assert g.shape == r.shape and np.array_equal(g, r), l
+
+    @pytest.mark.parametrize("name", sorted(GROUPED_SYSTEMS))
+    def test_unfold_and_adjoint_match_per_channel(self, name):
+        """Only the order of summation across groups differs."""
+        sys = GROUPED_SYSTEMS[name]()
+        rng = np.random.default_rng(31)
+        data = [_random_signal(ch.frames, rng) for ch in sys.channels]
+        ref = _per_channel_unfold(data, sys)
+        scale = np.abs(ref).max()
+        assert np.abs(_unfold(data, sys) - ref).max() <= 1e-14 * scale
+        coeffs = analyze(np.fft.ifft(_random_signal(sys.grid.length, rng)),
+                         sys)
+        ref_t = np.fft.ifft(_per_channel_unfold(coeffs.data, sys))
+        got_t = adjoint(coeffs, sys)
+        assert np.abs(got_t - ref_t).max() <= 1e-14 * np.abs(ref_t).max()
+
+
+class TestCoveredBins:
+    def test_diagonal_synthesis_unchanged(self):
+        """Dividing on the cached index equals the boolean-mask divide it
+        replaces, bit for bit."""
+        sys = _erb_system()
+        coeffs = analyze(_interior_signal(sys), sys)
+        diag = sys.frame_diag()
+        num = _unfold(coeffs.data, sys)
+        good = diag >= 1e-12 * float(np.max(diag))
+        fhat = np.zeros_like(num)
+        fhat[good] = num[good] / diag[good]
+        assert np.array_equal(synthesize(coeffs, sys), np.fft.ifft(fhat))
+        covered, profile, interior_covered = sys.covered_bins()
+        assert np.array_equal(covered, np.flatnonzero(good))
+        assert np.array_equal(profile, diag[good]) and interior_covered
+
+    def test_cached_and_read_only(self):
+        sys = _erb_system()
+        assert sys.interior_bins() is sys.interior_bins()
+        assert sys.covered_bins() is sys.covered_bins()
+        for arr in (sys.interior_bins(), *sys.covered_bins()[:2]):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestAdjoint:

@@ -5,6 +5,8 @@ Frozen expected values were computed with an independent 40-digit
 mpmath oracle (noted inline) before the implementation existed.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,11 +109,22 @@ class TestInverse:
         assert np.isfinite(t) and t >= 0
 
     def test_power_law_inverse_unchanged_above_d(self):
+        # up to the q = r threshold, 1e150
         warp = power_law_warp(2.0, 3.0, 0.7)
-        s = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 50)))
+        s = np.concatenate(([0.0], np.geomspace(1e-6, 1e150, 300)))
         r = s / 2.0
         old = 3.0 * (0.5 * (r + np.sqrt(r * r + 4.0))) ** (1.0 / 0.7)
         assert np.array_equal(warp.inverse(s), old)
+
+    def test_power_law_inverse_far_above_d(self):
+        # r * r overflows above ~1.3e154; the root is q = r there
+        warp = power_law_warp(1.0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert warp.inverse(1e200) == 1e200
+            s = np.geomspace(1.0, 1e300, 400)
+            t = warp.inverse(s)
+            np.testing.assert_allclose(warp.eval(t), s, rtol=1e-13, atol=0)
 
     def test_numeric_inverse_newton(self):
         cube = custom_warp(lambda t: t ** 3, fn_derivative=lambda t: 3.0 * t * t)
