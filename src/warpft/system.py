@@ -13,6 +13,10 @@ the induced phase-space tiling: the cell height ``delta^2 / |I_l|``
 makes every per-channel time lattice a subgroup of Z_N, which is what
 turns the painless support condition into an exact diagonal inversion.
 
+Every atom is the same prototype, warped and translated, so a bank is
+sampled as one array expression over (channel, bin) pairs, evaluated in
+batches of the channels' windows laid end to end.
+
 Half-line warps analyze the analytic part only: non-positive bins are
 zeroed and reconstructions live on positive frequencies.
 """
@@ -90,10 +94,10 @@ class Channel:
     frames: int
 
 
-def _pow2_floor(x: float) -> int:
-    if x < 2.0:
-        return 1
-    return 1 << (int(np.floor(np.log2(x))))
+def _active_bins(grid: SignalGrid, domain: str) -> Tuple[int, int]:
+    """The lowest and highest signed bin of the grid's active band."""
+    k_max = grid.length // 2
+    return (1 if domain == POSITIVE_HALF_LINE else 1 - k_max), k_max
 
 
 def design_channels(warp: WarpingFunction, delta: float, grid: SignalGrid,
@@ -107,10 +111,8 @@ def design_channels(warp: WarpingFunction, delta: float, grid: SignalGrid,
         raise ConfigError("delta must be positive and finite")
     if not (time_scale > 0 and math.isfinite(time_scale)):
         raise ConfigError("time_scale must be positive and finite")
-    freqs = grid.bin_freqs()
-    active = grid.active_mask(warp.domain)
-    f_lo = float(np.min(freqs[active]))
-    f_hi = float(np.max(freqs[active]))
+    f_lo, f_hi = grid.signed_bin_freqs(
+        np.array(_active_bins(grid, warp.domain))).tolist()
     w_lo = warp.eval(f_lo)
     w_hi = warp.eval(f_hi)
     # counted in floats first: a steep warp can ask for ~1e300 channels
@@ -123,17 +125,19 @@ def design_channels(warp: WarpingFunction, delta: float, grid: SignalGrid,
     if count > grid.length:
         raise ConfigError(f"delta={delta} gives {count:.6g} channels, more "
                           f"than the grid's {grid.length} bins")
-    channels = []
-    for l in range(int(l_min), int(l_max) + 1):
-        lo = float(warp.inverse(delta * l))
-        hi = float(warp.inverse(delta * (l + 1)))
-        center = float(warp.inverse(delta * (l + 0.5)))
-        bw = hi - lo
-        tau = time_scale * delta * delta / bw
-        hop = min(_pow2_floor(tau * grid.sample_rate), grid.length)
-        channels.append(Channel(l, center, lo, hi, bw, tau, hop,
-                                grid.length // hop))
-    return channels
+    l = np.arange(int(l_min), int(l_max) + 1)
+    edges = _each(warp.inverse, delta * np.append(l, l[-1] + 1))
+    lo, hi = edges[:-1], edges[1:]
+    center = _each(warp.inverse, delta * (l + 0.5))
+    bw = hi - lo
+    tau = time_scale * delta * delta / bw
+    # the hop is tau rounded down to a power of two, at most N; clamped
+    # while still a float, since tau * fs can exceed any integer type
+    samples = np.minimum(tau * grid.sample_rate, grid.length)
+    hop = 1 << np.floor(np.log2(np.maximum(samples, 1.0))).astype(np.int64)
+    return [Channel(*row) for row in zip(
+        l.tolist(), center.tolist(), lo.tolist(), hi.tolist(), bw.tolist(),
+        tau.tolist(), hop.tolist(), (grid.length // hop).tolist())]
 
 
 @dataclass(frozen=True)
@@ -155,14 +159,33 @@ class Atom:
         return out
 
 
+#: window entries sampled per batch, which bounds the temporaries
+SAMPLE_CHUNK = 1 << 12
+
+
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` applied to one float at a time: numpy's scalar ``**`` (in
+    the power-type warps) can differ in the last bit from its array loop,
+    and per-channel warp values are those of a scalar ``x``."""
+    return np.array([fn(v) for v in values.tolist()], dtype=float)
+
+
 def build_atom(warp: WarpingFunction, theta: Prototype, x: float,
                grid: SignalGrid, truncation: float = 1e-8) -> Atom:
     """Sample ``sqrt(F'(x)) theta(F(.) - F(x))`` on the grid bins.
 
-    Values below ``truncation`` times the peak are zeroed; an atom with
-    empty retained support raises :class:`DegenerateAtomError`.
+    Values below ``truncation`` times the peak are zeroed; an atom that
+    vanishes on every bin raises :class:`DegenerateAtomError`.  This is
+    the one-atom case of the bank sampler behind :func:`build_system`.
+    """
+    return _sample_atoms(warp, theta, [x], grid, truncation)[0]
 
-    Only the atom's window is sampled: the active bins between
+
+def _sample_atoms(warp: WarpingFunction, theta: Prototype, xs,
+                  grid: SignalGrid, truncation: float) -> List[Atom]:
+    """The atoms centred at the frequencies ``xs``, sampled in one pass.
+
+    Only each atom's window is sampled: the active bins between
     ``F^{-1}(F(x) + c - R)`` and ``F^{-1}(F(x) + c + R)``, where ``c`` is
     the prototype's centre and ``R = theta.support_radius(truncation)``
     (the smallest normal double stands in for a truncation of 0),
@@ -171,58 +194,79 @@ def build_atom(warp: WarpingFunction, theta: Prototype, x: float,
     ``F`` is increasing and ``theta`` is even about ``c`` and does not
     increase away from it.  So the atom peaks on the bins around the
     peak frequency and decays monotonically away from them, and once
-    the truncation drops a guard bin it drops every bin beyond it.  If
-    a guard bin is kept, ``R`` is doubled and the window resampled, up
-    to the edges of the active band.  The result equals sampling on
-    every bin, bit for bit.
+    the truncation drops a guard bin it drops every bin beyond it.  The
+    atoms that keep a guard bin are sampled again with ``R`` doubled, up
+    to the edges of the active band.  Each atom equals sampling on every
+    bin, bit for bit.
+
+    ``F`` and ``theta`` run on batches of whole windows, laid end to end,
+    of about ``SAMPLE_CHUNK`` entries; the atoms hold views of their
+    batch.  The first centre in ``xs`` whose atom vanishes is named.
     """
-    fx = warp.eval(float(x))
-    scale = np.sqrt(warp.derivative(float(x)))
-    u0 = fx + theta.center                      # the atom's peak, warped
-    peak_hz = float(x) if theta.center == 0 else warp.inverse(u0)
-    k_max = grid.length // 2
-    k_min = 1 if warp.domain == POSITIVE_HALF_LINE else 1 - k_max
+    x = np.array(xs, dtype=float)
+    fx = _each(warp.eval, x)
+    scale = np.sqrt(_each(warp.derivative, x))
+    u0 = fx + theta.center                      # the atoms' peaks, warped
+    peak_hz = x if theta.center == 0 else _each(warp.inverse, u0)
+    k_min, k_max = _active_bins(grid, warp.domain)
     bin_hz = grid.bin_hz
     lo_edge, hi_edge = k_min * bin_hz, k_max * bin_hz
 
     def bin_of(hz, rounding):
         # clamped in Hz first: an overflowed inverse gives inf or nan
-        hz = min(hz, hi_edge) if hz >= lo_edge else lo_edge
-        return max(k_min, min(rounding(hz / bin_hz), k_max))
+        hz = np.where(hz >= lo_edge, np.minimum(hz, hi_edge), lo_edge)
+        return np.clip(rounding(hz / bin_hz), k_min, k_max).astype(np.int64)
 
-    k_peak_lo = bin_of(peak_hz, math.floor)
-    k_peak_hi = bin_of(peak_hz, math.ceil)
+    k_peak_lo = bin_of(peak_hz, np.floor)
+    k_peak_hi = bin_of(peak_hz, np.ceil)
     radius = float(theta.support_radius(
         truncation if 0 < truncation < 1 else np.finfo(float).tiny))
-    while True:
+    atoms: List[Optional[Atom]] = [None] * len(xs)
+    todo = np.arange(len(xs))
+    while todo.size:
+        k_lo, k_hi = np.full(todo.size, k_min), np.full(todo.size, k_max)
         if math.isfinite(radius):
             with np.errstate(over="ignore", invalid="ignore"):
-                lo_hz, hi_hz = warp.inverse(
-                    np.array([u0 - radius, u0 + radius]))
-            k_lo = min(bin_of(lo_hz, math.ceil) - 1, k_peak_lo)
-            k_hi = max(bin_of(hi_hz, math.floor) + 1, k_peak_hi)
-            k_lo, k_hi = max(k_lo, k_min), min(k_hi, k_max)
-        else:
-            k_lo, k_hi = k_min, k_max
-        k = np.arange(k_lo, k_hi + 1)
-        vals = scale * theta.eval(warp.eval(grid.signed_bin_freqs(k)) - fx)
-        peak = float(np.max(np.abs(vals)))
-        if peak == 0.0:
-            raise DegenerateAtomError(f"atom at {x} Hz vanishes on the grid")
-        if truncation:
-            vals[np.abs(vals) < truncation * peak] = 0.0
-        if ((k_lo == k_min or vals[0] == 0.0)
-                and (k_hi == k_max or vals[-1] == 0.0)):
-            break
+                lo_hz = warp.inverse(u0[todo] - radius)
+                hi_hz = warp.inverse(u0[todo] + radius)
+            k_lo = np.clip(bin_of(lo_hz, np.ceil) - 1, k_min, k_peak_lo[todo])
+            k_hi = np.clip(bin_of(hi_hz, np.floor) + 1, k_peak_hi[todo], k_max)
+        # a batch: the windows that start in one SAMPLE_CHUNK-entry block
+        sizes = k_hi - k_lo + 1
+        block = (np.cumsum(sizes) - sizes) // SAMPLE_CHUNK
+        cuts = np.flatnonzero(np.diff(block, prepend=-1))
+        redo = []
+        for a, b in zip(cuts.tolist(), cuts[1:].tolist() + [todo.size]):
+            ids, lo, hi, size = todo[a:b], k_lo[a:b], k_hi[a:b], sizes[a:b]
+            starts = np.cumsum(size) - size
+            k = np.arange(starts[-1] + size[-1]) + np.repeat(lo - starts, size)
+            vals = np.repeat(scale[ids], size) * theta.eval(
+                warp.eval(grid.signed_bin_freqs(k)) - np.repeat(fx[ids], size))
+            peak = np.maximum.reduceat(np.abs(vals), starts)
+            if not peak.all():
+                x0 = xs[ids[np.argmin(peak != 0.0)]]
+                raise DegenerateAtomError(
+                    f"atom at {x0} Hz vanishes on the grid")
+            if truncation:
+                vals[np.abs(vals) < np.repeat(truncation * peak, size)] = 0.0
+            done = (((lo == k_min) | (vals[starts] == 0.0))
+                    & ((hi == k_max) | (vals[starts + size - 1] == 0.0)))
+            redo.append(ids[~done])
+            keep = (vals != 0.0) & np.repeat(done, size)
+            ends_kept = np.cumsum(np.add.reduceat(keep, starts, dtype=np.intp))
+            k, vals = k[keep], vals[keep]
+            support = k % grid.length
+            for j in np.flatnonzero(done).tolist():
+                seg = slice(ends_kept[j - 1] if j else 0, ends_kept[j])
+                wrap = (np.count_nonzero(k[seg] < 0)
+                        if lo[j] < 0 <= hi[j] else 0)
+                if wrap:  # storage order: negative bins after the others
+                    vals[seg] = np.roll(vals[seg], -wrap)
+                    support[seg] = np.roll(support[seg], -wrap)
+                atoms[ids[j]] = Atom(vals[seg], support[seg], float(x[ids[j]]))
+        todo = np.concatenate(redo)
         radius *= 2.0
-    keep = np.flatnonzero(vals)
-    if keep.size == 0:
-        raise DegenerateAtomError(f"atom at {x} Hz fully truncated")
-    # storage order puts the negative bins after the non-negative ones
-    k, vals = k[keep], vals[keep]
-    wrap = int(np.searchsorted(k, 0))
-    return Atom(np.concatenate((vals[wrap:], vals[:wrap])),
-                np.concatenate((k[wrap:], k[:wrap] + grid.length)), float(x))
+    return atoms
 
 
 @dataclass(frozen=True)
@@ -239,11 +283,17 @@ def painless_check(system: "WarpedSystem") -> PainlessReport:
     support width in Hz must not exceed ``1/tau_l``, and the support bins
     must occupy distinct residues modulo the per-channel frame count
     (which makes the subsampled analysis alias-free)."""
-    sup = np.array([a.support_bins * system.grid.bin_hz for a in system.atoms])
+    sizes = np.array([a.support_bins for a in system.atoms])
+    sup = sizes * system.grid.bin_hz
     lim = np.array([1.0 / ch.tau_seconds for ch in system.channels])
-    alias = np.array([
-        np.bincount(a.support % ch.frames, minlength=ch.frames).max() <= 1
-        for a, ch in zip(system.atoms, system.channels)])
+    # one count per (channel, residue); channel l's residues start at
+    # offsets[l], and the counts take as many entries as the coefficients
+    frames = np.array([ch.frames for ch in system.channels])
+    offsets = np.cumsum(frames) - frames
+    residues = (np.concatenate([a.support for a in system.atoms])
+                % np.repeat(frames, sizes) + np.repeat(offsets, sizes))
+    alias = np.maximum.reduceat(
+        np.bincount(residues, minlength=int(frames.sum())), offsets) <= 1
     bad = tuple(i for i in range(len(system.channels))
                 if sup[i] > lim[i] or not alias[i])
     return PainlessReport(len(bad) == 0, sup, lim, alias, bad)
@@ -292,10 +342,13 @@ class WarpedSystem:
         DFT basis.
         """
         if self._diag is None:
-            d = np.zeros(self.grid.length)
-            for atom, ch in zip(self.atoms, self.channels):
-                d[atom.support] += atom.values ** 2 / ch.hop_samples
-            self._diag = d
+            # summed in channel order, as bincount adds its weights in order
+            hops = [ch.hop_samples for ch in self.channels]
+            sizes = [a.support_bins for a in self.atoms]
+            self._diag = np.bincount(
+                np.concatenate([a.support for a in self.atoms]),
+                np.concatenate([a.values for a in self.atoms]) ** 2
+                / np.repeat(hops, sizes), minlength=self.grid.length)
         return self._diag
 
     def frame_groups(self) -> List[Tuple[int, int, List[int]]]:
@@ -367,6 +420,7 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
                  normalize: bool = True, truncation: float = 1e-8) -> WarpedSystem:
     """Design channels and atoms for a warp/prototype pair.
 
+    Every atom is sampled in one batched pass (see :func:`build_atom`).
     ``normalize=True`` (the default) rescales the prototype to unit L2
     norm first, which fixes the reconstruction constant at 1.
     ``truncation`` must lie in ``[0, 1)``.
@@ -380,8 +434,8 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
             raise ConfigError(
                 f"prototype cannot be normalized: {exc}") from None
     channels = design_channels(warp, delta, grid, time_scale)
-    atoms = [build_atom(warp, theta, ch.center_hz, grid, truncation)
-             for ch in channels]
+    atoms = _sample_atoms(warp, theta, [ch.center_hz for ch in channels],
+                          grid, truncation)
     return WarpedSystem(warp, theta, delta, grid, channels, atoms,
                         time_scale, truncation, normalize)
 

@@ -1,5 +1,6 @@
 """Grid, channel-design and atom construction tests."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -10,8 +11,8 @@ from warpft import (ConfigError, DegenerateAtomError, ShapeError,
                     bump_prototype, erb_warp, gaussian_prototype, linear_warp,
                     log_warp)
 from warpft.prototype import hann_prototype, normalized
-from warpft.system import (Coefficients, SignalGrid, build_atom, build_system,
-                           design_channels)
+from warpft.system import (Channel, Coefficients, SignalGrid, _sample_atoms,
+                           build_atom, build_system, design_channels)
 from warpft.warping import (POSITIVE_HALF_LINE, alpha_like_warp,
                             custom_warp, power_law_warp)
 
@@ -281,6 +282,225 @@ class TestWindowedAtoms:
             self.assert_same(warp, gaussian_prototype(0.5), x, grid, 1e-8)
 
 
+def _loop_channels(warp, delta, grid, time_scale=1.0):
+    """Reference channel design: one channel at a time, hops in Python ints."""
+    def pow2_floor(x):
+        return 1 if x < 2.0 else 1 << int(np.floor(np.log2(x)))
+
+    freqs = grid.bin_freqs()
+    active = grid.active_mask(warp.domain)
+    l_min = np.ceil(warp.eval(float(np.min(freqs[active]))) / delta - 0.5)
+    l_max = np.floor(warp.eval(float(np.max(freqs[active]))) / delta - 0.5)
+    channels = []
+    for l in range(int(l_min), int(l_max) + 1):
+        lo = float(warp.inverse(delta * l))
+        hi = float(warp.inverse(delta * (l + 1)))
+        center = float(warp.inverse(delta * (l + 0.5)))
+        tau = time_scale * delta * delta / (hi - lo)
+        hop = min(pow2_floor(tau * grid.sample_rate), grid.length)
+        channels.append(Channel(l, center, lo, hi, hi - lo, tau, hop,
+                                grid.length // hop))
+    return channels
+
+
+def _loop_atom(warp, theta, x, grid, truncation=1e-8):
+    """Reference sampler: one atom's window, widened until its guard bins
+    are truncated, then rotated into storage order."""
+    fx = warp.eval(float(x))
+    scale = np.sqrt(warp.derivative(float(x)))
+    u0 = fx + theta.center
+    peak_hz = float(x) if theta.center == 0 else warp.inverse(u0)
+    k_max = grid.length // 2
+    k_min = 1 if warp.domain == POSITIVE_HALF_LINE else 1 - k_max
+    lo_edge, hi_edge = k_min * grid.bin_hz, k_max * grid.bin_hz
+
+    def bin_of(hz, rounding):
+        hz = min(hz, hi_edge) if hz >= lo_edge else lo_edge
+        return max(k_min, min(rounding(hz / grid.bin_hz), k_max))
+
+    k_peak_lo = bin_of(peak_hz, math.floor)
+    k_peak_hi = bin_of(peak_hz, math.ceil)
+    radius = float(theta.support_radius(
+        truncation if 0 < truncation < 1 else np.finfo(float).tiny))
+    while True:
+        if math.isfinite(radius):
+            with np.errstate(over="ignore", invalid="ignore"):
+                lo_hz, hi_hz = warp.inverse(
+                    np.array([u0 - radius, u0 + radius]))
+            k_lo = max(min(bin_of(lo_hz, math.ceil) - 1, k_peak_lo), k_min)
+            k_hi = min(max(bin_of(hi_hz, math.floor) + 1, k_peak_hi), k_max)
+        else:
+            k_lo, k_hi = k_min, k_max
+        k = np.arange(k_lo, k_hi + 1)
+        vals = scale * theta.eval(warp.eval(grid.signed_bin_freqs(k)) - fx)
+        peak = float(np.max(np.abs(vals)))
+        if peak == 0.0:
+            raise DegenerateAtomError(f"atom at {x} Hz vanishes on the grid")
+        if truncation:
+            vals[np.abs(vals) < truncation * peak] = 0.0
+        if ((k_lo == k_min or vals[0] == 0.0)
+                and (k_hi == k_max or vals[-1] == 0.0)):
+            break
+        radius *= 2.0
+    keep = np.flatnonzero(vals)
+    k, vals = k[keep], vals[keep]
+    wrap = int(np.searchsorted(k, 0))
+    return (np.concatenate((vals[wrap:], vals[:wrap])),
+            np.concatenate((k[wrap:], k[:wrap] + grid.length)))
+
+
+class TestBankSampler:
+    """``build_system`` designs every channel and samples every atom in
+    one pass; it must equal the channel-at-a-time loops, bit for bit,
+    including the error a vanishing atom raises."""
+
+    GRID = SignalGrid(4096, 16000.0)
+
+    def assert_bank_same(self, warp, theta, xs, grid, truncation):
+        expected, error = [], None
+        for x in xs:
+            try:
+                expected.append(_loop_atom(warp, theta, x, grid, truncation))
+            except DegenerateAtomError as exc:
+                error = str(exc)
+                break
+        if error is not None:
+            with pytest.raises(DegenerateAtomError, match=re.escape(error)):
+                _sample_atoms(warp, theta, xs, grid, truncation)
+            return
+        atoms = _sample_atoms(warp, theta, xs, grid, truncation)
+        assert len(atoms) == len(expected)
+        for atom, (values, support), x in zip(atoms, expected, xs):
+            assert np.array_equal(atom.support, support)
+            assert atom.support.dtype == support.dtype
+            assert np.array_equal(atom.values, values)
+            assert atom.center_hz == float(x)
+
+    @pytest.mark.parametrize("truncation", [1e-8, 0.0])
+    @pytest.mark.parametrize("proto", sorted(_WINDOW_PROTOS))
+    @pytest.mark.parametrize("kind", sorted(_WINDOW_WARPS))
+    def test_bank_matches_loop(self, kind, proto, truncation):
+        warp, delta = _WINDOW_WARPS[kind]
+        theta = normalized(_WINDOW_PROTOS[proto])
+        system = build_system(warp, theta, delta, self.GRID,
+                              truncation=truncation)
+        assert system.channels == _loop_channels(warp, delta, self.GRID)
+        for atom, ch in zip(system.atoms, system.channels):
+            values, support = _loop_atom(warp, theta, ch.center_hz,
+                                         self.GRID, truncation)
+            assert np.array_equal(atom.support, support)
+            assert np.array_equal(atom.values, values)
+
+    @pytest.mark.parametrize("warp,delta", [(alpha_like_warp(0.7), 20.0),
+                                            (power_law_warp(2.0, 300.0, 0.3),
+                                             0.05)])
+    def test_power_exponents_match_loop(self, warp, delta):
+        # for some of these centres and band edges numpy's scalar ``**``
+        # differs in the last bit from its vectorized array loop
+        theta = normalized(bump_prototype(0.9))
+        system = build_system(warp, theta, delta, self.GRID)
+        assert system.channels == _loop_channels(warp, delta, self.GRID)
+        self.assert_bank_same(warp, theta, system.channel_positions().tolist(),
+                              self.GRID, 1e-8)
+
+    @pytest.mark.parametrize("truncation", [1e-8, 0.0])
+    @pytest.mark.parametrize("kind", sorted(_WINDOW_WARPS))
+    def test_band_edges_and_dc(self, kind, truncation):
+        warp, _ = _WINDOW_WARPS[kind]
+        fs, bin_hz = self.GRID.sample_rate, self.GRID.bin_hz
+        xs = [0.5 * fs - 0.3 * bin_hz, 0.3 * bin_hz, 1000.0]
+        if warp.domain != POSITIVE_HALF_LINE:
+            xs += [0.0, 0.4 * bin_hz, -2.5 * bin_hz, -0.5 * fs + 0.3 * bin_hz]
+        for proto in _WINDOW_PROTOS.values():
+            theta = normalized(proto)
+            self.assert_bank_same(warp, theta, xs, self.GRID, truncation)
+            # out of band: the first vanishing centre is named
+            self.assert_bank_same(warp, theta, xs + [1e6, 2e6], self.GRID,
+                                  truncation)
+
+    @pytest.mark.parametrize("truncation", [1e-8, 0.0])
+    def test_gaussian_narrower_than_a_bin(self, truncation):
+        grid = SignalGrid(256, 256.0)
+        xs = [0.0, 10.0, 10.3, 10.5, 127.9, 128.4, -127.6]
+        for warp in (linear_warp(1.0), erb_warp()):
+            self.assert_bank_same(warp, gaussian_prototype(0.05), xs, grid,
+                                  truncation)
+
+    @pytest.mark.parametrize("shift", [-2.5, 0.7])
+    def test_shifted_prototype(self, shift):
+        for proto in _WINDOW_PROTOS.values():
+            theta = replace(normalized(proto), center=shift)
+            for kind in ("linear", "erb", "log"):
+                warp, delta = _WINDOW_WARPS[kind]
+                xs = [ch.center_hz for ch in design_channels(warp, delta,
+                                                             self.GRID)]
+                self.assert_bank_same(warp, theta, xs, self.GRID, 1e-8)
+
+    def test_newton_inverse(self):
+        # no closed-form inverse: F^{-1} is the guarded Newton iteration
+        warp = custom_warp(lambda t: np.sign(t) * np.log1p(np.abs(t) / 50.0),
+                           fn_derivative=lambda t: 1.0 / (50.0 + np.abs(t)))
+        grid = SignalGrid(1024, 4000.0)
+        theta = normalized(bump_prototype(0.9))
+        system = build_system(warp, theta, 0.125, grid)
+        assert system.channels == _loop_channels(warp, 0.125, grid)
+        self.assert_bank_same(warp, theta, system.channel_positions().tolist(),
+                              grid, 1e-8)
+
+    def test_some_channels_double_the_radius(self):
+        sizes = []
+
+        def inverse(s):
+            sizes.append(np.size(s))
+            return np.asarray(s, dtype=float)
+
+        warp = custom_warp(lambda t: t, fn_inverse=inverse,
+                           fn_derivative=np.ones_like)
+        grid = SignalGrid(256, 256.0)
+        xs = [ch.center_hz for ch in design_channels(warp, 1.25, grid)]
+        sizes.clear()
+        self.assert_bank_same(warp, gaussian_prototype(0.05), xs, grid, 1e-8)
+        # pass 1 widens every window, pass 2 only the ones that kept a
+        # guard bin; the loop oracle made its calls after the sampler's
+        bank_calls = sizes[-4:]
+        assert bank_calls[:2] == [len(xs)] * 2
+        assert 0 < bank_calls[2] == bank_calls[3] < len(xs)
+
+    def test_vanishing_channel_named(self):
+        grid = SignalGrid(256, 256.0)
+        warp, theta = erb_warp(), hann_prototype(0.01)
+        xs = [ch.center_hz for ch in _loop_channels(warp, 0.05, grid)]
+        good, fails = [], []
+        for x in xs:
+            try:
+                _loop_atom(warp, theta, x, grid)
+                good.append(x)
+            except DegenerateAtomError as exc:
+                fails.append(str(exc))
+        assert good and fails and good[-1] > xs[0]
+        with pytest.raises(DegenerateAtomError, match=re.escape(fails[0])):
+            build_system(warp, theta, 0.05, grid, normalize=False)
+        self.assert_bank_same(warp, theta, good, grid, 1e-8)
+        # reversed, the first vanishing centre comes after working ones
+        self.assert_bank_same(warp, theta, xs[::-1], grid, 1e-8)
+
+    def test_huge_time_scale_clamps_every_hop(self):
+        # tau * fs ~ 1e300 samples: the hop is clamped to N, never cast
+        channels = design_channels(erb_warp(), 0.5, self.GRID,
+                                   time_scale=1e300)
+        assert channels == _loop_channels(erb_warp(), 0.5, self.GRID, 1e300)
+        assert {ch.hop_samples for ch in channels} == {self.GRID.length}
+        assert {ch.frames for ch in channels} == {1}
+
+    @pytest.mark.parametrize("time_scale", [1e-6, 1.0, 8.0])
+    @pytest.mark.parametrize("kind", sorted(_WINDOW_WARPS))
+    def test_channels_match_loop(self, kind, time_scale):
+        warp, delta = _WINDOW_WARPS[kind]
+        for grid in (SignalGrid(1024, 16000.0), self.GRID):
+            assert (design_channels(warp, delta, grid, time_scale)
+                    == _loop_channels(warp, delta, grid, time_scale))
+
+
 class TestPainless:
     def test_linear_gaussian_painless(self):
         grid = SignalGrid(1024, 1024.0)
@@ -346,6 +566,19 @@ class TestFrameProfile:
             direct += np.abs(atom.dense(1024)) ** 2 / ch.hop_samples
         np.testing.assert_allclose(diag, direct, rtol=0, atol=1e-15)
         assert np.all(diag[sys.interior_bins()] > 0)
+
+    def test_diag_equals_channel_loop(self):
+        # overlapping supports with unequal hops: the summation order shows
+        grid = SignalGrid(4096, 16000.0)
+        for sys in (build_system(erb_warp(), bump_prototype(2.0), 0.5, grid),
+                    build_system(log_warp(), gaussian_prototype(1.0), 0.3,
+                                 grid, time_scale=8.0),
+                    build_system(alpha_like_warp(0.5), hann_prototype(3.0),
+                                 8.0, grid)):
+            diag = np.zeros(grid.length)
+            for atom, ch in zip(sys.atoms, sys.channels):
+                diag[atom.support] += atom.values ** 2 / ch.hop_samples
+            assert np.array_equal(sys.frame_diag(), diag)
 
     def test_interior_band_linear(self):
         grid = SignalGrid(1024, 1024.0)
