@@ -6,8 +6,9 @@ Three ways of asking "how invertible is this filterbank":
 
 * the painless check -- do atom supports fit their time cells, making
   the frame operator diagonal in frequency;
-* frame bounds -- extremes of that diagonal, cross-validated by power
-  iteration on the full operator;
+* frame bounds -- extremes of the frame operator's spectrum, exact from
+  its small fibers, and for a painless bank the extremes of that
+  diagonal;
 * the Moyal defect -- how far the weighted coefficient energy is from
   the signal energy, which shrinks as the channel spacing refines.
 """
@@ -15,8 +16,8 @@ Three ways of asking "how invertible is this filterbank":
 import numpy as np
 
 from warpft import (
-    SignalGrid, build_system, frame_bounds_painless,
-    frame_bounds_power_iteration, moyal_residual,
+    SignalGrid, build_system, frame_bounds, frame_bounds_painless,
+    moyal_residual,
 )
 from warpft.prototype import bump_prototype
 from warpft.warping import erb_warp
@@ -35,8 +36,17 @@ a_diag, b_diag = frame_bounds_painless(system)
 print(f"diagonal bounds:        A = {a_diag:.6e}  B = {b_diag:.6e}"
       f"  B/A = {b_diag / a_diag:.4f}")
 
-a_pow, b_pow = frame_bounds_power_iteration(system, trials=2)
-print(f"power-iteration bounds: A = {a_pow:.6e}  B = {b_pow:.6e}")
+a, b = frame_bounds(system)
+print(f"exact bounds:           A = {a:.6e}  B = {b:.6e}")
+
+# a wider prototype overlaps the time cells: not painless, so the frame
+# operator couples bins in fibers beyond its diagonal
+wide = build_system(warp, bump_prototype(2.0), 0.5, grid)
+_, fibers = wide.frame_fibers(wide.interior_bins())
+a, b = frame_bounds(wide)
+print(f"\nradius 2.0: painless {wide.painless}, largest fiber "
+      f"{fibers[-1][0].shape[1] if fibers else 1} bins")
+print(f"exact bounds:           A = {a:.6e}  B = {b:.6e}  B/A = {b / a:.4f}")
 
 # random signal limited to the fully covered band
 idx = system.interior_bins()

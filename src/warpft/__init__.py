@@ -86,6 +86,7 @@ from .discretization import (
     WeightBoundReport,
     check_cover_admissible,
     elements_containing,
+    frame_bounds,
     frame_bounds_painless,
     frame_bounds_power_iteration,
     induced_cover,

@@ -29,14 +29,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateAtomError, DivergenceError,
-                     ShapeError)
+from .errors import (CapabilityError, ConfigError, DegenerateAtomError,
+                     DivergenceError, IllConditionedError, ShapeError)
 from .prototype import Prototype, normalized
 from .warping import POSITIVE_HALF_LINE, WarpingFunction
 
 #: bins with frame profile below this fraction of its peak are treated
 #: as uncovered by the diagonal inverse
 DIAG_FLOOR = 1e-12
+
+#: the largest frame-operator fiber decomposed; a larger one is refused
+FIBER_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -324,6 +327,8 @@ class WarpedSystem:
         self._groups: Optional[List[Tuple[int, int, List[int]]]] = None
         self._interior: Optional[np.ndarray] = None
         self._covered: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
+        self._aliased: Optional[Tuple[np.ndarray, ...]] = None
+        self._inverses: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     @property
     def painless_report(self) -> PainlessReport:
@@ -338,8 +343,8 @@ class WarpedSystem:
     def frame_diag(self) -> np.ndarray:
         """Diagonal frame profile ``S_d[j] = sum_l |g_l[j]|^2 / n_l``.
 
-        In the painless regime this is the whole frame operator in the
-        DFT basis.
+        This is the diagonal of the frame operator in the DFT basis, and
+        in the painless regime the whole of it.
         """
         if self._diag is None:
             # summed in channel order, as bincount adds its weights in order
@@ -366,6 +371,77 @@ class WarpedSystem:
                 groups.setdefault((ch.frames, ch.hop_samples), []).append(l)
             self._groups = [(m, hop, ls) for (m, hop), ls in groups.items()]
         return self._groups
+
+    def _aliased_entries(self) -> Tuple[np.ndarray, ...]:
+        """``(bin, value, hop, class)`` of the support entries of channels
+        that are not alias-free, sorted stably by class.  Computed once."""
+        if self._aliased is None:
+            ls = np.flatnonzero(~self.painless_report.alias_free).tolist()
+            sizes = [self.atoms[l].support_bins for l in ls]
+            j = np.concatenate([np.zeros(0, dtype=np.int64)]
+                               + [self.atoms[l].support for l in ls])
+            g = np.concatenate([self.atoms[l].values for l in ls] + [[]])
+            hop = np.repeat([self.channels[l].hop_samples for l in ls], sizes)
+            n = self.grid.length  # a class per channel and residue mod n / hop
+            cls = np.repeat(ls, sizes) * n + j % (n // hop)
+            order = np.argsort(cls, kind="stable")
+            self._aliased = tuple(v[order] for v in (j, g, hop, cls))
+        return self._aliased
+
+    def frame_fibers(self, bins: np.ndarray
+                     ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+        """The frame operator ``S`` compressed to ``bins``, split into the
+        fibers of bins it couples: ``S[j, j'] = sum_l g_l[j] g_l[j'] / n_l``
+        over the channels holding both with ``j = j' (mod M_l)``.  Returns
+        the bins coupled to none (a painless system has only these) and,
+        per fiber size ``k > 1``, the fibers' bins ``(F, k)`` and blocks
+        ``(F, k, k)``.  A fiber above :data:`FIBER_CAP` bins raises
+        :class:`CapabilityError`."""
+        n = self.grid.length
+        inside = np.zeros(n, dtype=bool)
+        inside[bins] = True
+        j, g, hop, cls = self._aliased_entries()
+        j, g, hop, cls = (v[inside[j]] for v in (j, g, hop, cls))
+        # a class is coupled pairwise, so each member is linked to the next;
+        # min-label propagation with pointer jumping labels fibers by their least bin
+        link = np.flatnonzero(cls[1:] == cls[:-1])
+        if link.size == 0:  # nothing coupled: every fiber is one bin
+            return bins, []
+        a = np.concatenate([j[link], j[link + 1]])
+        b = np.concatenate([j[link + 1], j[link]])
+        label, prev = np.arange(n), None
+        while not np.array_equal(label, prev):
+            prev = label.copy()
+            np.minimum.at(label, prev[a], prev[b])
+            while not np.array_equal(label[label], label):
+                label = label[label]
+        size = np.bincount(label[bins], minlength=n)[label]
+        if size.max() > FIBER_CAP:
+            raise CapabilityError(f"a frame-operator fiber of {size.max()} "
+                                  f"bins exceeds FIBER_CAP = {FIBER_CAP}")
+        order = bins[np.lexsort((bins, label[bins], size[bins]))]
+        singles, multi = order[size[order] == 1], order[size[order] > 1]
+        # the blocks lie end to end, one row of k entries per bin of a
+        # fiber of k; a fiber's first bin is its label
+        at, row = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        at[multi] = np.arange(multi.size)
+        row[multi] = np.cumsum(size[multi]) - size[multi]
+        pos = at - at[label]
+        # every ordered pair (r, c) of members of a class, in a fiber
+        start = np.flatnonzero(np.diff(cls, prepend=-1))
+        count = np.diff(np.append(start, cls.size))
+        reps = np.repeat(count, count)
+        r = np.repeat(np.arange(cls.size), reps)
+        c = np.arange(r.size) + np.repeat(
+            np.repeat(start, count) - np.cumsum(reps) + reps, reps)
+        r, c = r[size[j[r]] > 1], c[size[j[r]] > 1]
+        flat = np.bincount(row[j[r]] + pos[j[c]], g[r] * g[c] / hop[r],
+                           int(np.sum(size[multi])))
+        flat[row[multi] + pos[multi]] = self.frame_diag()[multi]
+        cuts = np.flatnonzero(np.diff(size[multi])) + 1
+        blocks = zip(np.split(multi, cuts), np.split(flat, row[multi[cuts]]))
+        return singles, [(b.reshape(-1, size[b[0]]),
+                          s.reshape(-1, size[b[0]], size[b[0]])) for b, s in blocks]
 
     def interior_bins(self) -> np.ndarray:
         """Bins whose warped position sees every prototype translate that
@@ -406,6 +482,19 @@ class WarpedSystem:
             profile.setflags(write=False)
             self._covered = (bins, profile, interior_covered)
         return self._covered
+
+    def fiber_inverses(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(bins, inverses)`` of the fibers of ``S`` on the covered bins,
+        per size ``k > 1``; computed once.  A fiber eigenvalue below ``DIAG_FLOOR``
+        times the profile's peak raises :class:`IllConditionedError`."""
+        if self._inverses is None:
+            floor = DIAG_FLOOR * float(np.max(self.frame_diag()))
+            fibers = self.frame_fibers(self.covered_bins()[0])[1]
+            if any(np.linalg.eigvalsh(s)[:, 0].min() < floor for _, s in fibers):
+                raise IllConditionedError(
+                    "frame operator is singular to rounding on a fiber")
+            self._inverses = [(b, np.linalg.inv(s)) for b, s in fibers]
+        return self._inverses
 
     def channel_positions(self) -> np.ndarray:
         return np.array([ch.center_hz for ch in self.channels])

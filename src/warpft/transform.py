@@ -10,8 +10,7 @@ The hop ``n_l`` divides N, so that subsampled N-point inverse FFT is an
 ``M_l``-point one (``M_l = N / n_l`` frames) of the product folded mod
 ``M_l``, divided by ``n_l``.  :func:`_fold` computes ``V`` that way on
 each atom's support and :func:`_unfold` is its adjoint; analysis, the
-adjoint, the frame operator, CG synthesis and the power-iteration frame
-bounds are all built on this pair.
+adjoint and the frame operator are built on this pair.
 
 Hops are powers of two, so the channels fall into a few groups that
 share one frame count (six for the 132-channel ERB bank at N = 2^16;
@@ -23,29 +22,24 @@ channels of a group.
 With unit-norm prototypes these coefficients approximate the continuous
 inner products ``<f, g_{x_l, k n_l / fs}>`` directly, no extra scaling.
 
-Painless synthesis folds each coefficient stream back to the DFT grid
-and divides by the diagonal frame profile.  Because hops divide the
-grid length and atom supports occupy distinct residues mod the frame
-count, the fold is exact and the round trip reproduces every covered
-bin to machine precision.  The iterative path solves the normal
-equations with conjugate gradients instead and works for any system.
+Synthesis folds the coefficients back to the DFT grid and solves
+``S x = V* c`` there, exactly, on the small fibers into which ``S``
+splits (see :meth:`WarpedSystem.frame_fibers`); in a painless system
+each fiber is one bin and the solve divides by the diagonal frame
+profile.  The round trip reproduces every covered bin to machine
+precision.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import (IllConditionedError, NonConvergenceError,
-                     NotPainlessError, ShapeError)
+from .errors import IllConditionedError, NotPainlessError, ShapeError
 from .prototype import admissibility_inner_product
 from .system import Coefficients, WarpedSystem
-
-#: CG synthesis: relative residual target and iteration cap
-CG_TOL = 1e-10
-CG_MAX_ITERATIONS = 500
 
 #: channels of one frame-count group stacked into one FFT by the
 #: adjoint; bounds its scratch block at this many rows
@@ -105,48 +99,6 @@ def _unfold(data: List[np.ndarray], system: WarpedSystem) -> np.ndarray:
     return out
 
 
-def _frame_op(system: WarpedSystem, idx: np.ndarray):
-    """The frame operator ``S = V* V`` in the DFT basis, compressed to the
-    bins ``idx``: maps values on ``idx`` to values on ``idx``."""
-    n = system.grid.length
-
-    def op(v: np.ndarray) -> np.ndarray:
-        vhat = np.zeros(n, dtype=complex)
-        vhat[idx] = v
-        return _unfold(_fold(vhat, system), system)[idx]
-
-    return op
-
-
-def _pcg(op, b: np.ndarray, precond: np.ndarray, tol: float,
-         max_iterations: int) -> Tuple[np.ndarray, int, bool]:
-    """Preconditioned conjugate gradients for ``op x = b``, ``op``
-    Hermitian positive definite.  Stops once the residual is at most
-    ``tol |b|``; returns ``(x, iterations, converged)``.  Raises
-    :class:`NonConvergenceError` when ``op`` turns out not positive."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precond * r
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    target = tol * float(np.linalg.norm(b))
-    for it in range(max_iterations):
-        if np.linalg.norm(r) <= target:
-            return x, it, True
-        q = op(p)
-        denom = np.vdot(p, q).real
-        if denom <= 0:
-            raise NonConvergenceError("frame operator lost positivity in CG")
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * q
-        z = precond * r
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, max_iterations, bool(np.linalg.norm(r) <= target)
-
-
 def _check_layout(coeffs: Coefficients, system: WarpedSystem) -> None:
     if not coeffs.matches_system(system):
         raise ShapeError("coefficient layout does not match the system")
@@ -173,15 +125,12 @@ def apply_frame_operator(f, system: WarpedSystem) -> np.ndarray:
 
 def synthesize(coeffs: Coefficients, system: WarpedSystem,
                iterative: bool = False) -> np.ndarray:
-    """Reconstruct a signal from coefficients.
-
-    The default path requires a painless system and inverts the diagonal
-    frame profile; ``iterative=True`` runs preconditioned conjugate
-    gradients on the frame operator instead.
-    """
-    if iterative:
-        return _synthesize_cg(coeffs, system)
-    if not system.painless:
+    """Reconstruct a signal from coefficients: solve ``S x = V* c`` on the
+    covered bins (bins outside stay zero), dividing by the frame profile
+    on 1x1 fibers and applying :meth:`WarpedSystem.fiber_inverses` on
+    the rest.  ``iterative=False`` refuses a system that is not painless;
+    ``iterative=True`` admits it."""
+    if not iterative and not system.painless:
         raise NotPainlessError(
             "system fails the painless support condition; "
             "use the iterative path")
@@ -193,23 +142,8 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
     num = _unfold(coeffs.data, system)
     fhat = np.zeros_like(num)
     fhat[covered] = num[covered] / profile
-    return np.fft.ifft(fhat)
-
-
-def _synthesize_cg(coeffs, system):
-    """Solve ``S x = V* c`` on the covered bins, preconditioned by the
-    diagonal profile; bins outside stay zero."""
-    _check_layout(coeffs, system)
-    rhs = _unfold(coeffs.data, system)
-    covered, profile, _ = system.covered_bins()
-    x, _, converged = _pcg(_frame_op(system, covered), rhs[covered],
-                           1.0 / profile, CG_TOL, CG_MAX_ITERATIONS)
-    if not converged:
-        raise NonConvergenceError(
-            f"conjugate gradients did not reach tol={CG_TOL} "
-            f"in {CG_MAX_ITERATIONS} iterations")
-    fhat = np.zeros_like(rhs)
-    fhat[covered] = x
+    for bins, inverses in system.fiber_inverses():
+        fhat[bins] = (inverses @ num[bins][..., None])[..., 0]
     return np.fft.ifft(fhat)
 
 

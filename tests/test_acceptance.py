@@ -16,8 +16,8 @@ from warpft import (
     build_system,
     check_cover_admissible,
     coefficient_deviation,
+    frame_bounds,
     frame_bounds_painless,
-    frame_bounds_power_iteration,
     induced_cover,
     moyal_residual,
     osc_norm_estimate,
@@ -197,8 +197,8 @@ def test_09_frame_bound_cross_validation():
     grid = SignalGrid(256, 256.0)
     system = build_system(LIN, GAUSS, 4.0, grid, time_scale=1.0 / 1024.0)
     a_diag, b_diag = frame_bounds_painless(system)
-    a_pow, b_pow = frame_bounds_power_iteration(system, trials=3)
-    rel = max(abs(a_pow - a_diag) / a_diag, abs(b_pow - b_diag) / b_diag)
+    a_exact, b_exact = frame_bounds(system)
+    rel = max(abs(a_exact - a_diag) / a_diag, abs(b_exact - b_diag) / b_diag)
     idx = system.interior_bins()
     rng = np.random.default_rng(909)
     outside = 0
@@ -212,7 +212,7 @@ def test_09_frame_bound_cross_validation():
         if not (a_diag - 1e-8 <= quot <= b_diag + 1e-8):
             outside += 1
     _report("09 frame-bounds", rel <= 1e-6 and outside == 0,
-            f"diag ({a_diag:.6g}, {b_diag:.6g}) vs power rel {rel:.3e}"
+            f"diag ({a_diag:.6g}, {b_diag:.6g}) vs exact rel {rel:.3e}"
             f" <= 1e-6; {outside}/100 Rayleigh quotients out of range")
 
 

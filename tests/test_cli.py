@@ -38,6 +38,18 @@ length = 256
 time_scale = 0.0009765625
 """
 
+# hops far above the painless limit: S is singular to rounding on the band
+SINGULAR_CFG = """\
+warp.kind = linear
+warp.c = 1.0
+prototype.kind = gaussian
+prototype.sigma = 8
+delta = 32
+sample_rate = 256
+length = 256
+time_scale = 0.00390625
+"""
+
 
 @pytest.fixture
 def erb_paths(tmp_path):
@@ -343,8 +355,8 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert rc == 0
         for key in ('"painless": true', '"frame_bounds_diagonal"',
-                    '"frame_bounds_power"', '"moyal_residual"',
-                    '"cover"', '"C_mU": 1'):
+                    '"frame_bounds_power"', '"frame_fibers"',
+                    '"moyal_residual"', '"cover"', '"C_mU": 1'):
             assert key in out
         assert "<= 1e-10: PASS" in out
 
@@ -366,9 +378,8 @@ class TestDiagnose:
         desc = tmp_path / "flat.desc"
         assert main(["design", "--config", str(cfg), "--out", str(desc)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr("warpft.cli.frame_bounds_power_iteration",
-                            lambda system, trials: (float("nan"),
-                                                    float("inf")))
+        monkeypatch.setattr("warpft.cli.frame_bounds",
+                            lambda system: (float("nan"), float("inf")))
         assert main(["diagnose", "--system", str(desc), "--trials", "1"]) == 0
 
         def reject(token):
@@ -378,6 +389,29 @@ class TestDiagnose:
         assert report["frame_bounds_power"] == {"A": None, "B": None,
                                                 "B_over_A": None}
         assert report["painless"] is True
+
+    def test_singular_band_report(self, tmp_path, capsys):
+        """Hops far above the painless limit leave S singular to rounding
+        on the band: A is 0, the ratio is null, and nothing warns."""
+        cfg = tmp_path / "singular.cfg"
+        cfg.write_text(SINGULAR_CFG)
+        desc = tmp_path / "singular.desc"
+        assert main(["design", "--config", str(cfg), "--out", str(desc)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["diagnose", "--system", str(desc), "--trials", "1"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        report = json.loads(captured.out, parse_constant=reject)
+        bounds = report["frame_bounds_power"]
+        assert bounds["A"] == 0 and bounds["B"] > 0
+        assert bounds["B_over_A"] is None
+        assert report["frame_fibers"]["largest"] > 1
 
 
 class TestKernelOps:

@@ -1,6 +1,7 @@
 """Cover geometry, Q-set containment, weight bounds, frame bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from warpft import (ConfigError, DomainError, NotPainlessError,
                     gaussian_prototype, linear_warp, log_warp,
                     power_law_warp)
 from warpft.discretization import (check_cover_admissible, elements_containing,
-                                   frame_bounds_painless,
-                                   frame_bounds_power_iteration, induced_cover,
-                                   q_set_bounds, weight_bound_C)
+                                   frame_bounds, frame_bounds_painless,
+                                   induced_cover, q_set_bounds,
+                                   weight_bound_C)
 from warpft.system import SignalGrid, build_system
 from warpft.transform import apply_frame_operator
 from warpft.warping import polynomial_weight
@@ -178,7 +179,7 @@ class TestFrameBounds:
     def test_power_iteration_matches_diagonal(self):
         sys = _flat_linear_system()
         a, b = frame_bounds_painless(sys)
-        ae, be = frame_bounds_power_iteration(sys)
+        ae, be = frame_bounds(sys)
         assert abs(ae - a) <= 1e-6 * a
         assert abs(be - b) <= 1e-6 * b
 
@@ -195,39 +196,40 @@ class TestFrameBounds:
         sys = build_system(erb_warp(), gaussian_prototype(0.125), 0.5, grid)
         assert sys.painless
         a, b = frame_bounds_painless(sys)
-        ae, be = frame_bounds_power_iteration(sys, trials=1)
+        ae, be = frame_bounds(sys)
         # Rayleigh quotients can only move inward
         assert a - 1e-8 <= ae <= be <= b + 1e-8
 
     @pytest.mark.parametrize("radius, painless, a_ref, b_ref", [
-        (0.9, True, 0.0002945851239872677, 0.00043648385125637863),
-        (2.0, False, 0.000296370046370536, 0.0004428390695495626),
+        (0.9, True, 0.00029439177611266504, 0.0004370349646686647),
+        (2.0, False, 0.0002963692964619357, 0.00044291306830830814),
     ])
-    def test_power_iteration_recorded_values(self, radius, painless,
-                                             a_ref, b_ref):
-        """Bounds recorded with the earlier time-domain frame operator (a
-        full N-point FFT round trip per application, plain CG)."""
+    def test_recorded_exact_bounds(self, radius, painless, a_ref, b_ref):
+        """The extreme eigenvalues of the compressed frame operator, from
+        a dense ``eigvalsh`` of ``_unfold(_fold(e_j))`` column by column."""
         grid = SignalGrid(1024, 16000.0)
         sys = build_system(log_warp(), bump_prototype(radius), 0.5, grid)
         assert sys.painless == painless
-        a, b = frame_bounds_power_iteration(sys, trials=1)
-        assert abs(a - a_ref) <= 1e-10 * a_ref
-        assert abs(b - b_ref) <= 1e-10 * b_ref
+        a, b = frame_bounds(sys)
+        assert abs(a - a_ref) <= 1e-12 * a_ref
+        assert abs(b - b_ref) <= 1e-12 * b_ref
 
-    def test_singular_band_warns_instead_of_raising(self):
+    def test_singular_band_lower_bound_is_zero(self):
         """Hops far above the painless limit leave S singular to rounding
-        on the band: CG loses positivity, and the estimate says so by a
-        warning and a lower bound at rounding level."""
+        on the band: the dense ``eigvalsh`` gives -3.8e-18, which the
+        bounds clip to 0, and nothing warns."""
         grid = SignalGrid(256, 256.0)
         sys = build_system(linear_warp(1.0), gaussian_prototype(8.0), 32.0,
                            grid, time_scale=1.0 / 256)
-        with pytest.warns(RuntimeWarning, match="stalled"):
-            a, b = frame_bounds_power_iteration(sys, trials=1)
-        assert abs(a) <= 1e-12 * b
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = frame_bounds(sys)
+        assert a == 0.0
+        assert abs(b - 0.004020525807436697) <= 1e-12 * b
 
     def test_rayleigh_sandwich(self):
         sys = _flat_linear_system()
-        ae, be = frame_bounds_power_iteration(sys)
+        ae, be = frame_bounds(sys)
         idx = sys.interior_bins()
         rng = np.random.default_rng(5)
         for _ in range(100):

@@ -8,7 +8,7 @@ import dataclasses
 import inspect
 
 from warpft import (Coefficients, KernelEvalSpec, QuadratureSpec,
-                    frame_bounds_power_iteration, synthesize)
+                    frame_bounds, synthesize)
 
 
 def _parameters(fn):
@@ -24,7 +24,7 @@ def test_synthesize_parameters():
 
 
 def test_power_iteration_parameters():
-    assert _parameters(frame_bounds_power_iteration) == ("system", "trials")
+    assert _parameters(frame_bounds) == ("system",)
 
 
 def test_kernel_eval_spec_fields():

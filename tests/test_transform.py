@@ -1,13 +1,22 @@
 """Analysis/synthesis round trips, reference cross-checks, Moyal pairing."""
 
+import heapq
+
 import numpy as np
 import pytest
 
-from warpft import (NotPainlessError, ShapeError, bump_prototype, erb_warp,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
+
+from warpft import (CapabilityError, IllConditionedError, NotPainlessError,
+                    ShapeError, WarpFTError, bump_prototype, erb_warp,
                     gaussian_prototype, linear_warp, log_warp)
+from warpft import system as system_module
+from warpft.discretization import frame_bounds, frame_bounds_painless
 from warpft.prototype import admissibility_inner_product, l2_norm
 from warpft.system import SignalGrid, build_atom, build_system
-from warpft.transform import (UNFOLD_ROWS, _fold, _frame_op, _unfold,
+from warpft.transform import (UNFOLD_ROWS, _fold, _unfold,
                               adjoint, analyze,
                               apply_frame_operator, coefficient_deviation,
                               moyal_residual, roundtrip_residual,
@@ -43,6 +52,16 @@ SYSTEMS = {
     "erb": _erb_system,
     "erb-not-painless": lambda: _erb_system(radius=2.0),
 }
+
+
+# the suite's systems, plus hops far above the painless limit (S singular
+# to rounding on the band) and an ERB bank with a wide prototype
+FIBER_SYSTEMS = dict(SYSTEMS)
+FIBER_SYSTEMS["singular"] = lambda: build_system(
+    linear_warp(1.0), gaussian_prototype(8.0), 32.0, SignalGrid(256, 256.0),
+    time_scale=1.0 / 256)
+FIBER_SYSTEMS["wide-erb"] = lambda: build_system(
+    erb_warp(), bump_prototype(4.0), 0.5, SignalGrid(1024, 16000.0))
 
 
 def _random_signal(n, rng):
@@ -96,13 +115,13 @@ class TestIterative:
         c = analyze(f, sys)
         rec_diag = synthesize(c, sys)
         rec_cg = synthesize(c, sys, iterative=True)
-        assert np.linalg.norm(rec_cg - rec_diag) < 1e-8 * np.linalg.norm(rec_diag)
+        assert np.array_equal(rec_cg, rec_diag)
 
     def test_cg_handles_non_painless(self):
         sys = _erb_system(radius=2.0)
         f = _interior_signal(sys)
         rec = synthesize(analyze(f, sys), sys, iterative=True)
-        assert np.linalg.norm(rec - f) < 1e-6 * np.linalg.norm(f)
+        assert np.linalg.norm(rec - f) <= 1e-12 * np.linalg.norm(f)
 
 
 def _dense_analyze(f, system):
@@ -129,19 +148,157 @@ class TestFoldedCore:
             scale = np.abs(ref).max()
             assert np.abs(coeffs.data[l] - ref).max() <= 1e-13 * scale, l
 
-    @pytest.mark.parametrize("name", ["linear", "erb-not-painless"])
+    @pytest.mark.parametrize("name", sorted(FIBER_SYSTEMS))
     def test_frame_op_matches_time_domain_operator(self, name):
-        """The compressed spectral operator equals the spectrum of the
-        time-domain frame operator on the same bins."""
-        sys = SYSTEMS[name]()
+        """The frame operator assembled from its fibers, compressed to
+        the interior bins, equals ``_unfold(_fold(.))`` and the spectrum
+        of the time-domain frame operator on the same bins."""
+        sys = FIBER_SYSTEMS[name]()
         n = sys.grid.length
         idx = sys.interior_bins()
-        v = _random_signal(idx.size, np.random.default_rng(23))
+        singles, fibers = sys.frame_fibers(idx)
+        parts = [singles] + [bins.ravel() for bins, _ in fibers]
+        assert np.array_equal(np.sort(np.concatenate(parts)), idx)
         vhat = np.zeros(n, dtype=complex)
-        vhat[idx] = v
+        vhat[idx] = _random_signal(idx.size, np.random.default_rng(23))
+        got = _fiber_product(sys, idx, vhat)[idx]
+        ref = _unfold(_fold(vhat, sys), sys)[idx]
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
         ref = np.fft.fft(apply_frame_operator(np.fft.ifft(vhat), sys))[idx]
-        got = _frame_op(sys, idx)(v)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _fiber_product(system, bins, vhat):
+    """``S vhat`` on ``bins`` (``vhat`` zero elsewhere), from the fibers."""
+    singles, fibers = system.frame_fibers(bins)
+    out = np.zeros_like(vhat)
+    out[singles] = system.frame_diag()[singles] * vhat[singles]
+    for fbins, blocks in fibers:
+        out[fbins] = (blocks @ vhat[fbins][..., None])[..., 0]
+    return out
+
+
+def _dense_frame_operator(system, idx):
+    """The frame operator compressed to the bins ``idx``, column by column
+    from ``_unfold(_fold(e_j))``.  Column ``j`` is nonzero only on the
+    atoms through bin ``j``, inside the signed-bin hull of their supports
+    (its reach): unit vectors whose reaches are disjoint share one probe
+    (greedy interval colouring) and are read back from their reaches."""
+    n = system.grid.length
+    lo, hi = np.full(n, n), np.full(n, -n)
+    for atom in system.atoms:
+        signed = np.where(atom.support > n // 2, atom.support - n,
+                          atom.support)
+        lo[atom.support] = np.minimum(lo[atom.support], signed.min())
+        hi[atom.support] = np.maximum(hi[atom.support], signed.max())
+    probes, ends = [], []  # ends: heap of (last reach end, probe)
+    for j in idx[np.argsort(lo[idx], kind="stable")].tolist():
+        if ends and ends[0][0] < lo[j]:
+            p = heapq.heappop(ends)[1]
+        else:
+            p = len(probes)
+            probes.append([])
+        probes[p].append(j)
+        heapq.heappush(ends, (hi[j], p))
+    at = np.full(n, -1)
+    at[idx] = np.arange(idx.size)
+    dense = np.zeros((idx.size, idx.size), dtype=complex)
+    for cols in probes:
+        e = np.zeros(n, dtype=complex)
+        e[cols] = 1.0
+        out = _unfold(_fold(e, system), system)
+        for j in cols:
+            near = np.arange(lo[j], hi[j] + 1) % n
+            near = near[at[near] >= 0]
+            dense[at[near], at[j]] = out[near]
+    return dense
+
+
+def _assert_oracle_bounds(system):
+    """``frame_bounds`` equals the extreme eigenvalues of the dense
+    compressed frame operator to 1e-12 of the upper bound (the lower
+    one clipped at 0, as ``S`` is positive semidefinite).
+
+    A dense ``eigvalsh`` of thousands of bins takes tens of seconds, so
+    the dense matrix is diagonalized per connected component of its
+    entries above 1e-15 of the largest (the rest is FFT rounding); by
+    Weyl's inequality the dropped part moves no eigenvalue by more than
+    its Frobenius norm, which is added to the error."""
+    dense = _dense_frame_operator(system, system.interior_bins())
+    kept = np.abs(dense) > 1e-15 * np.abs(dense).max()
+    _, comp = connected_components(kept, directed=False)
+    order = np.argsort(comp, kind="stable")
+    cuts = np.flatnonzero(np.diff(comp[order])) + 1
+    eig = np.concatenate([np.linalg.eigvalsh(dense[np.ix_(m, m)])
+                          for m in np.split(order, cuts)])
+    dropped = float(np.linalg.norm(dense[~kept]))
+    a, b = frame_bounds(system)
+    assert abs(a - max(eig.min(), 0.0)) + dropped <= 1e-12 * eig.max()
+    assert abs(b - eig.max()) + dropped <= 1e-12 * eig.max()
+
+
+# drawn systems: (warp, sample rate, delta, time scale of painless hops)
+DRAWN_WARPS = {
+    "linear": (lambda: linear_warp(1.0), 1024.0, 64.0, 1.0 / 16384),
+    "log": (log_warp, 16000.0, 0.5, 1.0),
+    "erb": (erb_warp, 16000.0, 0.5, 1.0),
+}
+
+
+class TestFrameFibers:
+    @pytest.mark.parametrize("name", sorted(FIBER_SYSTEMS))
+    def test_bounds_match_dense_oracle(self, name):
+        _assert_oracle_bounds(FIBER_SYSTEMS[name]())
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(sorted(DRAWN_WARPS)),
+           bump=st.booleans(), log2n=st.integers(8, 10),
+           delta_exp=st.floats(-1.0, 1.0), width_exp=st.floats(-2.0, 2.0),
+           hop_exp=st.integers(-2, 5))
+    def test_drawn_bounds_match_dense_oracle(self, kind, bump, log2n,
+                                             delta_exp, width_exp, hop_exp):
+        """A drawn system either has the dense oracle's bounds or raises
+        a documented error (too few channels, no fully covered bins, a
+        fiber above FIBER_CAP)."""
+        make, fs, delta, time_scale = DRAWN_WARPS[kind]
+        delta *= 2.0 ** delta_exp
+        width = delta * 2.0 ** width_exp
+        theta = bump_prototype(width) if bump else gaussian_prototype(width)
+        try:
+            sys = build_system(make(), theta, delta, SignalGrid(1 << log2n, fs),
+                               time_scale=time_scale * 2.0 ** hop_exp)
+            frame_bounds(sys)
+        except WarpFTError:
+            return
+        _assert_oracle_bounds(sys)
+
+    @pytest.mark.parametrize("name", ["erb", "linear", "log"])
+    def test_painless_bounds_are_diagonal_extremes(self, name):
+        sys = SYSTEMS[name]()
+        assert sys.painless
+        diag = sys.frame_diag()[sys.interior_bins()]
+        assert sys.frame_fibers(sys.interior_bins())[1] == []
+        expected = (float(diag.min()), float(diag.max()))
+        assert frame_bounds(sys) == frame_bounds_painless(sys) == expected
+
+    def test_fiber_cap_refused(self, monkeypatch):
+        sys = FIBER_SYSTEMS["linear-not-painless"]()
+        c = analyze(_interior_signal(sys), sys)
+        monkeypatch.setattr(system_module, "FIBER_CAP", 8)
+        with pytest.raises(CapabilityError, match="FIBER_CAP = 8"):
+            frame_bounds(sys)
+        with pytest.raises(CapabilityError, match="FIBER_CAP = 8"):
+            synthesize(c, sys, iterative=True)
+
+    def test_singular_fiber_refused(self):
+        sys = FIBER_SYSTEMS["singular"]()
+        c = analyze(_interior_signal(sys), sys)
+        with pytest.raises(IllConditionedError, match="fiber"):
+            synthesize(c, sys, iterative=True)
+
+    def test_inverses_cached(self):
+        sys = _erb_system(radius=2.0)
+        assert sys.fiber_inverses() is sys.fiber_inverses()
 
 
 def _per_channel_fold(fhat, system):
