@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``design``, ``analyze``, ``synthesize``, ``diagnose``,
-``kernel``, ``cover-dump``, ``spectrogram``.  Exit codes: 0 success,
+``kernel``, ``cover-dump``, ``spectrogram``, each described once in the
+table ``_SUBCOMMANDS`` (help, handler, options); :func:`main` builds the
+parser of only the subcommand it runs.  Exit codes: 0 success,
 2 configuration, 3 shape mismatch, 4 file format, 5 capability,
 1 internal.  A failing subcommand prints one ``error:`` line to stderr,
 never a traceback.  Numeric text output uses 17 significant digits; the
@@ -20,10 +22,9 @@ import sys
 import numpy as np
 
 from .discretization import (check_cover_admissible, frame_bounds,
-                             frame_bounds_painless, induced_cover,
-                             weight_bound_C)
-from .errors import (CapabilityError, ConfigError, FormatError,
-                     NotPainlessError, ShapeError, WarpFTError)
+                             induced_cover, weight_bound_C)
+from .errors import (CapabilityError, ConfigError, FormatError, ShapeError,
+                     WarpFTError)
 from .io import (fmt, read_coefficients, read_descriptor, read_signal,
                  system_from_config, read_config, write_coefficients,
                  write_descriptor, write_signal)
@@ -34,10 +35,9 @@ from .transform import (analyze, coefficient_deviation, export_spectrogram,
 
 _EXIT_OK = 0
 _EXIT_INTERNAL = 1
-_EXIT_CONFIG = 2
-_EXIT_SHAPE = 3
-_EXIT_FORMAT = 4
-_EXIT_CAPABILITY = 5
+#: the exit code of the first class an error is an instance of
+_EXIT_CODES = ((ConfigError, 2), (ShapeError, 3), (FormatError, 4),
+               (CapabilityError, 5), (WarpFTError, _EXIT_INTERNAL))
 
 
 def _jsonable(obj):
@@ -91,7 +91,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_synthesize(args) -> int:
     system = read_descriptor(args.system)
     coeffs = read_coefficients(args.coeffs, system)
-    rec = synthesize(coeffs, system, iterative=args.iterative)
+    with np.errstate(all="ignore"):  # finite coefficients can overflow
+        rec = synthesize(coeffs, system, iterative=args.iterative)
+    if not np.all(np.isfinite(rec)):
+        raise FormatError(f"{args.coeffs}: coefficients too large: the "
+                          "reconstruction is not finite")
     write_signal(args.out, rec)
     if args.verify:
         ref = read_signal(args.verify)
@@ -117,16 +121,14 @@ def _cmd_diagnose(args) -> int:
     report["painless_violations"] = len(pl.violations)
     report["alias_free"] = bool(np.all(pl.alias_free))
 
-    try:
-        a, b = frame_bounds_painless(system)
-        report["frame_bounds_diagonal"] = {"A": a, "B": b,
-                                           "B_over_A": b / a if a else None}
-    except NotPainlessError:
-        report["frame_bounds_diagonal"] = "not painless"
-    a, b = frame_bounds(system)  # exact; the benchmark reads this key
-    report["frame_bounds_power"] = {"A": a, "B": b,
-                                    "B_over_A": b / a if a else None}
-    singles, fibers = system.frame_fibers(system.interior_bins())
+    # exact, and on a painless system also the diagonal bounds; the
+    # benchmark reads both keys
+    a, b = frame_bounds(system)
+    bounds = {"A": a, "B": b, "B_over_A": b / a if a else None}
+    report["frame_bounds_diagonal"] = (bounds if pl.painless
+                                       else "not painless")
+    report["frame_bounds_power"] = bounds
+    singles, fibers = system.interior_fibers()
     report["frame_fibers"] = {
         "count": singles.size + sum(len(bins) for bins, _ in fibers),
         "largest": fibers[-1][0].shape[1] if fibers else 1}
@@ -243,98 +245,81 @@ def _cmd_spectrogram(args) -> int:
 # -- argument wiring -------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_FLOAT0 = {"type": float, "default": 0.0}
+_FLOAT_REQUIRED = {"type": float, "required": True}
+
+#: each subcommand's help, handler (a name in this module, looked up when
+#: called) and options (flag -> add_argument keywords)
+_SUBCOMMANDS = {
+    "design": ("build a system descriptor", "_cmd_design",
+               {"--config": _REQUIRED, "--out": _REQUIRED}),
+    "analyze": ("signal -> coefficient container", "_cmd_analyze",
+                {"--system": _REQUIRED, "--signal": _REQUIRED,
+                 "--out": _REQUIRED}),
+    "synthesize": ("coefficients -> signal", "_cmd_synthesize", {
+        "--system": _REQUIRED, "--coeffs": _REQUIRED, "--out": _REQUIRED,
+        "--iterative": {"action": "store_true",
+                        "help": "admit systems that are not painless"},
+        "--verify": {"default": None,
+                     "help": "reference signal; prints relative error"}}),
+    "diagnose": ("full diagnostic report", "_cmd_diagnose", {
+        "--system": _REQUIRED,
+        # kept while the benchmark's commands pass it
+        "--trials": {"type": int, "default": 2,
+                     "help": "ignored: the frame bounds are exact"}}),
+    "kernel": ("kernel-side numerics", "_cmd_kernel", {
+        "--system": _REQUIRED,
+        "--op": {"required": True, "choices": ["gramian", "amnorm", "osc",
+                                               "oscnorm", "statphase"]},
+        "--x": _FLOAT0, "--xi": _FLOAT0, "--y": _FLOAT0, "--omega": _FLOAT0,
+        "--delta": {"type": float, "default": None},
+        "--deltas": {"default": "0.5,0.25,0.125"},
+        "--order": {"type": int, "default": 0},
+        "--gamma-off": {"action": "store_true"},
+        "--q-resolution": {"type": int, "default": 2},
+        "--z-half": {"type": float, "default": 8.0},
+        "--eta-half": {"type": float, "default": 8.0},
+        "--resolution": {"type": int, "default": 32},
+        "--out": {"default": None}}),
+    "cover-dump": ("induced cover as CSV", "_cmd_cover_dump", {
+        "--system": _REQUIRED, "--f-lo": _FLOAT_REQUIRED,
+        "--f-hi": _FLOAT_REQUIRED, "--t-lo": _FLOAT_REQUIRED,
+        "--t-hi": _FLOAT_REQUIRED, "--out": _REQUIRED}),
+    "spectrogram": ("coefficient magnitudes as CSV", "_cmd_spectrogram",
+                    {"--system": _REQUIRED, "--coeffs": _REQUIRED,
+                     "--out": _REQUIRED}),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser when it names one,
+    else with all of them; usage lines list all of them either way."""
     parser = argparse.ArgumentParser(
         prog="warpft",
         description="Warped time-frequency transforms: design, analysis, "
                     "synthesis, diagnostics, kernel sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("design", help="build a system descriptor")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_design)
-
-    p = sub.add_parser("analyze", help="signal -> coefficient container")
-    p.add_argument("--system", required=True)
-    p.add_argument("--signal", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_analyze)
-
-    p = sub.add_parser("synthesize", help="coefficients -> signal")
-    p.add_argument("--system", required=True)
-    p.add_argument("--coeffs", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--iterative", action="store_true",
-                   help="admit systems that are not painless")
-    p.add_argument("--verify", default=None,
-                   help="reference signal; prints relative error")
-    p.set_defaults(fn=_cmd_synthesize)
-
-    p = sub.add_parser("diagnose", help="full diagnostic report")
-    p.add_argument("--system", required=True)
-    # kept while the benchmark's commands pass it
-    p.add_argument("--trials", type=int, default=2,
-                   help="ignored: the frame bounds are exact")
-    p.set_defaults(fn=_cmd_diagnose)
-
-    p = sub.add_parser("kernel", help="kernel-side numerics")
-    p.add_argument("--system", required=True)
-    p.add_argument("--op", required=True,
-                   choices=["gramian", "amnorm", "osc", "oscnorm",
-                            "statphase"])
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--xi", type=float, default=0.0)
-    p.add_argument("--y", type=float, default=0.0)
-    p.add_argument("--omega", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--deltas", default="0.5,0.25,0.125")
-    p.add_argument("--order", type=int, default=0)
-    p.add_argument("--gamma-off", action="store_true")
-    p.add_argument("--q-resolution", type=int, default=2)
-    p.add_argument("--z-half", type=float, default=8.0)
-    p.add_argument("--eta-half", type=float, default=8.0)
-    p.add_argument("--resolution", type=int, default=32)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_kernel)
-
-    p = sub.add_parser("cover-dump", help="induced cover as CSV")
-    p.add_argument("--system", required=True)
-    p.add_argument("--f-lo", type=float, required=True)
-    p.add_argument("--f-hi", type=float, required=True)
-    p.add_argument("--t-lo", type=float, required=True)
-    p.add_argument("--t-hi", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_cover_dump)
-
-    p = sub.add_parser("spectrogram", help="coefficient magnitudes as CSV")
-    p.add_argument("--system", required=True)
-    p.add_argument("--coeffs", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_spectrogram)
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    if len(names) == 1:
+        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+    for name in names:
+        help_text, fn, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SHAPE
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_FORMAT
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CAPABILITY
+        return globals()[args.fn](args)
     except WarpFTError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INTERNAL
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     except Exception as exc:  # last resort: one line, never a traceback
         msg = " ".join(str(exc).split())
         print(f"error: internal: {type(exc).__name__}: {msg}", file=sys.stderr)

@@ -330,12 +330,11 @@ def weight_bound_C(cover: Cover, m1_spec: Optional[WeightSpec] = None,
 def frame_bounds(system: WarpedSystem) -> Tuple[float, float]:
     """Exact frame bounds over the fully covered band: the extreme
     eigenvalues of the frame operator compressed to the interior bins,
-    fiber by fiber (see :meth:`WarpedSystem.frame_fibers`).  ``S`` is
+    fiber by fiber (see :meth:`WarpedSystem.interior_fibers`).  ``S`` is
     positive semidefinite, so a negative lower bound is rounding: 0."""
-    idx = system.interior_bins()
-    if idx.size == 0:
+    if system.interior_bins().size == 0:
         raise ConfigError("system has no fully covered bins")
-    singles, fibers = system.frame_fibers(idx)
+    singles, fibers = system.interior_fibers()
     eig = np.concatenate([system.frame_diag()[singles]]
                          + [np.linalg.eigvalsh(s).ravel() for _, s in fibers])
     return max(float(eig.min()), 0.0), float(eig.max())

@@ -8,7 +8,8 @@ digits so they round-trip) or little-endian binary:
 * coefficients — magic ``WTC1``, u32 version, u32 channel count,
   per-channel ``{f64 center_hz, f64 hop_seconds, u64 frame_count}``
   headers, then per-channel interleaved f64 re/im frames.  Reading
-  checks every header against the system it is read for.
+  checks every header against the system it is read for and refuses a
+  payload value that is not finite.
 """
 
 from __future__ import annotations
@@ -230,4 +231,10 @@ def read_coefficients(path, system: WarpedSystem) -> Coefficients:
         off = end
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
+    finite = np.isfinite(np.frombuffer(blob, "<f8", offset=12 + 24 * count))
+    if not finite.all():  # name the channel of the first bad entry
+        ends = np.cumsum([ch.frames for ch in system.channels])
+        l = int(np.searchsorted(ends, np.argmin(finite) // 2, side="right"))
+        raise FormatError(f"{path}: channel {system.channels[l].index} "
+                          "holds a value that is not finite")
     return Coefficients(data, centers, hops, system.grid.length)

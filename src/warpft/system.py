@@ -15,7 +15,8 @@ turns the painless support condition into an exact diagonal inversion.
 
 Every atom is the same prototype, warped and translated, so a bank is
 sampled as one array expression over (channel, bin) pairs, evaluated in
-batches of the channels' windows laid end to end.
+batches of the channels' windows laid end to end.  The channels' band
+edges, centres, ``F(x_l)`` and ``F'(x_l)`` are evaluated on arrays too.
 
 Half-line warps analyze the analytic part only: non-positive bins are
 zeroed and reconstructions live on positive frequencies.
@@ -129,9 +130,9 @@ def design_channels(warp: WarpingFunction, delta: float, grid: SignalGrid,
         raise ConfigError(f"delta={delta} gives {count:.6g} channels, more "
                           f"than the grid's {grid.length} bins")
     l = np.arange(int(l_min), int(l_max) + 1)
-    edges = _each(warp.inverse, delta * np.append(l, l[-1] + 1))
+    edges = warp.inverse(delta * np.append(l, l[-1] + 1))
     lo, hi = edges[:-1], edges[1:]
-    center = _each(warp.inverse, delta * (l + 0.5))
+    center = warp.inverse(delta * (l + 0.5))
     bw = hi - lo
     tau = time_scale * delta * delta / bw
     # the hop is tau rounded down to a power of two, at most N; clamped
@@ -166,13 +167,6 @@ class Atom:
 SAMPLE_CHUNK = 1 << 12
 
 
-def _each(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` applied to one float at a time: numpy's scalar ``**`` (in
-    the power-type warps) can differ in the last bit from its array loop,
-    and per-channel warp values are those of a scalar ``x``."""
-    return np.array([fn(v) for v in values.tolist()], dtype=float)
-
-
 def build_atom(warp: WarpingFunction, theta: Prototype, x: float,
                grid: SignalGrid, truncation: float = 1e-8) -> Atom:
     """Sample ``sqrt(F'(x)) theta(F(.) - F(x))`` on the grid bins.
@@ -202,15 +196,17 @@ def _sample_atoms(warp: WarpingFunction, theta: Prototype, xs,
     to the edges of the active band.  Each atom equals sampling on every
     bin, bit for bit.
 
-    ``F`` and ``theta`` run on batches of whole windows, laid end to end,
-    of about ``SAMPLE_CHUNK`` entries; the atoms hold views of their
-    batch.  The first centre in ``xs`` whose atom vanishes is named.
+    ``F(x)``, ``F'(x)`` and the peak frequencies are evaluated on the
+    array ``xs``, and ``F`` and ``theta`` on batches of whole windows,
+    laid end to end, of about ``SAMPLE_CHUNK`` entries; the atoms hold
+    views of their batch.  The first centre in ``xs`` whose atom
+    vanishes is named.
     """
     x = np.array(xs, dtype=float)
-    fx = _each(warp.eval, x)
-    scale = np.sqrt(_each(warp.derivative, x))
+    fx = warp.eval(x)
+    scale = np.sqrt(warp.derivative(x))
     u0 = fx + theta.center                      # the atoms' peaks, warped
-    peak_hz = x if theta.center == 0 else _each(warp.inverse, u0)
+    peak_hz = x if theta.center == 0 else warp.inverse(u0)
     k_min, k_max = _active_bins(grid, warp.domain)
     bin_hz = grid.bin_hz
     lo_edge, hi_edge = k_min * bin_hz, k_max * bin_hz
@@ -327,6 +323,7 @@ class WarpedSystem:
         self._groups: Optional[List[Tuple[int, int, List[int]]]] = None
         self._interior: Optional[np.ndarray] = None
         self._covered: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
+        self._interior_fibers: Optional[Tuple[np.ndarray, list]] = None
         self._aliased: Optional[Tuple[np.ndarray, ...]] = None
         self._inverses: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
@@ -463,6 +460,12 @@ class WarpedSystem:
         lo_hz = float(self.warp.inverse(w_lo))
         hi_hz = float(self.warp.inverse(w_hi))
         return np.flatnonzero(active & (freqs >= lo_hz) & (freqs <= hi_hz))
+
+    def interior_fibers(self):
+        """:meth:`frame_fibers` on :meth:`interior_bins`, computed once."""
+        if self._interior_fibers is None:
+            self._interior_fibers = self.frame_fibers(self.interior_bins())
+        return self._interior_fibers
 
     def covered_bins(self) -> Tuple[np.ndarray, np.ndarray, bool]:
         """``(bins, profile, interior_covered)``: the bins whose frame

@@ -34,6 +34,9 @@ _POWER_LAW_BIG = 1e150
 
 
 def _split(t):
+    # powers of an input are np.power, not ``**``: on a numpy float ``**``
+    # calls libm pow, whose last bit can differ from the ufunc's array
+    # loop; np.power runs that loop for a 0-d input too
     arr = np.asarray(t, dtype=float)
     return arr, arr.ndim == 0
 
@@ -95,11 +98,11 @@ class WarpingFunction:
             out = np.log(arr)
         elif self.kind == "power_law":
             u = arr / self.d
-            out = self.c * (u ** self.l - u ** (-self.l))
+            out = self.c * (np.power(u, self.l) - np.power(u, -self.l))
         elif self.kind == "erb":
             out = np.sign(arr) * (self.c1 * np.log1p(np.abs(arr) / self.c2))
         elif self.kind == "alpha_like":
-            out = np.sign(arr) * ((1.0 + np.abs(arr)) ** self.l - 1.0)
+            out = np.sign(arr) * (np.power(1.0 + np.abs(arr), self.l) - 1.0)
         else:
             out = np.asarray(self.fn(arr), dtype=float)
         return _ret(out, scalar)
@@ -116,11 +119,12 @@ class WarpingFunction:
             out = 1.0 / arr
         elif self.kind == "power_law":
             u = arr / self.d
-            out = (self.c * self.l / self.d) * (u ** (self.l - 1.0) + u ** (-self.l - 1.0))
+            out = (self.c * self.l / self.d) * (np.power(u, self.l - 1.0)
+                                                 + np.power(u, -self.l - 1.0))
         elif self.kind == "erb":
             out = self.c1 / (self.c2 + np.abs(arr))
         elif self.kind == "alpha_like":
-            out = self.l * (1.0 + np.abs(arr)) ** (self.l - 1.0)
+            out = self.l * np.power(1.0 + np.abs(arr), self.l - 1.0)
         elif self.fn_derivative is not None:
             out = np.asarray(self.fn_derivative(arr), dtype=float)
         else:
@@ -152,11 +156,11 @@ class WarpingFunction:
             q = np.where(r < 0, 2.0 / (np.hypot(rn, 2.0) - rn),
                          np.where(r > _POWER_LAW_BIG, r,
                                   0.5 * (rp + np.sqrt(rp * rp + 4.0))))
-            out = self.d * q ** (1.0 / self.l)
+            out = self.d * np.power(q, 1.0 / self.l)
         elif self.kind == "erb":
             out = np.sign(arr) * (self.c2 * np.expm1(np.abs(arr) / self.c1))
         elif self.kind == "alpha_like":
-            out = np.sign(arr) * ((1.0 + np.abs(arr)) ** (1.0 / self.l) - 1.0)
+            out = np.sign(arr) * (np.power(1.0 + np.abs(arr), 1.0 / self.l) - 1.0)
         elif self.fn_inverse is not None:
             out = np.asarray(self.fn_inverse(arr), dtype=float)
         else:
@@ -225,11 +229,11 @@ class WarpingFunction:
             a = 1.0 / self.l
             base = 1.0 + np.abs(arr)
             if order == 0:
-                out = a * base ** (a - 1.0)
+                out = a * np.power(base, a - 1.0)
             elif order == 1:
-                out = sg * a * (a - 1.0) * base ** (a - 2.0)
+                out = sg * a * (a - 1.0) * np.power(base, a - 2.0)
             else:
-                out = a * (a - 1.0) * (a - 2.0) * base ** (a - 3.0)
+                out = a * (a - 1.0) * (a - 2.0) * np.power(base, a - 3.0)
         elif self.kind == "power_law":
             out = self._power_law_weight(arr, order)
         else:
@@ -240,17 +244,18 @@ class WarpingFunction:
         t = np.asarray(self.inverse(arr), dtype=float)
         u = t / self.d
         cl = self.c * self.l
-        fp = (cl / self.d) * (u ** (self.l - 1.0) + u ** (-self.l - 1.0))
+        fp = (cl / self.d) * (np.power(u, self.l - 1.0) + np.power(u, -self.l - 1.0))
         w = 1.0 / fp
         if order == 0:
             return w
-        fpp = (cl / self.d ** 2) * ((self.l - 1.0) * u ** (self.l - 2.0)
-                                    - (self.l + 1.0) * u ** (-self.l - 2.0))
+        fpp = (cl / self.d ** 2) * ((self.l - 1.0) * np.power(u, self.l - 2.0)
+                                    - (self.l + 1.0) * np.power(u, -self.l - 2.0))
         if order == 1:
-            return -fpp * w ** 3
-        fppp = (cl / self.d ** 3) * ((self.l - 1.0) * (self.l - 2.0) * u ** (self.l - 3.0)
-                                     + (self.l + 1.0) * (self.l + 2.0) * u ** (-self.l - 3.0))
-        return -fppp * w ** 4 + 3.0 * fpp ** 2 * w ** 5
+            return -fpp * np.power(w, 3)
+        fppp = (cl / self.d ** 3) * (
+            (self.l - 1.0) * (self.l - 2.0) * np.power(u, self.l - 3.0)
+            + (self.l + 1.0) * (self.l + 2.0) * np.power(u, -self.l - 3.0))
+        return -fppp * np.power(w, 4) + 3.0 * np.square(fpp) * np.power(w, 5)
 
     def _custom_weight(self, arr, order):
         def w0(x):
@@ -421,7 +426,7 @@ class WeightSpec:
         if self.kind == "constant_one":
             out = np.ones_like(arr)
         elif self.kind == "polynomial":
-            out = (1.0 + np.abs(arr)) ** self.p
+            out = np.power(1.0 + np.abs(arr), self.p)
         elif self.kind == "exponential":
             out = np.exp(self.a * np.abs(arr))
         elif self.kind == "composed_with_inverse_warp":

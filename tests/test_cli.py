@@ -1,5 +1,6 @@
 """End-to-end subcommand runs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpft.cli import main
-from warpft.io import read_coefficients, read_descriptor, write_signal
+from warpft.cli import _build_parser, main
+from warpft.discretization import frame_bounds, frame_bounds_painless
+from warpft.io import (read_coefficients, read_descriptor, read_signal,
+                       write_signal)
+from warpft.system import WarpedSystem
 
 ERB_CFG = """\
 warp.kind = erb
@@ -125,6 +129,70 @@ class TestDesign:
                    "--out", str(tmp_path / "x.desc")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+
+SUBCOMMANDS = ["design", "analyze", "synthesize", "diagnose", "kernel",
+               "cover-dump", "spectrogram"]
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _actions(subparser):
+    return [(a.option_strings, a.dest, a.default, a.required, a.type,
+             a.choices, a.help) for a in subparser._actions]
+
+
+class TestParser:
+    """``main`` builds only the subparser it runs; that parser reads its
+    arguments and words its messages as the full one does."""
+
+    @pytest.mark.parametrize("cmd", SUBCOMMANDS)
+    def test_one_subcommand_parser_matches_full(self, cmd):
+        full, one = _build_parser(), _build_parser(cmd)
+        assert list(_subparsers(full)) == SUBCOMMANDS
+        assert list(_subparsers(one)) == [cmd]
+        assert _actions(_subparsers(one)[cmd]) == _actions(
+            _subparsers(full)[cmd])
+        assert (_subparsers(one)[cmd].format_help()
+                == _subparsers(full)[cmd].format_help())
+        assert one.format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"],
+                                      ["--config", "x"]])
+    def test_no_subcommand_gets_the_full_parser(self, argv):
+        assert list(_subparsers(_build_parser(*argv[:1]))) == SUBCOMMANDS
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for cmd in SUBCOMMANDS:
+            assert f"\n    {cmd} " in out
+
+    @pytest.mark.parametrize("cmd", SUBCOMMANDS)
+    def test_subcommand_help_exits_0(self, cmd, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: warpft {cmd} ")
+
+    def test_unknown_subcommand_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_stray_argument_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--config", "a", "--out", "b", "stray"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in err
+        assert err.endswith("error: unrecognized arguments: stray\n")
 
 
 def _with_value(cfg, key, value):
@@ -307,21 +375,27 @@ def small_container(tmp_path_factory):
     return desc, coeffs.read_bytes(), header
 
 
-def _synthesize_with_bit_flipped(desc, blob, bit):
-    """Exit code and stderr lines of ``synthesize`` on ``blob`` with one
-    bit flipped."""
-    flipped = bytearray(blob)
-    flipped[bit // 8] ^= 1 << (bit % 8)
+def _synthesize_blob(desc, blob):
+    """Exit code, stderr lines and written signal (``None`` on failure) of
+    ``synthesize`` on the container ``blob``."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "c.wtc")
+        path, out = os.path.join(tmp, "c.wtc"), os.path.join(tmp, "r.f64")
         with open(path, "wb") as fh:
-            fh.write(flipped)
+            fh.write(blob)
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             rc = main(["synthesize", "--system", str(desc), "--coeffs", path,
-                       "--out", os.path.join(tmp, "r.f64")])
-    return rc, err.getvalue().splitlines()
+                       "--out", out])
+        rec = read_signal(out) if rc == 0 else None
+    return rc, err.getvalue().splitlines(), rec
+
+
+def _synthesize_with_bit_flipped(desc, blob, bit):
+    """:func:`_synthesize_blob` on ``blob`` with one bit flipped."""
+    flipped = bytearray(blob)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return _synthesize_blob(desc, bytes(flipped))
 
 
 class TestContainerBitFlips:
@@ -330,18 +404,41 @@ class TestContainerBitFlips:
     def test_header_flip_rejected(self, small_container, data):
         desc, blob, header = small_container
         bit = data.draw(st.integers(0, 8 * header - 1), label="bit")
-        rc, err = _synthesize_with_bit_flipped(desc, blob, bit)
+        rc, err, _ = _synthesize_with_bit_flipped(desc, blob, bit)
         assert rc in (3, 4)
         assert len(err) == 1 and err[0].startswith("error: "), err
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_payload_flip_accepted(self, small_container, data):
+        """A flipped payload bit gives a finite signal and no stderr, or,
+        when the value or the reconstruction is no longer finite, exit 4
+        with one line."""
         desc, blob, header = small_container
         bit = data.draw(st.integers(8 * header, 8 * len(blob) - 1),
                         label="bit")
-        rc, err = _synthesize_with_bit_flipped(desc, blob, bit)
-        assert rc == 0, err
+        rc, err, rec = _synthesize_with_bit_flipped(desc, blob, bit)
+        if rc == 0:
+            assert err == [] and np.all(np.isfinite(rec))
+        else:
+            assert rc == 4
+            assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("value,reason", [
+        (np.inf, "channel 0 holds a value that is not finite"),
+        (1e308, "the reconstruction is not finite")])
+    def test_planted_payload_value_refused(self, small_container, value,
+                                           reason):
+        desc, blob, header = small_container
+        payload = np.frombuffer(blob, "<f8", offset=header).copy()
+        payload[payload.size // 2] = value  # in the middle channel, slot 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err, _ = _synthesize_blob(desc,
+                                          blob[:header] + payload.tobytes())
+        assert rc == 4
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert reason in err[0]
 
 
 class TestDiagnose:
@@ -412,6 +509,44 @@ class TestDiagnose:
         assert bounds["A"] == 0 and bounds["B"] > 0
         assert bounds["B_over_A"] is None
         assert report["frame_fibers"]["largest"] > 1
+
+
+class TestDiagnoseFibersOnce:
+    """``diagnose`` assembles the interior fibers once, for the bounds and
+    the fiber report alike, and reports the bounds of the library."""
+
+    @pytest.mark.parametrize("radius", ["0.9", "2.0"])
+    def test_frame_fibers_called_once(self, tmp_path, capsys, monkeypatch,
+                                      radius):
+        cfg = tmp_path / "erb.cfg"
+        cfg.write_text(_with_value(
+            _with_value(ERB_CFG, "prototype.radius", radius),
+            "length", "4096" if radius == "0.9" else "2048"))
+        desc = tmp_path / "erb.desc"
+        assert main(["design", "--config", str(cfg), "--out", str(desc)]) == 0
+        capsys.readouterr()
+        calls = []
+        assemble = WarpedSystem.frame_fibers
+
+        def counted(self, bins):
+            calls.append(bins.size)
+            return assemble(self, bins)
+
+        monkeypatch.setattr(WarpedSystem, "frame_fibers", counted)
+        assert main(["diagnose", "--system", str(desc)]) == 0
+        assert len(calls) == 1
+        report = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        system = read_descriptor(desc)
+        a, b = frame_bounds(system)
+        assert report["frame_bounds_power"] == {"A": a, "B": b,
+                                                "B_over_A": b / a}
+        if radius == "0.9":
+            assert report["frame_bounds_diagonal"] == report[
+                "frame_bounds_power"]
+            assert frame_bounds_painless(system) == (a, b)
+        else:
+            assert report["frame_bounds_diagonal"] == "not painless"
 
 
 class TestKernelOps:

@@ -349,6 +349,18 @@ def _loop_atom(warp, theta, x, grid, truncation=1e-8):
             np.concatenate((k[wrap:], k[:wrap] + grid.length)))
 
 
+# the README's erb.cfg, the same bank at N = 2^16, a log and a linear bank
+_PLAIN_BANKS = {
+    "erb_4096": (erb_warp(9.265, 228.8), bump_prototype(0.9), 0.5,
+                 SignalGrid(4096, 16000.0)),
+    "erb_65536": (erb_warp(9.265, 228.8), bump_prototype(0.9), 0.5,
+                  SignalGrid(1 << 16, 16000.0)),
+    "log": (log_warp(), bump_prototype(0.9), 0.05, SignalGrid(4096, 16000.0)),
+    "linear": (linear_warp(1.0), gaussian_prototype(40.0), 100.0,
+               SignalGrid(4096, 16000.0)),
+}
+
+
 class TestBankSampler:
     """``build_system`` designs every channel and samples every atom in
     one pass; it must equal the channel-at-a-time loops, bit for bit,
@@ -396,12 +408,26 @@ class TestBankSampler:
                                              0.05)])
     def test_power_exponents_match_loop(self, warp, delta):
         # for some of these centres and band edges numpy's scalar ``**``
-        # differs in the last bit from its vectorized array loop
+        # differs in the last bit from its vectorized array loop; the
+        # warps take powers with np.power, which does not
         theta = normalized(bump_prototype(0.9))
         system = build_system(warp, theta, delta, self.GRID)
         assert system.channels == _loop_channels(warp, delta, self.GRID)
         self.assert_bank_same(warp, theta, system.channel_positions().tolist(),
                               self.GRID, 1e-8)
+
+    @pytest.mark.parametrize("name", sorted(_PLAIN_BANKS))
+    def test_plain_banks_match_loop(self, name):
+        """Warps without powers give the bits they gave when the channel
+        values were taken one float at a time (as the loops do)."""
+        warp, theta, delta, grid = _PLAIN_BANKS[name]
+        system = build_system(warp, theta, delta, grid)
+        assert system.channels == _loop_channels(warp, delta, grid)
+        for atom, ch in zip(system.atoms, system.channels):
+            values, support = _loop_atom(warp, system.theta, ch.center_hz,
+                                         grid)
+            assert np.array_equal(atom.support, support)
+            assert np.array_equal(atom.values, values)
 
     @pytest.mark.parametrize("truncation", [1e-8, 0.0])
     @pytest.mark.parametrize("kind", sorted(_WINDOW_WARPS))

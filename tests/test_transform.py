@@ -9,13 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from warpft import (CapabilityError, IllConditionedError, NotPainlessError,
-                    ShapeError, WarpFTError, bump_prototype, erb_warp,
-                    gaussian_prototype, linear_warp, log_warp)
+from warpft import (CapabilityError, ConfigError, IllConditionedError,
+                    NotPainlessError, ShapeError, WarpFTError,
+                    alpha_like_warp, bump_prototype, erb_warp,
+                    gaussian_prototype, linear_warp, log_warp,
+                    power_law_warp)
 from warpft import system as system_module
 from warpft.discretization import frame_bounds, frame_bounds_painless
-from warpft.prototype import admissibility_inner_product, l2_norm
-from warpft.system import SignalGrid, build_atom, build_system
+from warpft.prototype import (PROTOTYPE_FAMILIES, admissibility_inner_product,
+                              l2_norm, prototype_from_params)
+from warpft.system import Coefficients, SignalGrid, build_atom, build_system
+from warpft.warping import WARP_FAMILIES
 from warpft.transform import (UNFOLD_ROWS, _fold, _unfold,
                               adjoint, analyze,
                               apply_frame_operator, coefficient_deviation,
@@ -428,6 +432,83 @@ class TestAdjoint:
         quad = np.vdot(f, sf)
         assert quad.real > 0
         assert abs(quad.imag) < 1e-10 * quad.real
+
+
+@st.composite
+def _drawn_banks(draw):
+    """A bank of any built-in warp with drawn parameters, any prototype
+    family, a channel step giving ~3-48 channels across the band, a
+    prototype width around the step, hops around the painless limit,
+    and N from 2^8 to 2^10."""
+    pos = st.floats(0.25, 4.0)
+    kind = draw(st.sampled_from(sorted(WARP_FAMILIES)), label="warp")
+    if kind == "linear":
+        warp = linear_warp(draw(pos))
+    elif kind == "log":
+        warp = log_warp()
+    elif kind == "power_law":
+        warp = power_law_warp(draw(pos), 100.0 * draw(pos),
+                              draw(st.floats(0.2, 1.0)))
+    elif kind == "erb":
+        warp = erb_warp(9.265 * draw(pos), 228.8 * draw(pos))
+    else:
+        warp = alpha_like_warp(draw(st.floats(0.2, 1.0)))
+    grid = SignalGrid(1 << draw(st.integers(8, 10), label="log2n"), 16000.0)
+    f_lo = grid.bin_hz if warp.domain == "positive_half_line" else -8000.0
+    span = warp.eval(8000.0) - warp.eval(f_lo)
+    delta = span / draw(st.floats(3.0, 48.0), label="channels")
+    proto = draw(st.sampled_from(sorted(PROTOTYPE_FAMILIES)), label="proto")
+    width = delta * 2.0 ** draw(st.floats(-2.0, 1.0), label="width_exp")
+    theta = prototype_from_params(proto, **{PROTOTYPE_FAMILIES[proto][1][0]:
+                                            width})
+    time_scale = 0.25 / delta ** 2 * 2.0 ** draw(st.integers(-3, 3))
+    return warp, theta, delta, grid, time_scale
+
+
+class TestOperatorIdentities:
+    @settings(max_examples=25, deadline=None)
+    @given(bank=_drawn_banks(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_drawn_bank_identities(self, bank, seed):
+        """A drawn bank builds or raises ConfigError (too few or too many
+        channels, an atom that vanishes on the grid).  When it builds,
+        V* is the adjoint of V to rounding, analysis equals the direct
+        sliding-window reference, a painless bank reconstructs a signal
+        on its covered bins exactly, and the frame bounds bracket the
+        Rayleigh quotient of a signal on the fully covered band."""
+        warp, theta, delta, grid, time_scale = bank
+        try:
+            sys = build_system(warp, theta, delta, grid,
+                               time_scale=time_scale)
+        except ConfigError:
+            return
+        rng = np.random.default_rng(seed)
+        n = grid.length
+        f = np.fft.ifft(_random_signal(n, rng))
+        vf = analyze(f, sys)
+        c = [_random_signal(ch.frames, rng) for ch in sys.channels]
+        lhs = sum(np.vdot(cb, ca) for ca, cb in zip(vf.data, c))
+        rhs = np.vdot(adjoint(Coefficients(c, sys.channel_positions(),
+                                           sys.hop_seconds(), n), sys), f)
+        scale = (np.linalg.norm(np.concatenate(vf.data))
+                 * np.linalg.norm(np.concatenate(c)))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+        peak = max(float(np.max(np.abs(d))) for d in vf.data)
+        assert coefficient_deviation(vf, stft_reference(f, sys)) <= 1e-10 * peak
+
+        covered, _, interior_covered = sys.covered_bins()
+        if sys.painless and interior_covered:
+            fhat = np.zeros(n, dtype=complex)
+            fhat[covered] = _random_signal(covered.size, rng)
+            assert roundtrip_residual(np.fft.ifft(fhat), sys) <= 1e-12
+
+        try:
+            a, b = frame_bounds(sys)
+        except (ConfigError, CapabilityError):  # no covered band, FIBER_CAP
+            return
+        g = _interior_signal(sys, rng)
+        q = np.vdot(g, apply_frame_operator(g, sys)).real / np.vdot(g, g).real
+        assert a - 1e-12 * b <= q <= b + 1e-12 * b
 
 
 class TestAgainstReferenceStft:

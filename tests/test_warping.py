@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpft import (
     ConfigError,
@@ -30,7 +32,7 @@ from warpft import (
     warp_from_params,
     warped_weight,
 )
-from warpft.warping import WARP_FAMILIES
+from warpft.warping import POSITIVE_HALF_LINE, WARP_FAMILIES
 
 ALL_WARPS = [
     linear_warp(1.0),
@@ -334,3 +336,81 @@ class TestConfigValidation:
         assert warp_from_params("erb", c2=100.0) == erb_warp(9.265, 100.0)
         with pytest.raises(ConfigError, match="unknown warp kind"):
             warp_from_params("custom")
+
+
+def _arcsinh_derivative(t):
+    return 1.0 / np.sqrt(1.0 + t * t)
+
+
+@st.composite
+def _warps(draw):
+    """A warp of every family with drawn parameters, and a custom warp
+    with and without its inverse and derivative."""
+    pos = st.floats(0.1, 10.0)
+    expo = st.floats(0.05, 1.0)
+    kind = draw(st.sampled_from(sorted(WARP_FAMILIES) + ["custom",
+                                                         "custom_newton"]))
+    if kind == "linear":
+        return linear_warp(draw(pos))
+    if kind == "log":
+        return log_warp()
+    if kind == "power_law":
+        return power_law_warp(draw(pos), 100.0 * draw(pos), draw(expo))
+    if kind == "erb":
+        return erb_warp(9.265 * draw(pos), 228.8 * draw(pos))
+    if kind == "alpha_like":
+        return alpha_like_warp(draw(expo))
+    if kind == "custom":
+        return custom_warp(np.arcsinh, fn_inverse=np.sinh,
+                           fn_derivative=_arcsinh_derivative)
+    return custom_warp(np.arcsinh)
+
+
+class TestFloatEqualsArrayEntry:
+    """A warp gives a float exactly the value it gives the same number
+    inside an array, so channel values can be evaluated on arrays."""
+
+    @staticmethod
+    def assert_same(fn, values):
+        arr = fn(np.array(values))
+        for v, a in zip(values, arr.tolist()):
+            got = fn(v)
+            assert isinstance(got, float)
+            assert got == a, (v, got, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(warp=_warps(), data=st.data())
+    def test_every_method_and_weight_order(self, warp, data):
+        half = warp.domain == POSITIVE_HALF_LINE
+        t = data.draw(st.lists(st.floats(1e-6, 1e6) if half
+                               else st.floats(-1e6, 1e6),
+                               min_size=1, max_size=20), label="t")
+        self.assert_same(warp.eval, t)
+        self.assert_same(warp.derivative, t)
+        s = warp.eval(np.array(t)).tolist()
+        self.assert_same(warp.inverse, s)
+        for order in (0, 1, 2):
+            self.assert_same(lambda x: warp.weight(x, order), s)
+
+    @pytest.mark.parametrize("warp", [
+        power_law_warp(2.0, 300.0, 0.3), power_law_warp(1.0, 100.0, 0.5),
+        alpha_like_warp(0.7), alpha_like_warp(0.35), erb_warp(), log_warp(),
+        linear_warp(1.7)], ids=repr)
+    def test_sweep(self, warp):
+        # ~5% of such values differed in the last bit under scalar ``**``
+        rng = np.random.default_rng(7)
+        t = (np.exp(rng.uniform(-5.0, 9.0, 1000))
+             if warp.domain == POSITIVE_HALF_LINE
+             else rng.uniform(-8000.0, 8000.0, 1000)).tolist()
+        self.assert_same(warp.eval, t)
+        self.assert_same(warp.derivative, t)
+        s = warp.eval(np.array(t)).tolist()
+        self.assert_same(warp.inverse, s)
+        for order in (0, 1, 2):
+            self.assert_same(lambda x: warp.weight(x, order), s)
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(0.0, 8.0),
+           x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
+    def test_polynomial_weight(self, p, x):
+        self.assert_same(polynomial_weight(p), x)
