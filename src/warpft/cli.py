@@ -91,14 +91,14 @@ def _cmd_analyze(args) -> int:
 def _cmd_synthesize(args) -> int:
     system = read_descriptor(args.system)
     coeffs = read_coefficients(args.coeffs, system)
+    ref = read_signal(args.verify) if args.verify else None
     with np.errstate(all="ignore"):  # finite coefficients can overflow
         rec = synthesize(coeffs, system, iterative=args.iterative)
     if not np.all(np.isfinite(rec)):
         raise FormatError(f"{args.coeffs}: coefficients too large: the "
                           "reconstruction is not finite")
     write_signal(args.out, rec)
-    if args.verify:
-        ref = read_signal(args.verify)
+    if ref is not None:
         if ref.size != rec.size:
             raise ShapeError(f"reference has {ref.size} samples, "
                              f"reconstruction has {rec.size}")

@@ -173,7 +173,11 @@ def read_signal(path) -> np.ndarray:
     if raw.size % 16:
         raise FormatError(f"signal file {path} is not a whole number of "
                           "f64 re/im pairs")
-    return raw.view("<c16").astype(np.complex128)
+    signal = raw.view("<c16").astype(np.complex128)
+    bad = np.flatnonzero(~np.isfinite(signal))
+    if bad.size:
+        raise FormatError(f"signal file {path}: sample {bad[0]} is not finite")
+    return signal
 
 
 # -- WTC1 coefficient containers ------------------------------------------

@@ -18,6 +18,9 @@ sampled as one array expression over (channel, bin) pairs, evaluated in
 batches of the channels' windows laid end to end.  The channels' band
 edges, centres, ``F(x_l)`` and ``F'(x_l)`` are evaluated on arrays too.
 
+The atoms are sampled end to end, in frame-group order, into one
+store that the transform reads in chunks (:meth:`WarpedSystem.bank_layout`).
+
 Half-line warps analyze the analytic part only: non-positive bins are
 zeroed and reconstructions live on positive frequencies.
 """
@@ -41,6 +44,10 @@ DIAG_FLOOR = 1e-12
 
 #: the largest frame-operator fiber decomposed; a larger one is refused
 FIBER_CAP = 1024
+
+#: channels per chunk of the bank layout; the transform's fold and
+#: unfold work a chunk at a time, which bounds their scratch
+CHUNK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,15 @@ def build_atom(warp: WarpingFunction, theta: Prototype, x: float,
 
 def _sample_atoms(warp: WarpingFunction, theta: Prototype, xs,
                   grid: SignalGrid, truncation: float) -> List[Atom]:
-    """The atoms centred at the frequencies ``xs``, sampled in one pass.
+    """The atoms centred at the frequencies ``xs`` (see :func:`_sample_bank`)."""
+    return _sample_bank(warp, theta, xs, grid, truncation)[0]
+
+
+def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
+                 grid: SignalGrid, truncation: float
+                 ) -> Tuple[List[Atom], np.ndarray, np.ndarray]:
+    """The atoms centred at ``xs``, sampled in one pass, and the values
+    and supports they view, end to end in the order of ``xs``.
 
     Only each atom's window is sampled: the active bins between
     ``F^{-1}(F(x) + c - R)`` and ``F^{-1}(F(x) + c + R)``, where ``c`` is
@@ -198,9 +213,9 @@ def _sample_atoms(warp: WarpingFunction, theta: Prototype, xs,
 
     ``F(x)``, ``F'(x)`` and the peak frequencies are evaluated on the
     array ``xs``, and ``F`` and ``theta`` on batches of whole windows,
-    laid end to end, of about ``SAMPLE_CHUNK`` entries; the atoms hold
-    views of their batch.  The first centre in ``xs`` whose atom
-    vanishes is named.
+    laid end to end, of about ``SAMPLE_CHUNK`` entries.  The kept
+    entries go end to end into one store per round, sized by its
+    windows.  The first centre in ``xs`` whose atom vanishes is named.
     """
     x = np.array(xs, dtype=float)
     fx = warp.eval(x)
@@ -222,6 +237,7 @@ def _sample_atoms(warp: WarpingFunction, theta: Prototype, xs,
         truncation if 0 < truncation < 1 else np.finfo(float).tiny))
     atoms: List[Optional[Atom]] = [None] * len(xs)
     todo = np.arange(len(xs))
+    rounds = 0
     while todo.size:
         k_lo, k_hi = np.full(todo.size, k_min), np.full(todo.size, k_max)
         if math.isfinite(radius):
@@ -235,6 +251,9 @@ def _sample_atoms(warp: WarpingFunction, theta: Prototype, xs,
         block = (np.cumsum(sizes) - sizes) // SAMPLE_CHUNK
         cuts = np.flatnonzero(np.diff(block, prepend=-1))
         redo = []
+        store_v = np.empty(int(sizes.sum()))
+        store_s = np.empty(store_v.size, dtype=np.int64)
+        used = 0
         for a, b in zip(cuts.tolist(), cuts[1:].tolist() + [todo.size]):
             ids, lo, hi, size = todo[a:b], k_lo[a:b], k_hi[a:b], sizes[a:b]
             starts = np.cumsum(size) - size
@@ -253,8 +272,11 @@ def _sample_atoms(warp: WarpingFunction, theta: Prototype, xs,
             redo.append(ids[~done])
             keep = (vals != 0.0) & np.repeat(done, size)
             ends_kept = np.cumsum(np.add.reduceat(keep, starts, dtype=np.intp))
-            k, vals = k[keep], vals[keep]
-            support = k % grid.length
+            k = k[keep]
+            vals = np.compress(keep, vals, out=store_v[used:used + k.size])
+            support = np.remainder(k, grid.length,
+                                   out=store_s[used:used + k.size])
+            used += k.size
             for j in np.flatnonzero(done).tolist():
                 seg = slice(ends_kept[j - 1] if j else 0, ends_kept[j])
                 wrap = (np.count_nonzero(k[seg] < 0)
@@ -265,7 +287,22 @@ def _sample_atoms(warp: WarpingFunction, theta: Prototype, xs,
                 atoms[ids[j]] = Atom(vals[seg], support[seg], float(x[ids[j]]))
         todo = np.concatenate(redo)
         radius *= 2.0
-    return atoms
+        rounds += 1
+    if rounds > 1:  # atoms sampled again lie in later stores: lay out anew
+        ends = np.cumsum([a.support_bins for a in atoms]).tolist()
+        used = ends[-1]
+        store_v = np.concatenate([a.values for a in atoms])
+        store_s = np.concatenate([a.support for a in atoms])
+        atoms = [Atom(store_v[i:j], store_s[i:j], a.center_hz)
+                 for a, i, j in zip(atoms, [0] + ends, ends)]
+    return atoms, store_v[:used], store_s[:used]
+
+
+def _frame_groups(channels: List[Channel]) -> List[Tuple[int, int, List[int]]]:
+    groups = {}
+    for l, ch in enumerate(channels):
+        groups.setdefault((ch.frames, ch.hop_samples), []).append(l)
+    return [(m, hop, ls) for (m, hop), ls in groups.items()]
 
 
 @dataclass(frozen=True)
@@ -293,8 +330,7 @@ def painless_check(system: "WarpedSystem") -> PainlessReport:
                 % np.repeat(frames, sizes) + np.repeat(offsets, sizes))
     alias = np.maximum.reduceat(
         np.bincount(residues, minlength=int(frames.sum())), offsets) <= 1
-    bad = tuple(i for i in range(len(system.channels))
-                if sup[i] > lim[i] or not alias[i])
+    bad = tuple(np.flatnonzero((sup > lim) | ~alias).tolist())
     return PainlessReport(len(bad) == 0, sup, lim, alias, bad)
 
 
@@ -302,11 +338,13 @@ class WarpedSystem:
     """A fully built warped filterbank on a signal grid.
 
     Use :func:`build_system`; the constructor only wires the parts
-    together and derives the diagonal frame profile.
+    together.  ``bank`` is the atoms' values and supports laid end to
+    end in the order of :meth:`frame_groups`, which the atoms view.
     """
 
     def __init__(self, warp: WarpingFunction, theta: Prototype, delta: float,
                  grid: SignalGrid, channels: List[Channel], atoms: List[Atom],
+                 bank: Tuple[np.ndarray, np.ndarray],
                  time_scale: float = 1.0, truncation: float = 1e-8,
                  normalize: bool = True):
         self.warp = warp
@@ -315,12 +353,14 @@ class WarpedSystem:
         self.grid = grid
         self.channels = channels
         self.atoms = atoms
+        self._bank = bank
         self.time_scale = time_scale
         self.truncation = truncation
         self.normalize = normalize
         self._painless: Optional[PainlessReport] = None
         self._diag: Optional[np.ndarray] = None
         self._groups: Optional[List[Tuple[int, int, List[int]]]] = None
+        self._layout: Optional[Tuple[list, List[int]]] = None
         self._interior: Optional[np.ndarray] = None
         self._covered: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
         self._interior_fibers: Optional[Tuple[np.ndarray, list]] = None
@@ -363,11 +403,37 @@ class WarpedSystem:
         one per channel.
         """
         if self._groups is None:
-            groups = {}
-            for l, ch in enumerate(self.channels):
-                groups.setdefault((ch.frames, ch.hop_samples), []).append(l)
-            self._groups = [(m, hop, ls) for (m, hop), ls in groups.items()]
+            self._groups = _frame_groups(self.channels)
         return self._groups
+
+    def bank_layout(self) -> Tuple[list, List[int]]:
+        """``(groups, position)``, built once: ``(frames, hop, channel
+        indices, chunks)`` per group of :meth:`frame_groups`, and each
+        channel's row among the groups' rows.  A chunk of at most
+        :data:`CHUNK_ROWS` channels is ``(rows, support, values, slot)``:
+        their rows in the group, their entries (views of the bank), and
+        each entry's ``row * frames + (bin mod frames)`` in those rows."""
+        if self._layout is None:
+            groups = self.frame_groups()
+            values, support = self._bank
+            order = [l for _, _, ls in groups for l in ls]
+            sizes = np.array([self.atoms[l].support.size for l in order])
+            frames = np.repeat([m for m, _, _ in groups],
+                               [len(ls) for _, _, ls in groups])
+            row = np.concatenate([np.arange(len(ls)) % CHUNK_ROWS
+                                  for _, _, ls in groups])
+            # frames is a power of two: the mask is the residue mod frames
+            slot = np.repeat(frames - 1, sizes)
+            slot &= support
+            slot += np.repeat(row * frames, sizes)
+            cuts = (np.cumsum(sizes) - sizes)[row == 0].tolist() + [slot.size]
+            chunks = iter([(support[a:b], values[a:b], slot[a:b])
+                           for a, b in zip(cuts, cuts[1:])])
+            self._layout = ([(m, hop, ls, [
+                (slice(r, r + CHUNK_ROWS), *next(chunks))
+                for r in range(0, len(ls), CHUNK_ROWS)]) for m, hop, ls in groups],
+                sorted(range(len(order)), key=order.__getitem__))
+        return self._layout
 
     def _aliased_entries(self) -> Tuple[np.ndarray, ...]:
         """``(bin, value, hop, class)`` of the support entries of channels
@@ -526,10 +592,13 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
             raise ConfigError(
                 f"prototype cannot be normalized: {exc}") from None
     channels = design_channels(warp, delta, grid, time_scale)
-    atoms = _sample_atoms(warp, theta, [ch.center_hz for ch in channels],
-                          grid, truncation)
+    # sampled in frame-group order, so the bank is laid out for the transform
+    order = [l for _, _, ls in _frame_groups(channels) for l in ls]
+    atoms, values, support = _sample_bank(
+        warp, theta, [channels[l].center_hz for l in order], grid, truncation)
+    atoms = [atoms[i] for i in sorted(range(len(order)), key=order.__getitem__)]
     return WarpedSystem(warp, theta, delta, grid, channels, atoms,
-                        time_scale, truncation, normalize)
+                        (values, support), time_scale, truncation, normalize)
 
 
 class Coefficients:

@@ -14,10 +14,11 @@ adjoint and the frame operator are built on this pair.
 
 Hops are powers of two, so the channels fall into a few groups that
 share one frame count (six for the 132-channel ERB bank at N = 2^16;
-see :meth:`WarpedSystem.frame_groups`).  :func:`_fold` folds a group's
-channels into the rows of one block and runs one in-place FFT per
-group; :func:`_unfold` runs one in-place FFT per :data:`UNFOLD_ROWS`
-channels of a group.
+see :meth:`WarpedSystem.frame_groups`).  Both maps work on chunks of at
+most :data:`CHUNK_ROWS` channels of a group, read from the system's flat
+bank layout: a gather, an in-place multiply and one ``np.add.at`` per
+chunk.  :func:`_fold` runs one in-place FFT per group and
+:func:`_unfold` one per chunk.
 
 With unit-norm prototypes these coefficients approximate the continuous
 inner products ``<f, g_{x_l, k n_l / fs}>`` directly, no extra scaling.
@@ -39,18 +40,15 @@ import numpy as np
 
 from .errors import IllConditionedError, NotPainlessError, ShapeError
 from .prototype import admissibility_inner_product
-from .system import Coefficients, WarpedSystem
-
-#: channels of one frame-count group stacked into one FFT by the
-#: adjoint; bounds its scratch block at this many rows
-UNFOLD_ROWS = 8
+from .system import CHUNK_ROWS, Coefficients, WarpedSystem
 
 
 def _as_signal(f, n: int) -> np.ndarray:
+    """``f`` as a complex array, copied only when it is not one."""
     arr = np.asarray(f)
     if arr.ndim != 1 or arr.size != n:
         raise ShapeError(f"signal must be 1-d of length {n}, got shape {arr.shape}")
-    return arr.astype(complex)
+    return np.asarray(arr, dtype=complex)
 
 
 def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
@@ -60,42 +58,47 @@ def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
     residues of the frame lattice and inverted with an ``M_l``-point
     FFT; that equals ``ifft_N(fhat * g_l)[::n_l]`` for any hop dividing
     N, painless or not.  The channels of a frame-count group fill the
-    rows of one block, which is inverted in place by one FFT; its rows
-    are the coefficients.
+    rows of one block of a single coefficient store: per chunk of the
+    layout, the products are added onto their slots in index order,
+    which sums each coefficient in its atom's support order.  One FFT
+    per group inverts the block in place; its rows are the coefficients.
     """
-    data: List[np.ndarray] = [None] * len(system.channels)
-    for frames, hop, members in system.frame_groups():
-        blk = np.empty((len(members), frames), dtype=complex)
-        for row, l in zip(blk, members):
-            atom = system.atoms[l]
-            prod = fhat[atom.support] * atom.values
-            # frames is a power of two: the mask is the residue mod frames
-            residue = atom.support & (frames - 1)
-            row.real = np.bincount(residue, prod.real, frames)
-            row.imag = np.bincount(residue, prod.imag, frames)
-            data[l] = row
+    groups, position = system.bank_layout()
+    # the coefficients, group block after group block, in one allocation
+    store = np.zeros(sum(len(ls) * m for m, _, ls, _ in groups), dtype=complex)
+    rows: List[np.ndarray] = []
+    start = 0
+    for frames, hop, members, chunks in groups:
+        blk = store[start:start + len(members) * frames].reshape(-1, frames)
+        start += blk.size
+        for part, support, values, slot in chunks:
+            prod = fhat[support]
+            prod *= values
+            np.add.at(blk[part].ravel(), slot, prod)
         np.fft.ifft(blk, axis=1, out=blk)
         # hop is a power of two, so this scaling equals dividing by it
         blk *= 1.0 / hop
-    return data
+        rows.extend(blk)
+    return list(map(rows.__getitem__, position))
 
 
 def _unfold(data: List[np.ndarray], system: WarpedSystem) -> np.ndarray:
     """Synthesis in the DFT domain: the spectrum of ``V* c``.
 
-    Up to :data:`UNFOLD_ROWS` channels of a frame-count group share one
-    in-place FFT; each row is then spread onto its atom's support.
+    The rows of a chunk of the layout share one in-place FFT; the
+    spread rows are gathered at their slots, weighted and added onto
+    their atoms' supports, so each bin sums its channels group by group
+    and in channel order within a group.
     """
     out = np.zeros(system.grid.length, dtype=complex)
-    for frames, _, members in system.frame_groups():
-        for start in range(0, len(members), UNFOLD_ROWS):
-            chunk = members[start:start + UNFOLD_ROWS]
-            blk = np.array([data[l] for l in chunk], dtype=complex)
+    for _, _, members, chunks in system.bank_layout()[0]:
+        for part, support, values, slot in chunks:
+            blk = np.array(list(map(data.__getitem__, members[part])),
+                           dtype=complex)
             np.fft.fft(blk, axis=1, out=blk)
-            for spread, l in zip(blk, chunk):  # index by j mod M_l
-                atom = system.atoms[l]
-                out[atom.support] += (spread[atom.support & (frames - 1)]
-                                      * atom.values)
+            spread = blk.ravel()[slot]
+            spread *= values
+            np.add.at(out, support, spread)
     return out
 
 
@@ -140,11 +143,14 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
             "frame profile nearly vanishes inside the covered band")
     _check_layout(coeffs, system)
     num = _unfold(coeffs.data, system)
-    fhat = np.zeros_like(num)
-    fhat[covered] = num[covered] / profile
-    for bins, inverses in system.fiber_inverses():
-        fhat[bins] = (inverses @ num[bins][..., None])[..., 0]
-    return np.fft.ifft(fhat)
+    # solved from num before num is reused for the spectrum and the output
+    parts = [(covered, num[covered] / profile)] + [
+        (bins, (inverses @ num[bins][..., None])[..., 0])
+        for bins, inverses in system.fiber_inverses()]
+    num.fill(0)
+    for bins, x in parts:
+        num[bins] = x
+    return np.fft.ifft(num, out=num)
 
 
 def roundtrip_residual(f, system: WarpedSystem, iterative: bool = False) -> float:

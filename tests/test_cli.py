@@ -341,6 +341,37 @@ class TestAnalyzeSynthesize:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("value,index", [(np.inf, 5), (np.nan, 7)])
+    @pytest.mark.parametrize("cmd", ["analyze", "synthesize"])
+    def test_non_finite_sample_exits_4(self, erb_paths, tmp_path, capsys,
+                                       cmd, value, index):
+        """A signal holding one inf or nan sample, as ``analyze``'s input
+        or as ``synthesize --verify``'s reference, exits 4 with one line
+        naming the sample, and no numpy warning."""
+        _, desc = erb_paths
+        good, bad = tmp_path / "good.f64", tmp_path / "bad.f64"
+        signal = _bandlimited_signal(desc)
+        write_signal(good, signal)
+        signal[index] = value
+        write_signal(bad, signal)
+        coeffs = tmp_path / "c.wtc"
+        argv = {"analyze": ["analyze", "--system", str(desc), "--signal",
+                            str(bad), "--out", str(coeffs)],
+                "synthesize": ["synthesize", "--system", str(desc),
+                               "--coeffs", str(coeffs), "--out",
+                               str(tmp_path / "rec.f64"), "--verify",
+                               str(bad)]}[cmd]
+        assert main(["analyze", "--system", str(desc), "--signal", str(good),
+                     "--out", str(coeffs)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: signal file {bad}: sample {index} is not finite"]
+
     def test_non_painless_exits_5(self, tmp_path):
         cfg = tmp_path / "hard.cfg"
         cfg.write_text(ERB_CFG.replace("prototype.radius = 0.9",

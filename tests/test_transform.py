@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from warpft import (CapabilityError, ConfigError, IllConditionedError,
                     NotPainlessError, ShapeError, WarpFTError,
-                    alpha_like_warp, bump_prototype, erb_warp,
+                    alpha_like_warp, bump_prototype, custom_warp, erb_warp,
                     gaussian_prototype, linear_warp, log_warp,
                     power_law_warp)
 from warpft import system as system_module
@@ -20,7 +20,7 @@ from warpft.prototype import (PROTOTYPE_FAMILIES, admissibility_inner_product,
                               l2_norm, prototype_from_params)
 from warpft.system import Coefficients, SignalGrid, build_atom, build_system
 from warpft.warping import WARP_FAMILIES
-from warpft.transform import (UNFOLD_ROWS, _fold, _unfold,
+from warpft.transform import (CHUNK_ROWS, _fold, _unfold,
                               adjoint, analyze,
                               apply_frame_operator, coefficient_deviation,
                               moyal_residual, roundtrip_residual,
@@ -329,7 +329,7 @@ def _per_channel_unfold(data, system):
 
 
 GROUPED_SYSTEMS = dict(SYSTEMS)
-# one frame count shared by every channel (and more than UNFOLD_ROWS of them)
+# one frame count shared by every channel (and more than CHUNK_ROWS of them)
 GROUPED_SYSTEMS["one-group"] = _linear_system
 # a log bank one octave per channel: no two channels share a frame count
 GROUPED_SYSTEMS["no-shared-group"] = lambda: build_system(
@@ -340,7 +340,7 @@ class TestGroupedCore:
     def test_group_shapes(self):
         one = GROUPED_SYSTEMS["one-group"]()
         assert len(one.frame_groups()) == 1
-        assert len(one.channels) > UNFOLD_ROWS
+        assert len(one.channels) > CHUNK_ROWS
         lone = GROUPED_SYSTEMS["no-shared-group"]()
         assert all(len(ls) == 1 for _, _, ls in lone.frame_groups())
         assert len(lone.frame_groups()) == len(lone.channels) > 2
@@ -383,6 +383,194 @@ class TestGroupedCore:
         ref_t = np.fft.ifft(_per_channel_unfold(coeffs.data, sys))
         got_t = adjoint(coeffs, sys)
         assert np.abs(got_t - ref_t).max() <= 1e-14 * np.abs(ref_t).max()
+
+
+# -- the grouped core as it ran before the flat bank layout: one bincount
+# fold per channel into its group's block, and one spread per channel
+
+
+def _grouped_fold(fhat, system):
+    data = [None] * len(system.channels)
+    for frames, hop, members in system.frame_groups():
+        blk = np.empty((len(members), frames), dtype=complex)
+        for row, l in zip(blk, members):
+            atom = system.atoms[l]
+            prod = fhat[atom.support] * atom.values
+            residue = atom.support & (frames - 1)
+            row.real = np.bincount(residue, prod.real, frames)
+            row.imag = np.bincount(residue, prod.imag, frames)
+            data[l] = row
+        np.fft.ifft(blk, axis=1, out=blk)
+        blk *= 1.0 / hop
+    return data
+
+
+def _grouped_unfold(data, system):
+    out = np.zeros(system.grid.length, dtype=complex)
+    for frames, _, members in system.frame_groups():
+        for start in range(0, len(members), 8):
+            chunk = members[start:start + 8]
+            blk = np.array([data[l] for l in chunk], dtype=complex)
+            np.fft.fft(blk, axis=1, out=blk)
+            for spread, l in zip(blk, chunk):
+                atom = system.atoms[l]
+                out[atom.support] += (spread[atom.support & (frames - 1)]
+                                      * atom.values)
+    return out
+
+
+def _grouped_synthesize(coeffs, system):
+    covered, profile, interior_covered = system.covered_bins()
+    if not interior_covered:
+        raise IllConditionedError("no covered interior")
+    num = _grouped_unfold(coeffs.data, system)
+    fhat = np.zeros_like(num)
+    fhat[covered] = num[covered] / profile
+    for bins, inverses in system.fiber_inverses():
+        fhat[bins] = (inverses @ num[bins][..., None])[..., 0]
+    return np.fft.ifft(fhat)
+
+
+def _assert_bits(got, ref):
+    """Equal values and equal bits (which also tells -0.0 from 0.0)."""
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _resampled_gaussian_system():
+    """An identity warp whose gaussian atoms partly keep a guard bin in
+    the first sampling round, so the bank samples them again with the
+    radius doubled (counted through the inverse's calls)."""
+    calls = []
+
+    def inverse(s):
+        calls.append(np.size(s))
+        return np.asarray(s, dtype=float)
+
+    warp = custom_warp(lambda t: t, fn_inverse=inverse,
+                       fn_derivative=np.ones_like)
+    sys = build_system(warp, gaussian_prototype(0.05), 1.25,
+                       SignalGrid(256, 256.0))
+    assert 0 < calls[-1] == calls[-2] < calls[-3] == len(sys.channels)
+    return sys
+
+
+def _interleaved_system(time_scale):
+    """A warp whose slope swings between 0.2 and 1.8: the channel
+    bandwidths rise and fall, so the frame-count groups interleave."""
+    p = 40.0
+    warp = custom_warp(lambda t: t + 0.8 * p * np.sin(t / p),
+                       fn_derivative=lambda t: 1.0 + 0.8 * np.cos(t / p))
+    sys = build_system(warp, bump_prototype(10.8), 12.0,
+                       SignalGrid(1024, 1024.0), time_scale=time_scale)
+    assert any(ls != list(range(ls[0], ls[-1] + 1))
+               for _, _, ls in sys.frame_groups())
+    return sys
+
+
+ORACLE_SYSTEMS = dict(SYSTEMS)
+ORACLE_SYSTEMS["erb-stream"] = lambda: build_system(
+    erb_warp(9.265, 228.8), bump_prototype(0.9), 0.5,
+    SignalGrid(1 << 16, 16000.0))
+ORACLE_SYSTEMS["erb-r2-16384"] = lambda: build_system(
+    erb_warp(9.265, 228.8), bump_prototype(2.0), 0.5,
+    SignalGrid(1 << 14, 16000.0))
+ORACLE_SYSTEMS["resampled-gaussian"] = _resampled_gaussian_system
+ORACLE_SYSTEMS["interleaved"] = lambda: _interleaved_system(1.0 / 1024)
+ORACLE_SYSTEMS["interleaved-fibers"] = lambda: _interleaved_system(1.0 / 256)
+
+
+class TestFlatLayoutOracle:
+    """The chunked core on the flat bank layout gives the grouped core's
+    bits: coefficients, the adjoint, the frame operator and synthesis,
+    painless or solved on fibers."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_bitwise_equal_to_grouped_core(self, name):
+        sys = ORACLE_SYSTEMS[name]()
+        n = sys.grid.length
+        rng = np.random.default_rng(37)
+        f = _random_signal(n, rng)
+        fhat = np.fft.fft(f)
+        coeffs = analyze(f, sys)
+        ref = _grouped_fold(fhat, sys)
+        for got, want in zip(coeffs.data, ref, strict=True):
+            _assert_bits(got, want)
+        c = Coefficients([_random_signal(ch.frames, rng)
+                          for ch in sys.channels], sys.channel_positions(),
+                         sys.hop_seconds(), n)
+        _assert_bits(adjoint(c, sys), np.fft.ifft(_grouped_unfold(c.data, sys)))
+        _assert_bits(apply_frame_operator(f, sys),
+                     np.fft.ifft(_grouped_unfold(ref, sys)))
+        try:
+            want = _grouped_synthesize(coeffs, sys)
+        except WarpFTError as exc:
+            with pytest.raises(type(exc)):
+                synthesize(coeffs, sys, iterative=True)
+            return
+        _assert_bits(synthesize(coeffs, sys, iterative=True), want)
+
+    def test_layout_views_the_bank(self):
+        """Each chunk's entries are its channels' atoms end to end, as
+        views of the one stored bank, and each slot is the entry's row
+        within the chunk times the frame count plus its residue."""
+        sys = ORACLE_SYSTEMS["interleaved"]()
+        groups, position = sys.bank_layout()
+        assert sys.bank_layout()[0] is groups
+        rows = []
+        for frames, _, members, chunks in groups:
+            assert [c[0].start for c in chunks] == list(
+                range(0, len(members), CHUNK_ROWS))
+            for part, support, values, slot in chunks:
+                atoms = [sys.atoms[l] for l in members[part]]
+                assert 0 < len(atoms) <= CHUNK_ROWS
+                assert np.array_equal(support, np.concatenate(
+                    [a.support for a in atoms]))
+                assert np.array_equal(values, np.concatenate(
+                    [a.values for a in atoms]))
+                row = np.repeat(np.arange(len(atoms)),
+                                [a.support_bins for a in atoms])
+                assert np.array_equal(slot, row * frames + support % frames)
+                for a in atoms:
+                    assert np.shares_memory(a.values, values)
+                    assert np.shares_memory(a.support, support)
+            rows += members
+        assert [rows[p] for p in position] == list(
+            range(len(sys.channels)))
+
+
+class TestAllocation:
+    """The round trip copies no input and returns fresh memory."""
+
+    def test_analyze_leaves_input_unchanged(self):
+        sys = _erb_system()
+        f = _random_signal(sys.grid.length, np.random.default_rng(41))
+        before = f.copy()
+        analyze(f, sys)
+        apply_frame_operator(f, sys)
+        _assert_bits(f, before)
+
+    @pytest.mark.parametrize("name", ["erb", "erb-not-painless"])
+    def test_synthesize_returns_fresh_memory(self, name):
+        sys = SYSTEMS[name]()
+        coeffs = analyze(_interior_signal(sys), sys)
+        kept = [c.copy() for c in coeffs.data]
+        first = synthesize(coeffs, sys, iterative=True)
+        cached = [*sys.covered_bins()[:2], sys.frame_diag(),
+                  sys.interior_bins(), *(a.values for a in sys.atoms)]
+        for _, _, _, chunks in sys.bank_layout()[0]:
+            for chunk in chunks:
+                cached += chunk[1:]
+        for bins, inverses in sys.fiber_inverses():
+            cached += [bins, inverses]
+        for arr in coeffs.data + cached:
+            assert not np.shares_memory(first, arr)
+        second = synthesize(coeffs, sys, iterative=True)
+        _assert_bits(second, first)
+        assert not np.shares_memory(first, second)
+        for got, want in zip(coeffs.data, kept):
+            _assert_bits(got, want)
 
 
 class TestCoveredBins:
@@ -439,7 +627,7 @@ def _drawn_banks(draw):
     """A bank of any built-in warp with drawn parameters, any prototype
     family, a channel step giving ~3-48 channels across the band, a
     prototype width around the step, hops around the painless limit,
-    and N from 2^8 to 2^10."""
+    and N from 2^8 to 2^12."""
     pos = st.floats(0.25, 4.0)
     kind = draw(st.sampled_from(sorted(WARP_FAMILIES)), label="warp")
     if kind == "linear":
@@ -453,7 +641,7 @@ def _drawn_banks(draw):
         warp = erb_warp(9.265 * draw(pos), 228.8 * draw(pos))
     else:
         warp = alpha_like_warp(draw(st.floats(0.2, 1.0)))
-    grid = SignalGrid(1 << draw(st.integers(8, 10), label="log2n"), 16000.0)
+    grid = SignalGrid(1 << draw(st.integers(8, 12), label="log2n"), 16000.0)
     f_lo = grid.bin_hz if warp.domain == "positive_half_line" else -8000.0
     span = warp.eval(8000.0) - warp.eval(f_lo)
     delta = span / draw(st.floats(3.0, 48.0), label="channels")
@@ -472,9 +660,11 @@ class TestOperatorIdentities:
         """A drawn bank builds or raises ConfigError (too few or too many
         channels, an atom that vanishes on the grid).  When it builds,
         V* is the adjoint of V to rounding, analysis equals the direct
-        sliding-window reference, a painless bank reconstructs a signal
-        on its covered bins exactly, and the frame bounds bracket the
-        Rayleigh quotient of a signal on the fully covered band."""
+        sliding-window reference (up to N = 2^10; it takes O(N^2) per
+        channel), ``_fold`` and ``_unfold`` give the grouped core's bits,
+        a painless bank reconstructs a signal on its covered bins
+        exactly, and the frame bounds bracket the Rayleigh quotient of a
+        signal on the fully covered band."""
         warp, theta, delta, grid, time_scale = bank
         try:
             sys = build_system(warp, theta, delta, grid,
@@ -493,8 +683,16 @@ class TestOperatorIdentities:
                  * np.linalg.norm(np.concatenate(c)))
         assert abs(lhs - rhs) <= 1e-12 * scale
 
-        peak = max(float(np.max(np.abs(d))) for d in vf.data)
-        assert coefficient_deviation(vf, stft_reference(f, sys)) <= 1e-10 * peak
+        if n <= 1 << 10:
+            peak = max(float(np.max(np.abs(d))) for d in vf.data)
+            dev = coefficient_deviation(vf, stft_reference(f, sys))
+            assert dev <= 1e-10 * peak
+
+        fhat = np.fft.fft(f)
+        for got, want in zip(_fold(fhat, sys), _grouped_fold(fhat, sys),
+                             strict=True):
+            _assert_bits(got, want)
+        _assert_bits(_unfold(c, sys), _grouped_unfold(c, sys))
 
         covered, _, interior_covered = sys.covered_bins()
         if sys.painless and interior_covered:
