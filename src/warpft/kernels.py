@@ -123,10 +123,8 @@ def gramian(warp: WarpingFunction, theta: Prototype, x: float, xi: float,
 
 
 def _gramian_batch(warp: WarpingFunction, theta: Prototype, x: float,
-                   xi: float, ys: np.ndarray, omegas: np.ndarray,
-                   norm2: float) -> np.ndarray:
-    """Gramian row K(x,xi; ys,omegas) on a shared oversampled u-grid;
-    ``norm2`` is ``l2_norm(theta) ** 2``."""
+                   xi: float, ys: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Gramian row K(x,xi; ys,omegas) on a shared oversampled u-grid."""
     _require_eligible(warp)
     r = _radius(theta)
     fx = float(warp.eval(float(x)))
@@ -142,6 +140,7 @@ def _gramian_batch(warp: WarpingFunction, theta: Prototype, x: float,
     u = lo + (np.arange(n_u) + 0.5) * du
     base = theta.eval(u - fx)
     finv = np.asarray(warp.inverse(u), dtype=float)
+    norm2 = l2_norm(theta) ** 2
     out = np.empty(len(fys), dtype=complex)
     for i, (fy, nu) in enumerate(zip(fys, nus)):
         vals = base * theta.eval(u - fy) * np.exp(2j * np.pi * nu * finv)
@@ -389,13 +388,6 @@ def oscillation(warp: WarpingFunction, theta: Prototype, delta: float,
     ``q_resolution = 1`` samples only ``(y, omega)`` itself (and so
     returns 0 exactly).
     """
-    return _oscillation(warp, theta, delta, gamma_on, x, xi, y, omega,
-                        q_resolution, l2_norm(theta) ** 2)
-
-
-def _oscillation(warp, theta, delta, gamma_on, x, xi, y, omega,
-                 q_resolution, norm2):
-    """:func:`oscillation` with the prototype's squared norm given."""
     _require_eligible(warp)
     if q_resolution < 1:
         raise ConfigError("q_resolution must be at least 1")
@@ -413,7 +405,7 @@ def _oscillation(warp, theta, delta, gamma_on, x, xi, y, omega,
     oms = np.array([p[1] for p in pts])
     vals = _gramian_batch(warp, theta, x, xi,
                           np.concatenate(([y], ys)),
-                          np.concatenate(([omega], oms)), norm2)
+                          np.concatenate(([omega], oms)))
     base = vals[0]
     if gamma_on:
         gam = np.exp(2j * np.pi * (oms - omega) * y)
@@ -456,11 +448,10 @@ def osc_norm_estimate(warp: WarpingFunction, theta: Prototype, delta: float,
         f_lo = float(warp.inverse(xw - delta))
         tau = delta * delta / max(f_hi - f_lo, 1e-300)
         probes.append((x_hz, 0.5 * tau))
-    norm2 = l2_norm(theta) ** 2
 
     def mass(x0, xi0, y0, om0):
-        return (_oscillation(warp, theta, delta, gamma_on, x0, xi0, y0, om0,
-                             q_resolution, norm2)
+        return (oscillation(warp, theta, delta, gamma_on, x0, xi0, y0, om0,
+                            q_resolution)
                 * weight_m(spec.m1, spec.m2, x0, y0, xi0, om0))
 
     wy, wo = spec.z_half_width, spec.eta_half_width

@@ -18,6 +18,7 @@ stationary-phase machinery in :mod:`warpft.kernels`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -190,7 +191,9 @@ def weighted_l2_norm(theta: Prototype, weight=None,
     return float(np.sqrt(max(val, 0.0)))
 
 
+@lru_cache(maxsize=64)
 def l2_norm(theta: Prototype, quad: Optional[QuadratureSpec] = None) -> float:
+    """``||theta||_2``, cached per (frozen) prototype and quadrature spec."""
     return weighted_l2_norm(theta, None, quad)
 
 

@@ -18,8 +18,9 @@ sampled as one array expression over (channel, bin) pairs, evaluated in
 batches of the channels' windows laid end to end.  The channels' band
 edges, centres, ``F(x_l)`` and ``F'(x_l)`` are evaluated on arrays too.
 
-The atoms are sampled end to end, in frame-group order, into one
-store that the transform reads in chunks (:meth:`WarpedSystem.bank_layout`).
+A system stores its atoms once, as one bank in frame-group order (the
+retained values and bins, and each atom's entry count): the channels'
+atoms are views of it, and the transform reads it in chunks.
 
 Half-line warps analyze the analytic part only: non-positive bins are
 zeroed and reconstructions live on positive frequencies.
@@ -182,20 +183,16 @@ def build_atom(warp: WarpingFunction, theta: Prototype, x: float,
     vanishes on every bin raises :class:`DegenerateAtomError`.  This is
     the one-atom case of the bank sampler behind :func:`build_system`.
     """
-    return _sample_atoms(warp, theta, [x], grid, truncation)[0]
-
-
-def _sample_atoms(warp: WarpingFunction, theta: Prototype, xs,
-                  grid: SignalGrid, truncation: float) -> List[Atom]:
-    """The atoms centred at the frequencies ``xs`` (see :func:`_sample_bank`)."""
-    return _sample_bank(warp, theta, xs, grid, truncation)[0]
+    values, support, _ = _sample_bank(warp, theta, [x], grid, truncation)
+    return Atom(values, support, float(x))
 
 
 def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
                  grid: SignalGrid, truncation: float
-                 ) -> Tuple[List[Atom], np.ndarray, np.ndarray]:
-    """The atoms centred at ``xs``, sampled in one pass, and the values
-    and supports they view, end to end in the order of ``xs``.
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The atoms centred at ``xs``, sampled in one pass: ``(values,
+    support, sizes)``, their retained entries end to end in the order of
+    ``xs`` and each atom's entry count.
 
     Only each atom's window is sampled: the active bins between
     ``F^{-1}(F(x) + c - R)`` and ``F^{-1}(F(x) + c + R)``, where ``c`` is
@@ -213,9 +210,9 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
 
     ``F(x)``, ``F'(x)`` and the peak frequencies are evaluated on the
     array ``xs``, and ``F`` and ``theta`` on batches of whole windows,
-    laid end to end, of about ``SAMPLE_CHUNK`` entries.  The kept
-    entries go end to end into one store per round, sized by its
-    windows.  The first centre in ``xs`` whose atom vanishes is named.
+    laid end to end, of about ``SAMPLE_CHUNK`` entries, each round into
+    one store; atoms of later rounds are gathered back into ``xs`` order.
+    The first centre in ``xs`` whose atom vanishes is named.
     """
     x = np.array(xs, dtype=float)
     fx = warp.eval(x)
@@ -235,9 +232,8 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
     k_peak_hi = bin_of(peak_hz, np.ceil)
     radius = float(theta.support_radius(
         truncation if 0 < truncation < 1 else np.finfo(float).tiny))
-    atoms: List[Optional[Atom]] = [None] * len(xs)
     todo = np.arange(len(xs))
-    rounds = 0
+    stores = []                 # per round: (values, support, sizes, ids)
     while todo.size:
         k_lo, k_hi = np.full(todo.size, k_min), np.full(todo.size, k_max)
         if math.isfinite(radius):
@@ -250,7 +246,7 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
         sizes = k_hi - k_lo + 1
         block = (np.cumsum(sizes) - sizes) // SAMPLE_CHUNK
         cuts = np.flatnonzero(np.diff(block, prepend=-1))
-        redo = []
+        redo, done_ids, kept = [], [], []
         store_v = np.empty(int(sizes.sum()))
         store_s = np.empty(store_v.size, dtype=np.int64)
         used = 0
@@ -271,31 +267,31 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
                     & ((hi == k_max) | (vals[starts + size - 1] == 0.0)))
             redo.append(ids[~done])
             keep = (vals != 0.0) & np.repeat(done, size)
-            ends_kept = np.cumsum(np.add.reduceat(keep, starts, dtype=np.intp))
+            counts = np.add.reduceat(keep, starts, dtype=np.intp)
+            done_ids.append(ids[done])
+            kept.append(counts[done])
             k = k[keep]
             vals = np.compress(keep, vals, out=store_v[used:used + k.size])
             support = np.remainder(k, grid.length,
                                    out=store_s[used:used + k.size])
             used += k.size
-            for j in np.flatnonzero(done).tolist():
-                seg = slice(ends_kept[j - 1] if j else 0, ends_kept[j])
-                wrap = (np.count_nonzero(k[seg] < 0)
-                        if lo[j] < 0 <= hi[j] else 0)
-                if wrap:  # storage order: negative bins after the others
-                    vals[seg] = np.roll(vals[seg], -wrap)
-                    support[seg] = np.roll(support[seg], -wrap)
-                atoms[ids[j]] = Atom(vals[seg], support[seg], float(x[ids[j]]))
+            # storage order: a window across DC puts its negative bins last
+            ends_kept = np.cumsum(counts)
+            for j in np.flatnonzero(done & (lo < 0) & (0 <= hi)).tolist():
+                seg = slice(ends_kept[j] - counts[j], ends_kept[j])
+                wrap = np.count_nonzero(k[seg] < 0)
+                vals[seg] = np.roll(vals[seg], -wrap)
+                support[seg] = np.roll(support[seg], -wrap)
+        stores.append((store_v[:used], store_s[:used],
+                       np.concatenate(kept), np.concatenate(done_ids)))
         todo = np.concatenate(redo)
         radius *= 2.0
-        rounds += 1
-    if rounds > 1:  # atoms sampled again lie in later stores: lay out anew
-        ends = np.cumsum([a.support_bins for a in atoms]).tolist()
-        used = ends[-1]
-        store_v = np.concatenate([a.values for a in atoms])
-        store_s = np.concatenate([a.support for a in atoms])
-        atoms = [Atom(store_v[i:j], store_s[i:j], a.center_hz)
-                 for a, i, j in zip(atoms, [0] + ends, ends)]
-    return atoms, store_v[:used], store_s[:used]
+    if len(stores) == 1:
+        return stores[0][:3]
+    # atoms sampled again lie in later stores: gather them into xs order
+    values, support, sizes, ids = map(np.concatenate, zip(*stores))
+    take = np.argsort(np.repeat(ids, sizes), kind="stable")
+    return values[take], support[take], sizes[np.argsort(ids)]
 
 
 def _frame_groups(channels: List[Channel]) -> List[Tuple[int, int, List[int]]]:
@@ -319,15 +315,17 @@ def painless_check(system: "WarpedSystem") -> PainlessReport:
     support width in Hz must not exceed ``1/tau_l``, and the support bins
     must occupy distinct residues modulo the per-channel frame count
     (which makes the subsampled analysis alias-free)."""
-    sizes = np.array([a.support_bins for a in system.atoms])
-    sup = sizes * system.grid.bin_hz
+    _, support, sizes = system.bank
+    order = system._order       # the channel of each atom of the bank
+    sup = np.empty(len(order))
+    sup[order] = sizes * system.grid.bin_hz
     lim = np.array([1.0 / ch.tau_seconds for ch in system.channels])
     # one count per (channel, residue); channel l's residues start at
     # offsets[l], and the counts take as many entries as the coefficients
     frames = np.array([ch.frames for ch in system.channels])
     offsets = np.cumsum(frames) - frames
-    residues = (np.concatenate([a.support for a in system.atoms])
-                % np.repeat(frames, sizes) + np.repeat(offsets, sizes))
+    residues = (support % np.repeat(frames[order], sizes)
+                + np.repeat(offsets[order], sizes))
     alias = np.maximum.reduceat(
         np.bincount(residues, minlength=int(frames.sum())), offsets) <= 1
     bad = tuple(np.flatnonzero((sup > lim) | ~alias).tolist())
@@ -338,13 +336,16 @@ class WarpedSystem:
     """A fully built warped filterbank on a signal grid.
 
     Use :func:`build_system`; the constructor only wires the parts
-    together.  ``bank`` is the atoms' values and supports laid end to
-    end in the order of :meth:`frame_groups`, which the atoms view.
+    together.  ``bank`` is the one stored form of the atoms: ``(values,
+    support, sizes)``, their entries end to end in the order of
+    ``groups`` (:meth:`frame_groups`) and each atom's entry count.
+    ``atoms`` lists them in channel order, as views of the bank.
     """
 
     def __init__(self, warp: WarpingFunction, theta: Prototype, delta: float,
-                 grid: SignalGrid, channels: List[Channel], atoms: List[Atom],
-                 bank: Tuple[np.ndarray, np.ndarray],
+                 grid: SignalGrid, channels: List[Channel],
+                 groups: List[Tuple[int, int, List[int]]],
+                 bank: Tuple[np.ndarray, np.ndarray, np.ndarray],
                  time_scale: float = 1.0, truncation: float = 1e-8,
                  normalize: bool = True):
         self.warp = warp
@@ -352,19 +353,23 @@ class WarpedSystem:
         self.delta = delta
         self.grid = grid
         self.channels = channels
-        self.atoms = atoms
-        self._bank = bank
+        self.bank = bank
         self.time_scale = time_scale
         self.truncation = truncation
         self.normalize = normalize
+        self._groups = groups
+        self._order = [l for _, _, ls in groups for l in ls]
+        values, support, sizes = bank
+        ends = np.cumsum(sizes).tolist()
+        self.atoms: List[Atom] = [None] * len(channels)
+        for l, a, b in zip(self._order, [0] + ends, ends):
+            self.atoms[l] = Atom(values[a:b], support[a:b], channels[l].center_hz)
         self._painless: Optional[PainlessReport] = None
         self._diag: Optional[np.ndarray] = None
-        self._groups: Optional[List[Tuple[int, int, List[int]]]] = None
         self._layout: Optional[Tuple[list, List[int]]] = None
         self._interior: Optional[np.ndarray] = None
         self._covered: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
         self._interior_fibers: Optional[Tuple[np.ndarray, list]] = None
-        self._aliased: Optional[Tuple[np.ndarray, ...]] = None
         self._inverses: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     @property
@@ -402,8 +407,6 @@ class WarpedSystem:
         of frame counts; the transform runs one FFT per group instead of
         one per channel.
         """
-        if self._groups is None:
-            self._groups = _frame_groups(self.channels)
         return self._groups
 
     def bank_layout(self) -> Tuple[list, List[int]]:
@@ -414,10 +417,8 @@ class WarpedSystem:
         their rows in the group, their entries (views of the bank), and
         each entry's ``row * frames + (bin mod frames)`` in those rows."""
         if self._layout is None:
-            groups = self.frame_groups()
-            values, support = self._bank
-            order = [l for _, _, ls in groups for l in ls]
-            sizes = np.array([self.atoms[l].support.size for l in order])
+            groups = self._groups
+            values, support, sizes = self.bank
             frames = np.repeat([m for m, _, _ in groups],
                                [len(ls) for _, _, ls in groups])
             row = np.concatenate([np.arange(len(ls)) % CHUNK_ROWS
@@ -432,24 +433,8 @@ class WarpedSystem:
             self._layout = ([(m, hop, ls, [
                 (slice(r, r + CHUNK_ROWS), *next(chunks))
                 for r in range(0, len(ls), CHUNK_ROWS)]) for m, hop, ls in groups],
-                sorted(range(len(order)), key=order.__getitem__))
+                sorted(range(len(self._order)), key=self._order.__getitem__))
         return self._layout
-
-    def _aliased_entries(self) -> Tuple[np.ndarray, ...]:
-        """``(bin, value, hop, class)`` of the support entries of channels
-        that are not alias-free, sorted stably by class.  Computed once."""
-        if self._aliased is None:
-            ls = np.flatnonzero(~self.painless_report.alias_free).tolist()
-            sizes = [self.atoms[l].support_bins for l in ls]
-            j = np.concatenate([np.zeros(0, dtype=np.int64)]
-                               + [self.atoms[l].support for l in ls])
-            g = np.concatenate([self.atoms[l].values for l in ls] + [[]])
-            hop = np.repeat([self.channels[l].hop_samples for l in ls], sizes)
-            n = self.grid.length  # a class per channel and residue mod n / hop
-            cls = np.repeat(ls, sizes) * n + j % (n // hop)
-            order = np.argsort(cls, kind="stable")
-            self._aliased = tuple(v[order] for v in (j, g, hop, cls))
-        return self._aliased
 
     def frame_fibers(self, bins: np.ndarray
                      ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
@@ -460,11 +445,22 @@ class WarpedSystem:
         per fiber size ``k > 1``, the fibers' bins ``(F, k)`` and blocks
         ``(F, k, k)``.  A fiber above :data:`FIBER_CAP` bins raises
         :class:`CapabilityError`."""
+        # only a channel that is not alias-free couples two bins
+        ls = np.flatnonzero(~self.painless_report.alias_free).tolist()
+        if not ls:
+            return bins, []
         n = self.grid.length
         inside = np.zeros(n, dtype=bool)
         inside[bins] = True
-        j, g, hop, cls = self._aliased_entries()
-        j, g, hop, cls = (v[inside[j]] for v in (j, g, hop, cls))
+        sizes = [self.atoms[l].support_bins for l in ls]
+        j = np.concatenate([self.atoms[l].support for l in ls])
+        g = np.concatenate([self.atoms[l].values for l in ls])
+        hop = np.repeat([self.channels[l].hop_samples for l in ls], sizes)
+        # a class per channel and residue mod n / hop, its entries in order
+        cls = np.repeat(ls, sizes) * n + j % (n // hop)
+        keep = inside[j]
+        order = np.flatnonzero(keep)[np.argsort(cls[keep], kind="stable")]
+        j, g, hop, cls = (v[order] for v in (j, g, hop, cls))
         # a class is coupled pairwise, so each member is linked to the next;
         # min-label propagation with pointer jumping labels fibers by their least bin
         link = np.flatnonzero(cls[1:] == cls[:-1])
@@ -592,13 +588,13 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
             raise ConfigError(
                 f"prototype cannot be normalized: {exc}") from None
     channels = design_channels(warp, delta, grid, time_scale)
+    groups = _frame_groups(channels)
     # sampled in frame-group order, so the bank is laid out for the transform
-    order = [l for _, _, ls in _frame_groups(channels) for l in ls]
-    atoms, values, support = _sample_bank(
-        warp, theta, [channels[l].center_hz for l in order], grid, truncation)
-    atoms = [atoms[i] for i in sorted(range(len(order)), key=order.__getitem__)]
-    return WarpedSystem(warp, theta, delta, grid, channels, atoms,
-                        (values, support), time_scale, truncation, normalize)
+    bank = _sample_bank(warp, theta, [channels[l].center_hz
+                                      for _, _, ls in groups for l in ls],
+                        grid, truncation)
+    return WarpedSystem(warp, theta, delta, grid, channels, groups, bank,
+                        time_scale, truncation, normalize)
 
 
 class Coefficients:

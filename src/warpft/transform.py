@@ -27,8 +27,8 @@ Synthesis folds the coefficients back to the DFT grid and solves
 ``S x = V* c`` there, exactly, on the small fibers into which ``S``
 splits (see :meth:`WarpedSystem.frame_fibers`); in a painless system
 each fiber is one bin and the solve divides by the diagonal frame
-profile.  The round trip reproduces every covered bin to machine
-precision.
+profile.  The round trip is exact to rounding on the interior band, and
+to ``eps * max|fhat| * max(profile) / profile[j]`` on covered bin ``j``.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
     ``iterative=True`` admits it."""
     if not iterative and not system.painless:
         raise NotPainlessError(
-            "system fails the painless support condition; "
-            "use the iterative path")
+            "system fails the painless support condition; pass "
+            "iterative=True (--iterative on the command line)")
     covered, profile, interior_covered = system.covered_bins()
     if not interior_covered:
         raise IllConditionedError(

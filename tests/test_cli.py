@@ -372,7 +372,9 @@ class TestAnalyzeSynthesize:
         assert captured.err.splitlines() == [
             f"error: signal file {bad}: sample {index} is not finite"]
 
-    def test_non_painless_exits_5(self, tmp_path):
+    def test_non_painless_exits_5(self, tmp_path, capsys):
+        """The refusal is one line naming the flag that admits the
+        system, and that flag reconstructs it."""
         cfg = tmp_path / "hard.cfg"
         cfg.write_text(ERB_CFG.replace("prototype.radius = 0.9",
                                        "prototype.radius = 2.0"))
@@ -383,10 +385,17 @@ class TestAnalyzeSynthesize:
         coeffs = tmp_path / "c.wtc"
         assert main(["analyze", "--system", str(desc), "--signal", str(sig),
                      "--out", str(coeffs)]) == 0
+        capsys.readouterr()
         rc = main(["synthesize", "--system", str(desc),
                    "--coeffs", str(coeffs),
                    "--out", str(tmp_path / "r.f64")])
         assert rc == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "--iterative" in err[0]
+        assert main(["synthesize", "--system", str(desc),
+                     "--coeffs", str(coeffs), "--out", str(tmp_path / "r.f64"),
+                     "--iterative"]) == 0
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from warpft import (CapabilityError, ConfigError, DomainError,
 from warpft.kernels import (KernelEvalSpec, _gramian_batch, gramian,
                             kernel_norm_I, osc_norm_estimate, oscillation,
                             stationary_phase_check, weight_m)
-from warpft.prototype import l2_norm, normalized
+from warpft.prototype import l2_norm, normalized, weighted_l2_norm
 from warpft.quadrature import QuadratureSpec
 from warpft.warping import polynomial_weight
 
@@ -85,8 +85,7 @@ class TestGramian:
         rng = np.random.default_rng(5)
         ys = rng.uniform(-2, 2, 8)
         oms = rng.uniform(-1, 1, 8)
-        batch = _gramian_batch(LIN, GAUSS, 0.3, 0.2, ys, oms,
-                               l2_norm(GAUSS) ** 2)
+        batch = _gramian_batch(LIN, GAUSS, 0.3, 0.2, ys, oms)
         single = np.array([gramian(LIN, GAUSS, 0.3, 0.2, y, o)
                            for y, o in zip(ys, oms)])
         assert np.max(np.abs(batch - single)) < 1e-10
@@ -290,19 +289,20 @@ class TestOscNormEstimate:
         assert b >= a
 
     def test_prototype_norm_computed_once(self, monkeypatch):
-        import warpft.kernels as wk
+        import warpft.prototype as wp
         calls = []
 
         def counting(theta, *args):
             calls.append(theta)
-            return l2_norm(theta, *args)
+            return weighted_l2_norm(theta, *args)
 
-        monkeypatch.setattr(wk, "l2_norm", counting)
+        monkeypatch.setattr(wp, "weighted_l2_norm", counting)
+        l2_norm.cache_clear()
         osc_norm_estimate(LIN, GAUSS, 0.25, KernelEvalSpec(4.0, 4.0, 16),
                           q_resolution=2, box_resolution=4)
-        assert len(calls) == 1
+        assert calls == [GAUSS]
         oscillation(LIN, GAUSS, 0.25, True, 0.0, 0.0, 0.1, 0.1)
-        assert len(calls) == 2
+        assert calls == [GAUSS]
 
     def test_gamma_on_below_gamma_off(self):
         spec = KernelEvalSpec(4.0, 4.0, 16)

@@ -8,7 +8,7 @@ import dataclasses
 import inspect
 
 from warpft import (Coefficients, KernelEvalSpec, QuadratureSpec,
-                    frame_bounds, synthesize)
+                    build_system, frame_bounds, synthesize)
 
 
 def _parameters(fn):
@@ -17,6 +17,12 @@ def _parameters(fn):
 
 def _fields(cls):
     return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def test_build_system_parameters():
+    assert _parameters(build_system) == ("warp", "theta", "delta", "grid",
+                                         "time_scale", "normalize",
+                                         "truncation")
 
 
 def test_synthesize_parameters():

@@ -11,7 +11,7 @@ from warpft import (ConfigError, DegenerateAtomError, ShapeError,
                     bump_prototype, erb_warp, gaussian_prototype, linear_warp,
                     log_warp)
 from warpft.prototype import hann_prototype, normalized
-from warpft.system import (Channel, Coefficients, SignalGrid, _sample_atoms,
+from warpft.system import (Channel, Coefficients, SignalGrid, _sample_bank,
                            build_atom, build_system, design_channels)
 from warpft.warping import (POSITIVE_HALF_LINE, alpha_like_warp,
                             custom_warp, power_law_warp)
@@ -378,15 +378,14 @@ class TestBankSampler:
                 break
         if error is not None:
             with pytest.raises(DegenerateAtomError, match=re.escape(error)):
-                _sample_atoms(warp, theta, xs, grid, truncation)
+                _sample_bank(warp, theta, xs, grid, truncation)
             return
-        atoms = _sample_atoms(warp, theta, xs, grid, truncation)
-        assert len(atoms) == len(expected)
-        for atom, (values, support), x in zip(atoms, expected, xs):
-            assert np.array_equal(atom.support, support)
-            assert atom.support.dtype == support.dtype
-            assert np.array_equal(atom.values, values)
-            assert atom.center_hz == float(x)
+        values, support, sizes = _sample_bank(warp, theta, xs, grid,
+                                              truncation)
+        assert sizes.tolist() == [s.size for _, s in expected]
+        assert np.array_equal(support, np.concatenate([s for _, s in expected]))
+        assert support.dtype == expected[0][1].dtype
+        assert np.array_equal(values, np.concatenate([v for v, _ in expected]))
 
     @pytest.mark.parametrize("truncation", [1e-8, 0.0])
     @pytest.mark.parametrize("proto", sorted(_WINDOW_PROTOS))

@@ -5,7 +5,7 @@ import heapq
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -17,7 +17,8 @@ from warpft import (CapabilityError, ConfigError, IllConditionedError,
 from warpft import system as system_module
 from warpft.discretization import frame_bounds, frame_bounds_painless
 from warpft.prototype import (PROTOTYPE_FAMILIES, admissibility_inner_product,
-                              l2_norm, prototype_from_params)
+                              hann_prototype, l2_norm,
+                              prototype_from_params)
 from warpft.system import Coefficients, SignalGrid, build_atom, build_system
 from warpft.warping import WARP_FAMILIES
 from warpft.transform import (CHUNK_ROWS, _fold, _unfold,
@@ -540,6 +541,264 @@ class TestFlatLayoutOracle:
             range(len(sys.channels)))
 
 
+def _parent_sample_atoms(warp, theta, xs, grid, truncation):
+    """The per-atom sampler that the flat bank replaced: a list of
+    ``(values, support)``, one per centre (its final copy of the rounds'
+    stores into one, which moved no value, is left out)."""
+    x = np.array(xs, dtype=float)
+    fx = warp.eval(x)
+    scale = np.sqrt(warp.derivative(x))
+    u0 = fx + theta.center
+    peak_hz = x if theta.center == 0 else warp.inverse(u0)
+    k_min, k_max = system_module._active_bins(grid, warp.domain)
+    bin_hz = grid.bin_hz
+    lo_edge, hi_edge = k_min * bin_hz, k_max * bin_hz
+
+    def bin_of(hz, rounding):
+        hz = np.where(hz >= lo_edge, np.minimum(hz, hi_edge), lo_edge)
+        return np.clip(rounding(hz / bin_hz), k_min, k_max).astype(np.int64)
+
+    k_peak_lo = bin_of(peak_hz, np.floor)
+    k_peak_hi = bin_of(peak_hz, np.ceil)
+    radius = float(theta.support_radius(
+        truncation if 0 < truncation < 1 else np.finfo(float).tiny))
+    atoms = [None] * len(xs)
+    todo = np.arange(len(xs))
+    while todo.size:
+        k_lo, k_hi = np.full(todo.size, k_min), np.full(todo.size, k_max)
+        if np.isfinite(radius):
+            with np.errstate(over="ignore", invalid="ignore"):
+                lo_hz = warp.inverse(u0[todo] - radius)
+                hi_hz = warp.inverse(u0[todo] + radius)
+            k_lo = np.clip(bin_of(lo_hz, np.ceil) - 1, k_min, k_peak_lo[todo])
+            k_hi = np.clip(bin_of(hi_hz, np.floor) + 1, k_peak_hi[todo], k_max)
+        sizes = k_hi - k_lo + 1
+        block = (np.cumsum(sizes) - sizes) // system_module.SAMPLE_CHUNK
+        cuts = np.flatnonzero(np.diff(block, prepend=-1))
+        redo = []
+        for a, b in zip(cuts.tolist(), cuts[1:].tolist() + [todo.size]):
+            ids, lo, hi, size = todo[a:b], k_lo[a:b], k_hi[a:b], sizes[a:b]
+            starts = np.cumsum(size) - size
+            k = np.arange(starts[-1] + size[-1]) + np.repeat(lo - starts, size)
+            vals = np.repeat(scale[ids], size) * theta.eval(
+                warp.eval(grid.signed_bin_freqs(k)) - np.repeat(fx[ids], size))
+            peak = np.maximum.reduceat(np.abs(vals), starts)
+            if truncation:
+                vals[np.abs(vals) < np.repeat(truncation * peak, size)] = 0.0
+            done = (((lo == k_min) | (vals[starts] == 0.0))
+                    & ((hi == k_max) | (vals[starts + size - 1] == 0.0)))
+            redo.append(ids[~done])
+            keep = (vals != 0.0) & np.repeat(done, size)
+            ends_kept = np.cumsum(np.add.reduceat(keep, starts, dtype=np.intp))
+            k = k[keep]
+            vals = vals[keep]
+            support = np.remainder(k, grid.length)
+            for j in np.flatnonzero(done).tolist():
+                seg = slice(ends_kept[j - 1] if j else 0, ends_kept[j])
+                wrap = (np.count_nonzero(k[seg] < 0)
+                        if lo[j] < 0 <= hi[j] else 0)
+                if wrap:
+                    vals[seg] = np.roll(vals[seg], -wrap)
+                    support[seg] = np.roll(support[seg], -wrap)
+                atoms[ids[j]] = (vals[seg], support[seg])
+        todo = np.concatenate(redo)
+        radius *= 2.0
+    return atoms
+
+
+def _parent_painless_check(system):
+    """The painless check as it read the per-atom list, in channel order."""
+    sizes = np.array([a.support_bins for a in system.atoms])
+    sup = sizes * system.grid.bin_hz
+    lim = np.array([1.0 / ch.tau_seconds for ch in system.channels])
+    frames = np.array([ch.frames for ch in system.channels])
+    offsets = np.cumsum(frames) - frames
+    residues = (np.concatenate([a.support for a in system.atoms])
+                % np.repeat(frames, sizes) + np.repeat(offsets, sizes))
+    alias = np.maximum.reduceat(
+        np.bincount(residues, minlength=int(frames.sum())), offsets) <= 1
+    bad = tuple(np.flatnonzero((sup > lim) | ~alias).tolist())
+    return len(bad) == 0, sup, lim, alias, bad
+
+
+def _parent_frame_diag(system):
+    hops = [ch.hop_samples for ch in system.channels]
+    sizes = [a.support_bins for a in system.atoms]
+    return np.bincount(
+        np.concatenate([a.support for a in system.atoms]),
+        np.concatenate([a.values for a in system.atoms]) ** 2
+        / np.repeat(hops, sizes), minlength=system.grid.length)
+
+
+def _parent_frame_fibers(system, bins):
+    """``frame_fibers`` on the entries that ``_aliased_entries`` gathered
+    and sorted over all bins, filtered to ``bins`` afterwards."""
+    ls = np.flatnonzero(~system.painless_report.alias_free).tolist()
+    sizes = [system.atoms[l].support_bins for l in ls]
+    j = np.concatenate([np.zeros(0, dtype=np.int64)]
+                       + [system.atoms[l].support for l in ls])
+    g = np.concatenate([system.atoms[l].values for l in ls] + [[]])
+    hop = np.repeat([system.channels[l].hop_samples for l in ls], sizes)
+    n = system.grid.length
+    cls = np.repeat(ls, sizes) * n + j % (n // hop)
+    order = np.argsort(cls, kind="stable")
+    j, g, hop, cls = (v[order] for v in (j, g, hop, cls))
+    inside = np.zeros(n, dtype=bool)
+    inside[bins] = True
+    j, g, hop, cls = (v[inside[j]] for v in (j, g, hop, cls))
+    link = np.flatnonzero(cls[1:] == cls[:-1])
+    if link.size == 0:
+        return bins, []
+    a = np.concatenate([j[link], j[link + 1]])
+    b = np.concatenate([j[link + 1], j[link]])
+    label, prev = np.arange(n), None
+    while not np.array_equal(label, prev):
+        prev = label.copy()
+        np.minimum.at(label, prev[a], prev[b])
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    size = np.bincount(label[bins], minlength=n)[label]
+    order = bins[np.lexsort((bins, label[bins], size[bins]))]
+    singles, multi = order[size[order] == 1], order[size[order] > 1]
+    at, row = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    at[multi] = np.arange(multi.size)
+    row[multi] = np.cumsum(size[multi]) - size[multi]
+    pos = at - at[label]
+    start = np.flatnonzero(np.diff(cls, prepend=-1))
+    count = np.diff(np.append(start, cls.size))
+    reps = np.repeat(count, count)
+    r = np.repeat(np.arange(cls.size), reps)
+    c = np.arange(r.size) + np.repeat(
+        np.repeat(start, count) - np.cumsum(reps) + reps, reps)
+    r, c = r[size[j[r]] > 1], c[size[j[r]] > 1]
+    flat = np.bincount(row[j[r]] + pos[j[c]], g[r] * g[c] / hop[r],
+                       int(np.sum(size[multi])))
+    flat[row[multi] + pos[multi]] = _parent_frame_diag(system)[multi]
+    cuts = np.flatnonzero(np.diff(size[multi])) + 1
+    blocks = zip(np.split(multi, cuts), np.split(flat, row[multi[cuts]]))
+    return singles, [(b.reshape(-1, size[b[0]]),
+                      s.reshape(-1, size[b[0]], size[b[0]])) for b, s in blocks]
+
+
+def _dc_crossing_system():
+    """A full-line bank whose windows around DC store their negative
+    bins after the others."""
+    sys = build_system(linear_warp(1.0), hann_prototype(40.0), 24.0,
+                       SignalGrid(512, 512.0), time_scale=1.0 / 1024)
+    n = sys.grid.length
+    assert any(a.support[0] < n // 4 and a.support[-1] > 3 * n // 4
+               for a in sys.atoms)
+    return sys
+
+
+def _resampled_interleaved_system():
+    """The interleaved warp with a gaussian narrower than a bin: atoms of
+    several sizes are sampled again in a second and a third round."""
+    p = 40.0
+    fwd = lambda t: t + 0.8 * p * np.sin(t / p)
+    slope = lambda t: 1.0 + 0.8 * np.cos(t / p)
+    base, calls = custom_warp(fwd, fn_derivative=slope), []
+
+    def inverse(s):
+        calls.append(np.size(s))
+        return base.inverse(s)
+
+    sys = build_system(custom_warp(fwd, fn_inverse=inverse,
+                                   fn_derivative=slope),
+                       gaussian_prototype(0.05), 3.0, SignalGrid(256, 256.0))
+    # band edges and centres, then a (lo, hi) pair of calls per round
+    assert len(calls) == 8 and calls[-1] < calls[-3] < len(sys.channels)
+    assert len(set(sys.bank[2].tolist())) > 1
+    return sys
+
+
+BANK_SYSTEMS = dict(FIBER_SYSTEMS)
+BANK_SYSTEMS["erb-r2-16384"] = ORACLE_SYSTEMS["erb-r2-16384"]
+BANK_SYSTEMS["interleaved"] = ORACLE_SYSTEMS["interleaved"]
+BANK_SYSTEMS["resampled-gaussian"] = _resampled_gaussian_system
+BANK_SYSTEMS["resampled-interleaved"] = _resampled_interleaved_system
+BANK_SYSTEMS["dc-crossing"] = _dc_crossing_system
+
+
+class TestSingleBankOracle:
+    """The one stored bank, the groups computed at build and the fibers
+    read from the bank give the bits of the per-atom code they
+    replaced, and the build integrates the prototype norm and groups
+    the channels once."""
+
+    @pytest.mark.parametrize("name", sorted(BANK_SYSTEMS))
+    def test_equal_to_per_atom_code(self, name):
+        sys = BANK_SYSTEMS[name]()
+        order = [l for _, _, ls in sys.frame_groups() for l in ls]
+        ref = _parent_sample_atoms(
+            sys.warp, sys.theta, [sys.channels[l].center_hz for l in order],
+            sys.grid, sys.truncation)
+        values, support, sizes = sys.bank
+        assert sizes.tolist() == [s.size for _, s in ref]
+        assert np.array_equal(values, np.concatenate([v for v, _ in ref]))
+        assert np.array_equal(support, np.concatenate([s for _, s in ref]))
+        for l, (v, s) in zip(order, ref):
+            atom = sys.atoms[l]
+            assert np.array_equal(atom.values, v)
+            assert np.array_equal(atom.support, s)
+            assert atom.center_hz == sys.channels[l].center_hz
+            assert np.shares_memory(atom.values, values)
+
+        report = sys.painless_report
+        want = _parent_painless_check(sys)
+        assert report.painless == want[0]
+        _assert_bits(report.support_hz, want[1])
+        _assert_bits(report.limit_hz, want[2])
+        assert np.array_equal(report.alias_free, want[3])
+        assert report.violations == want[4]
+
+        _assert_bits(sys.frame_diag(), _parent_frame_diag(sys))
+        for bins in (sys.interior_bins(), sys.covered_bins()[0]):
+            try:
+                want = _parent_frame_fibers(sys, bins)
+            except CapabilityError:
+                with pytest.raises(CapabilityError):
+                    sys.frame_fibers(bins)
+                continue
+            singles, fibers = sys.frame_fibers(bins)
+            assert np.array_equal(singles, want[0])
+            assert len(fibers) == len(want[1])
+            for (b, s), (wb, ws) in zip(fibers, want[1]):
+                assert np.array_equal(b, wb)
+                _assert_bits(s, ws)
+
+    def test_prototype_norm_integrated_once(self, monkeypatch):
+        from warpft import prototype
+        calls = []
+        integrate = prototype.weighted_l2_norm
+
+        def counting(*args):
+            calls.append(args[0])
+            return integrate(*args)
+
+        monkeypatch.setattr(prototype, "weighted_l2_norm", counting)
+        prototype.l2_norm.cache_clear()
+        first = _erb_system()
+        assert len(calls) == 1
+        second = _erb_system()
+        assert len(calls) == 1
+        assert second.theta == first.theta
+
+    def test_groups_computed_once_per_build(self, monkeypatch):
+        calls = []
+        frame_groups = system_module._frame_groups
+
+        def counting(channels):
+            calls.append(len(channels))
+            return frame_groups(channels)
+
+        monkeypatch.setattr(system_module, "_frame_groups", counting)
+        sys = _erb_system()
+        analyze(_interior_signal(sys), sys)
+        assert sys.painless_report.painless
+        assert calls == [len(sys.channels)]
+
+
 class TestAllocation:
     """The round trip copies no input and returns fresh memory."""
 
@@ -656,15 +915,24 @@ def _drawn_banks(draw):
 class TestOperatorIdentities:
     @settings(max_examples=25, deadline=None)
     @given(bank=_drawn_banks(), seed=st.integers(0, 2 ** 32 - 1))
+    # three channels, no interior band, a covered profile spanning 5e11:
+    # its covered-bin round trip is 4e-12, within the per-bin bound
+    @example(bank=(alpha_like_warp(1.0), bump_prototype(5333.333333333333),
+                   5333.333333333333, SignalGrid(256, 16000.0),
+                   8.789062500000002e-09), seed=0)
     def test_drawn_bank_identities(self, bank, seed):
         """A drawn bank builds or raises ConfigError (too few or too many
         channels, an atom that vanishes on the grid).  When it builds,
         V* is the adjoint of V to rounding, analysis equals the direct
         sliding-window reference (up to N = 2^10; it takes O(N^2) per
         channel), ``_fold`` and ``_unfold`` give the grouped core's bits,
-        a painless bank reconstructs a signal on its covered bins
-        exactly, and the frame bounds bracket the Rayleigh quotient of a
-        signal on the fully covered band."""
+        and the frame bounds bracket the Rayleigh quotient of a signal
+        on the fully covered band.  A painless bank reconstructs a
+        signal on its covered bins to machine precision on the interior
+        band, and on every covered bin ``j`` within ``eps * peak /
+        profile[j]`` of the spectrum's peak (the diagonal solve's
+        rounding); to 1e-12 in L2 when the covered profile spans at most
+        10^4."""
         warp, theta, delta, grid, time_scale = bank
         try:
             sys = build_system(warp, theta, delta, grid,
@@ -694,11 +962,20 @@ class TestOperatorIdentities:
             _assert_bits(got, want)
         _assert_bits(_unfold(c, sys), _grouped_unfold(c, sys))
 
-        covered, _, interior_covered = sys.covered_bins()
+        covered, profile, interior_covered = sys.covered_bins()
         if sys.painless and interior_covered:
             fhat = np.zeros(n, dtype=complex)
             fhat[covered] = _random_signal(covered.size, rng)
-            assert roundtrip_residual(np.fft.ifft(fhat), sys) <= 1e-12
+            err = np.fft.fft(synthesize(analyze(np.fft.ifft(fhat), sys),
+                                        sys)) - fhat
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(err[covered]) <= 64 * eps * np.abs(fhat).max()
+                          * (profile.max() / profile))
+            interior = sys.interior_bins()
+            assert (np.linalg.norm(err[interior])
+                    <= 1e-12 * np.linalg.norm(fhat[interior]))
+            if profile.max() <= 1e4 * profile.min():
+                assert roundtrip_residual(np.fft.ifft(fhat), sys) <= 1e-12
 
         try:
             a, b = frame_bounds(sys)
