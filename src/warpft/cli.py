@@ -145,7 +145,7 @@ def _cmd_diagnose(args) -> int:
     cover = induced_cover(system.warp, system.delta, f_window, t_window)
     cov = check_cover_admissible(cover)
     report["cover"] = {
-        "elements": len(cover.elements),
+        "elements": len(cover),
         "max_neighbors": cov.max_neighbors,
         "moderateness_constant": cov.moderateness_constant,
         "min_measure": cov.min_measure,
@@ -169,8 +169,8 @@ def _parse_deltas(raw: str):
     except ValueError:
         raise ConfigError(f"--deltas: {raw!r} is not a comma-separated "
                           "list of numbers") from None
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ConfigError("--deltas needs positive values")
+    if not deltas or not all(d > 0 and math.isfinite(d) for d in deltas):
+        raise ConfigError("--deltas needs finite positive values")
     return deltas
 
 
@@ -231,7 +231,7 @@ def _cmd_cover_dump(args) -> int:
         for e in cover.elements:
             fh.write(f"{e.l},{e.k},{fmt(e.f_lo)},{fmt(e.f_hi)},"
                      f"{fmt(e.t_lo)},{fmt(e.t_hi)}\n")
-    print(f"elements = {len(cover.elements)}")
+    print(f"elements = {len(cover)}")
     return _EXIT_OK
 
 

@@ -6,23 +6,23 @@ cover of the frequency-time plane by rectangles
     U_{l,k} = [Finv(delta l), Finv(delta (l+1))] x [k tau_l, (k+1) tau_l]
 
 with ``tau_l = delta^2 / |I_l|``, so every element has area exactly
-``delta^2`` regardless of the warp.  This module materializes finite
-windows of that cover, checks the covering-admissibility constants
-(neighbor count, measure moderateness), bounds the element clusters
-``Q_{y,omega}`` around a point, evaluates the weight constant
-``C_{m,U}``, and computes the exact frame bounds of sampled systems
-from the fibers of their frame operator.
+``delta^2`` regardless of the warp.  This module holds finite windows
+of that cover as arrays over their elements, checks the covering-
+admissibility constants (neighbor count, measure moderateness) on them,
+bounds the element clusters ``Q_{y,omega}`` around a point, evaluates
+the weight constant ``C_{m,U}``, and computes the exact frame bounds of
+sampled systems from the fibers of their frame operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NotPainlessError
+from .errors import ConfigError, DomainError, NotPainlessError, check_finite
 from .system import WarpedSystem
 from .warping import (POSITIVE_HALF_LINE, WarpingFunction, WeightSpec,
                       check_moderateness, check_quasi_submultiplicative,
@@ -42,31 +42,37 @@ class CoverElement:
     t_lo: float
     t_hi: float
 
-    @property
-    def measure_numeric(self) -> float:
-        return (self.f_hi - self.f_lo) * (self.t_hi - self.t_lo)
-
     def intersects(self, other: "CoverElement") -> bool:
         return (self.f_lo <= other.f_hi and other.f_lo <= self.f_hi
                 and self.t_lo <= other.t_hi and other.t_lo <= self.t_hi)
 
 
+@dataclass(eq=False)
 class Cover:
-    """A finite window of the induced delta-cover."""
+    """A finite window of the induced delta-cover, held as arrays over
+    its elements: channel rows ``l`` in increasing order, each one a
+    contiguous run with ``k`` increasing by one; element ``i`` is the
+    rectangle ``[f_lo[i], f_hi[i]] x [t_lo[i], t_hi[i]]``."""
 
-    def __init__(self, warp: WarpingFunction, delta: float,
-                 elements: List[CoverElement],
-                 freq_window: Tuple[float, float],
-                 time_window: Tuple[float, float]):
-        self.warp = warp
-        self.delta = delta
-        self.elements = elements
-        self.freq_window = freq_window
-        self.time_window = time_window
-        self._adjacency: Optional[List[List[int]]] = None
+    warp: WarpingFunction
+    delta: float
+    l: np.ndarray
+    k: np.ndarray
+    f_lo: np.ndarray
+    f_hi: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+    freq_window: Tuple[float, float]
+    time_window: Tuple[float, float]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.l.size
+
+    @cached_property
+    def elements(self) -> List[CoverElement]:
+        """The elements as objects, built on first access."""
+        cols = (self.l, self.k, self.f_lo, self.f_hi, self.t_lo, self.t_hi)
+        return [CoverElement(*e) for e in zip(*(c.tolist() for c in cols))]
 
     @property
     def measure_analytic(self) -> float:
@@ -74,44 +80,27 @@ class Cover:
         return self.delta * self.delta
 
     def channel_indices(self) -> List[int]:
-        return sorted({e.l for e in self.elements})
+        return np.unique(self.l).tolist()
 
-    def adjacency(self) -> List[List[int]]:
-        """For each element, the other elements it touches (closed
-        rectangles; boundary contact counts).
+    def _row_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """First and one-past-last element index of each row."""
+        _, starts = np.unique(self.l, return_index=True)
+        return starts, np.r_[starts[1:], len(self)]
 
-        Adjacent channel rows always share a frequency edge and rows
-        further apart never meet, so only the time overlap against rows
-        l-1, l, l+1 decides; candidate time slots are located by index
-        arithmetic instead of scanning whole rows.
+    def neighbor_counts(self) -> np.ndarray:
+        """For each element, how many others its closed rectangle touches.
+        Rows are consecutive channels: adjacent rows share a frequency edge
+        exactly and rows further apart never meet, so two binary searches
+        in the sorted time edges of rows l-1, l, l+1 count the neighbors.
         """
-        if self._adjacency is not None:
-            return self._adjacency
-        by_l = {}
-        tau_of = {}
-        for i, e in enumerate(self.elements):
-            by_l.setdefault(e.l, {})[e.k] = i
-            tau_of[e.l] = e.t_hi - e.t_lo
-        adj: List[List[int]] = []
-        for i, e in enumerate(self.elements):
-            near = []
-            for lp in (e.l - 1, e.l, e.l + 1):
-                row = by_l.get(lp)
-                if not row:
-                    continue
-                tau = tau_of[lp]
-                k_a = int(np.floor(e.t_lo / tau)) - 1
-                k_b = int(np.ceil(e.t_hi / tau)) + 1
-                for kp in range(k_a, k_b + 1):
-                    j = row.get(kp)
-                    if j is None or j == i:
-                        continue
-                    o = self.elements[j]
-                    if e.t_lo <= o.t_hi and o.t_lo <= e.t_hi:
-                        near.append(j)
-            adj.append(near)
-        self._adjacency = adj
-        return adj
+        rows = [slice(a, b) for a, b in zip(*self._row_bounds())]
+        counts = np.full(len(self), -1)   # each element touches itself
+        for r, cur in enumerate(rows):
+            for near in rows[max(r - 1, 0):r + 2]:
+                counts[cur] += (
+                    np.searchsorted(self.t_lo[near], self.t_hi[cur], "right")
+                    - np.searchsorted(self.t_hi[near], self.t_lo[cur], "left"))
+        return counts
 
 
 def induced_cover(warp: WarpingFunction, delta: float,
@@ -121,33 +110,41 @@ def induced_cover(warp: WarpingFunction, delta: float,
 
     Windows are closed; an element touching the boundary is included.
     """
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
+    check_finite(positive=True, delta=delta)
     f_a, f_b = map(float, freq_window)
     t_a, t_b = map(float, time_window)
+    check_finite(f_lo=f_a, f_hi=f_b, t_lo=t_a, t_hi=t_b)
     if not (f_a < f_b) or not (t_a < t_b):
         raise ConfigError("windows must be nonempty intervals")
     if warp.domain == POSITIVE_HALF_LINE and f_a <= 0:
         raise DomainError("frequency window must be positive for this warp")
-    w_a = float(warp.eval(f_a))
-    w_b = float(warp.eval(f_b))
-    l_min = int(np.ceil(w_a / delta)) - 1
-    l_max = int(np.floor(w_b / delta))
-    elements: List[CoverElement] = []
-    for l in range(l_min, l_max + 1):
-        f_lo = float(warp.inverse(delta * l))
-        f_hi = float(warp.inverse(delta * (l + 1)))
-        tau = delta * delta / (f_hi - f_lo)
-        k_min = int(np.ceil(t_a / tau)) - 1
-        k_max = int(np.floor(t_b / tau))
-        if (k_max - k_min + 1) * (l_max - l_min + 1) > _MAX_ELEMENTS:
-            raise ConfigError(
-                "cover window would materialize more than "
-                f"{_MAX_ELEMENTS} elements; shrink the windows")
-        for k in range(k_min, k_max + 1):
-            elements.append(CoverElement(l, k, f_lo, f_hi,
-                                         k * tau, (k + 1) * tau))
-    return Cover(warp, delta, elements, (f_a, f_b), (t_a, t_b))
+    s_a, s_b = (float(warp.eval(f)) / delta for f in (f_a, f_b))
+    check_finite(**{"F(f_lo)/delta": s_a, "F(f_hi)/delta": s_b})
+    l_min = int(np.ceil(s_a)) - 1
+    n_rows = int(np.floor(s_b)) - l_min + 1
+    too_many = (f"cover window would materialize more than {_MAX_ELEMENTS} "
+                "elements; shrink the windows")
+    if n_rows > _MAX_ELEMENTS:
+        raise ConfigError(too_many)
+    f_edge = warp.inverse(delta * np.arange(l_min, l_min + n_rows + 1))
+    with np.errstate(all="ignore"):   # degenerate rows are refused below
+        tau = delta * delta / np.diff(f_edge)
+        k_lo = np.ceil(t_a / tau) - 1
+        k_hi = np.floor(t_b / tau)
+    if not (np.all((tau > 0) & (tau < np.inf))
+            and np.max(np.abs([k_lo, k_hi])) < 2.0 ** 53):
+        raise ConfigError("delta and the windows give cover rows of no "
+                          "finite positive width or element indices beyond "
+                          "2^53; change delta or the windows")
+    counts = (k_hi - k_lo).astype(np.int64) + 1
+    if n_rows * int(counts.max()) > _MAX_ELEMENTS:
+        raise ConfigError(too_many)
+    row = np.repeat(np.arange(n_rows), counts)
+    shift = k_lo.astype(np.int64) - (np.cumsum(counts) - counts)  # k - i
+    k = shift[row] + np.arange(row.size)
+    tau = tau[row]
+    return Cover(warp, delta, row + l_min, k, f_edge[row], f_edge[row + 1],
+                 k * tau, (k + 1) * tau, (f_a, f_b), (t_a, t_b))
 
 
 @dataclass(frozen=True)
@@ -163,34 +160,29 @@ def check_cover_admissible(cover: Cover) -> CoverReport:
     """Covering diagnostics: neighbor bound, measure moderateness
     (ratio over touching pairs -- identically 1 here since all areas are
     ``delta^2``), minimum measure, and window coverage."""
-    adj = cover.adjacency()
-    max_n = max((len(a) + 1 for a in adj), default=0)
+    max_n = int(np.max(cover.neighbor_counts(), initial=-1)) + 1
     mu = cover.measure_analytic
-    ratio = 1.0   # every element has analytic area delta^2
-    err = max((abs(e.measure_numeric - mu) / mu for e in cover.elements),
-              default=0.0)
+    area = (cover.f_hi - cover.f_lo) * (cover.t_hi - cover.t_lo)
+    err = float(np.max(np.abs(area - mu) / mu, initial=0.0))
 
+    # rows are runs of consecutive k: each covers the time window when
+    # its first and last elements reach past the ends
     f_a, f_b = cover.freq_window
     t_a, t_b = cover.time_window
-    covered = bool(cover.elements)
-    if covered:
-        by_l = {}
-        for e in cover.elements:
-            by_l.setdefault(e.l, []).append(e)
-        lo = min(e.f_lo for e in cover.elements)
-        hi = max(e.f_hi for e in cover.elements)
-        covered = lo <= f_a and hi >= f_b
-        for group in by_l.values():
-            group.sort(key=lambda e: e.k)
-            covered = covered and group[0].t_lo <= t_a and group[-1].t_hi >= t_b
-            covered = covered and all(a.k + 1 == b.k
-                                      for a, b in zip(group, group[1:]))
-    return CoverReport(max_n, ratio, mu, covered, err)
+    first, stop = cover._row_bounds()
+    covered = bool(len(cover) and cover.f_lo.min() <= f_a
+                   and cover.f_hi.max() >= f_b
+                   and np.all(cover.t_lo[first] <= t_a)
+                   and np.all(cover.t_hi[stop - 1] >= t_b))
+    # every element has analytic area delta^2: the measure ratio is 1
+    return CoverReport(max_n, 1.0, mu, covered, err)
 
 
 def elements_containing(warp: WarpingFunction, delta: float, y: float,
                         omega: float) -> List[CoverElement]:
     """Cover elements whose closed rectangle contains ``(y, omega)``."""
+    check_finite(positive=True, delta=delta)
+    check_finite(y=y, omega=omega)
     wy = float(warp.eval(float(y)))
     ell = wy / delta
     ls = {int(np.floor(ell))}
@@ -248,6 +240,8 @@ def q_set_bounds(warp: WarpingFunction, y: float, omega: float,
     and ``|J_y| = C delta w(delta)/w(F(y))``, ``C`` the
     quasi-submultiplicativity constant of the weight.  The cluster is
     enumerated and the containment checked exactly."""
+    check_finite(positive=True, delta=delta)
+    check_finite(y=y, omega=omega)
     wy = float(warp.eval(float(y)))
     i_lo = float(warp.inverse(wy - delta))
     i_hi = float(warp.inverse(wy + delta))
@@ -258,13 +252,6 @@ def q_set_bounds(warp: WarpingFunction, y: float, omega: float,
              and omega - j_half <= e.t_lo and e.t_hi <= omega + j_half
              for e in elems)
     return QSetBounds(i_lo, i_hi, j_half, float(omega), ok, tuple(elems))
-
-
-def _corner_candidates(lo: float, hi: float) -> List[float]:
-    pts = [lo, hi]
-    if lo < 0.0 < hi:
-        pts.append(0.0)   # |.|-monotone weights peak or dip at the origin
-    return pts
 
 
 @dataclass(frozen=True)
@@ -278,26 +265,34 @@ class WeightBoundReport:
         return self.sampled
 
 
+def _axis_extremes(m: WeightSpec, lo: np.ndarray,
+                   hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest of ``m`` at ``lo``, ``hi`` and
+    ``clip(0, lo, hi)`` (the axis crossing, or a repeated end)."""
+    a, b, c = m(lo), m(hi), m(np.clip(0.0, lo, hi))
+    return np.maximum(np.maximum(a, b), c), np.minimum(np.minimum(a, b), c)
+
+
 def weight_bound_C(cover: Cover, m1_spec: Optional[WeightSpec] = None,
                    m2_spec: Optional[WeightSpec] = None) -> WeightBoundReport:
     """Largest value of the ratio weight ``m`` over point pairs inside a
     single cover element, against the closed-form bound
     ``C_tilde v1(delta) V2``.
 
-    The weights are |.|-monotone, so the supremum over a rectangle is
-    attained at corner points (plus the axis crossing when an interval
-    straddles zero); those candidates are enumerated exactly.
+    The weights are positive and |.|-monotone, so on each axis they are
+    extreme at the ends or at the axis crossing; correctly rounded
+    products are monotone, so a rectangle's extreme products are the
+    products of the axis extremes, exactly.  Ratios inf / inf are skipped.
     """
     m1 = m1_spec if m1_spec is not None else constant_weight()
     m2 = m2_spec if m2_spec is not None else constant_weight()
-    sampled = 1.0
-    for e in cover.elements:
-        fs = _corner_candidates(e.f_lo, e.f_hi)
-        ts = _corner_candidates(e.t_lo, e.t_hi)
-        vals = [m1(x) * m2(t) for x in fs for t in ts]
-        top, bot = max(vals), min(vals)
-        if bot > 0:
-            sampled = max(sampled, top / bot)
+    top1, bot1 = _axis_extremes(m1, cover.f_lo, cover.f_hi)
+    top2, bot2 = _axis_extremes(m2, cover.t_lo, cover.t_hi)
+    top, bot = top1 * top2, bot1 * bot2
+    keep = bot > 0
+    with np.errstate(invalid="ignore"):   # inf / inf: a nan, skipped
+        ratio = top[keep] / bot[keep]
+    sampled = float(np.fmax.reduce(ratio, initial=1.0))
 
     # closed-form side: the warped weight m1 o Finv is (C1, v1)-moderate
     # and m2 is (C2, v2)-moderate with v2 = m2; the constants are

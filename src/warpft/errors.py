@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the finite-number
+check that library entry points run on the numbers they take.
 
 Each class maps to one failure category of the command-line tool; the
 numeric exit codes live in :mod:`warpft.cli`.
 """
+
+import math
 
 
 class WarpFTError(Exception):
@@ -11,6 +14,15 @@ class WarpFTError(Exception):
 
 class ConfigError(WarpFTError):
     """Invalid configuration value or an unsatisfiable design request."""
+
+
+def check_finite(positive: bool = False, **values) -> None:
+    """Raise :class:`ConfigError` unless every value is a finite number,
+    and a positive one when ``positive``."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            kind = "finite positive" if positive else "finite"
+            raise ConfigError(f"{name} must be a {kind} number, got {value}")
 
 
 class DomainError(ConfigError):

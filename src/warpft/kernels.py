@@ -30,7 +30,7 @@ import numpy as np
 
 from .discretization import _quasi_constant, elements_containing
 from .errors import CapabilityError, ConfigError, DomainError, \
-    NonConvergenceError, UnsupportedOrderError
+    NonConvergenceError, UnsupportedOrderError, check_finite
 from .prototype import Prototype, l2_norm
 from .quadrature import QuadratureSpec, integrate
 from .warping import POSITIVE_HALF_LINE, WarpingFunction, WeightSpec, \
@@ -57,8 +57,8 @@ class KernelEvalSpec:
     m2: Optional[WeightSpec] = None
 
     def __post_init__(self):
-        if self.z_half_width <= 0 or self.eta_half_width <= 0:
-            raise ConfigError("truncation half-widths must be positive")
+        check_finite(positive=True, z_half_width=self.z_half_width,
+                     eta_half_width=self.eta_half_width)
         if self.resolution < 16:
             raise ConfigError("resolution must be at least 16 nodes per axis")
 
@@ -94,6 +94,7 @@ def gramian(warp: WarpingFunction, theta: Prototype, x: float, xi: float,
             quad: Optional[QuadratureSpec] = None) -> complex:
     """Normalized atom cross-correlation by adaptive quadrature."""
     _require_eligible(warp)
+    check_finite(x=x, xi=xi, y=y, omega=omega)
     if warp.domain == POSITIVE_HALF_LINE and (x <= 0 or y <= 0):
         raise DomainError("atom centers must lie in the warp domain")
     r = _radius(theta)
@@ -257,6 +258,7 @@ def stationary_phase_check(warp: WarpingFunction, theta: Prototype, n: int,
     _require_eligible(warp)
     if n not in (0, 1, 2):
         raise UnsupportedOrderError("stationary-phase orders 0..2 supported")
+    check_finite(x=x, z=z)
     if theta.kind == "hann_bump" and n >= 2:
         raise UnsupportedOrderError(
             "hann_bump is C^1 only; order-2 bounds need classical third "
@@ -325,6 +327,7 @@ def kernel_norm_I(warp: WarpingFunction, theta: Prototype,
     result is flagged inconclusive.
     """
     _require_eligible(warp)
+    check_finite(x=x, xi=xi)
     nz = ne = spec.resolution
     zb, hb = spec.z_half_width, spec.eta_half_width
     dz = 2.0 * zb / nz
@@ -389,6 +392,8 @@ def oscillation(warp: WarpingFunction, theta: Prototype, delta: float,
     returns 0 exactly).
     """
     _require_eligible(warp)
+    check_finite(positive=True, delta=delta)
+    check_finite(x=x, xi=xi, y=y, omega=omega)
     if q_resolution < 1:
         raise ConfigError("q_resolution must be at least 1")
     if q_resolution == 1:
@@ -439,6 +444,7 @@ def osc_norm_estimate(warp: WarpingFunction, theta: Prototype, delta: float,
     this number as ``delta`` shrinks, not a certified norm.
     """
     _require_eligible(warp)
+    check_finite(positive=True, delta=delta)
     probe_slots = (0.5, 3.5, 9.5)
     probes = []
     for slot in probe_slots:

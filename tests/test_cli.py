@@ -551,6 +551,25 @@ class TestDiagnose:
         assert report["frame_fibers"]["largest"] > 1
 
 
+class TestDiagnoseCover:
+    def test_recorded_cover_report(self, tmp_path, capsys):
+        """The README erb.cfg at N = 2^10, as the per-element cover code
+        reported it."""
+        cfg = tmp_path / "erb.cfg"
+        cfg.write_text(_with_value(ERB_CFG, "length", "1024"))
+        desc = tmp_path / "erb.desc"
+        assert main(["design", "--config", str(cfg), "--out", str(desc)]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", "--system", str(desc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cover"] == {
+            "elements": 4442, "max_neighbors": 9,
+            "moderateness_constant": 1.0, "min_measure": 0.25,
+            "covers_window": True,
+            "max_measure_error": 1.709743457922741e-14}
+        assert report["C_mU"] == 1.0
+
+
 class TestDiagnoseFibersOnce:
     """``diagnose`` assembles the interior fibers once, for the bounds and
     the fiber report alike, and reports the bounds of the library."""
@@ -625,6 +644,41 @@ class TestKernelOps:
         vals = [float(r.split(",")[1]) for r in rows[1:]]
         assert len(vals) == 3
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("argv", [
+        ["cover-dump", "--f-lo", "100", "--f-hi", "inf", "--t-lo", "0",
+         "--t-hi", "0.05"],
+        ["cover-dump", "--f-lo", "100", "--f-hi", "1000", "--t-lo", "0",
+         "--t-hi", "inf"],
+        ["kernel", "--op", "amnorm", "--z-half", "nan"],
+        ["kernel", "--op", "amnorm", "--eta-half", "inf"],
+        ["kernel", "--op", "amnorm", "--x", "inf"],
+        ["kernel", "--op", "osc", "--delta", "nan"],
+        ["kernel", "--op", "osc", "--omega", "nan"],
+        ["kernel", "--op", "oscnorm", "--deltas", "nan"],
+        ["kernel", "--op", "oscnorm", "--deltas", "inf"],
+        ["kernel", "--op", "statphase", "--x", "nan"],
+        ["kernel", "--op", "osc", "--delta", "-0.5"],
+        ["kernel", "--op", "gramian", "--x", "nan"],
+        ["kernel", "--op", "gramian", "--xi", "inf"],
+    ])
+    def test_exits_2_with_one_line(self, erb_paths, tmp_path, capsys, argv):
+        _, desc = erb_paths
+        capsys.readouterr()
+        argv = argv[:1] + ["--system", str(desc)] + argv[1:]
+        if argv[0] == "cover-dump":
+            argv += ["--out", str(tmp_path / "cov.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
 class TestCoverDumpAndSpectrogram:

@@ -10,13 +10,15 @@ from warpft import (ConfigError, DomainError, NotPainlessError,
                     alpha_like_warp, bump_prototype, erb_warp,
                     gaussian_prototype, linear_warp, log_warp,
                     power_law_warp)
-from warpft.discretization import (check_cover_admissible, elements_containing,
+from warpft.discretization import (_MAX_ELEMENTS, CoverElement, CoverReport,
+                                   check_cover_admissible, elements_containing,
                                    frame_bounds, frame_bounds_painless,
                                    induced_cover, q_set_bounds,
                                    weight_bound_C)
 from warpft.system import SignalGrid, build_system
 from warpft.transform import apply_frame_operator
-from warpft.warping import polynomial_weight
+from warpft.warping import (constant_weight, exponential_weight,
+                            polynomial_weight)
 
 
 def _flat_linear_system():
@@ -69,22 +71,21 @@ class TestCoverGeometry:
 class TestAdjacency:
     @staticmethod
     def _brute(cov):
-        out = []
-        for i, a in enumerate(cov.elements):
-            out.append(sorted(j for j, b in enumerate(cov.elements)
-                              if j != i and a.intersects(b)))
-        return out
+        """Each element's count of other elements it touches, pair by pair."""
+        return [sum(j != i and a.intersects(b)
+                    for j, b in enumerate(cov.elements))
+                for i, a in enumerate(cov.elements)]
 
     def test_linear_nine_neighbors(self):
         cov = induced_cover(linear_warp(1.0), 0.5, (-2.0, 2.0), (0.0, 2.0))
         rep = check_cover_admissible(cov)
         # oracle: closed 3x3 block around an interior cell
         assert rep.max_neighbors == 9
-        assert [sorted(a) for a in cov.adjacency()] == self._brute(cov)
+        assert cov.neighbor_counts().tolist() == self._brute(cov)
 
     def test_structural_adjacency_complete_for_erb(self):
         cov = induced_cover(erb_warp(), 0.5, (20.0, 2000.0), (0.0, 0.2))
-        assert [sorted(a) for a in cov.adjacency()] == self._brute(cov)
+        assert cov.neighbor_counts().tolist() == self._brute(cov)
         assert check_cover_admissible(cov).max_neighbors >= 4
 
     def test_moderateness_exactly_one(self):
@@ -95,6 +96,177 @@ class TestAdjacency:
     def test_coverage_flag(self):
         cov = induced_cover(erb_warp(), 0.25, (100.0, 200.0), (0.0, 0.1))
         assert check_cover_admissible(cov).covers_window
+
+
+# -- the per-element cover code that the element arrays replaced, kept as
+# an oracle: every result of the array code must equal these bit for bit
+
+
+def _loop_cover(warp, delta, freq_window, time_window):
+    f_a, f_b = map(float, freq_window)
+    t_a, t_b = map(float, time_window)
+    w_a = float(warp.eval(f_a))
+    w_b = float(warp.eval(f_b))
+    l_min = int(np.ceil(w_a / delta)) - 1
+    l_max = int(np.floor(w_b / delta))
+    elements = []
+    for l in range(l_min, l_max + 1):
+        f_lo = float(warp.inverse(delta * l))
+        f_hi = float(warp.inverse(delta * (l + 1)))
+        tau = delta * delta / (f_hi - f_lo)
+        k_min = int(np.ceil(t_a / tau)) - 1
+        k_max = int(np.floor(t_b / tau))
+        if (k_max - k_min + 1) * (l_max - l_min + 1) > _MAX_ELEMENTS:
+            raise ConfigError("too many elements")
+        for k in range(k_min, k_max + 1):
+            elements.append(CoverElement(l, k, f_lo, f_hi,
+                                         k * tau, (k + 1) * tau))
+    return elements
+
+
+def _loop_adjacency(elements):
+    by_l = {}
+    tau_of = {}
+    for i, e in enumerate(elements):
+        by_l.setdefault(e.l, {})[e.k] = i
+        tau_of[e.l] = e.t_hi - e.t_lo
+    adj = []
+    for i, e in enumerate(elements):
+        near = []
+        for lp in (e.l - 1, e.l, e.l + 1):
+            row = by_l.get(lp)
+            if not row:
+                continue
+            tau = tau_of[lp]
+            k_a = int(np.floor(e.t_lo / tau)) - 1
+            k_b = int(np.ceil(e.t_hi / tau)) + 1
+            for kp in range(k_a, k_b + 1):
+                j = row.get(kp)
+                if j is None or j == i:
+                    continue
+                o = elements[j]
+                if e.t_lo <= o.t_hi and o.t_lo <= e.t_hi:
+                    near.append(j)
+        adj.append(near)
+    return adj
+
+
+def _loop_admissible(elements, adj, delta, freq_window, time_window):
+    max_n = max((len(a) + 1 for a in adj), default=0)
+    mu = delta * delta
+    err = max((abs((e.f_hi - e.f_lo) * (e.t_hi - e.t_lo) - mu) / mu
+               for e in elements), default=0.0)
+    f_a, f_b = freq_window
+    t_a, t_b = time_window
+    covered = bool(elements)
+    if covered:
+        by_l = {}
+        for e in elements:
+            by_l.setdefault(e.l, []).append(e)
+        lo = min(e.f_lo for e in elements)
+        hi = max(e.f_hi for e in elements)
+        covered = lo <= f_a and hi >= f_b
+        for group in by_l.values():
+            group.sort(key=lambda e: e.k)
+            covered = covered and group[0].t_lo <= t_a and group[-1].t_hi >= t_b
+            covered = covered and all(a.k + 1 == b.k
+                                      for a, b in zip(group, group[1:]))
+    return CoverReport(max_n, 1.0, mu, covered, err)
+
+
+def _corner_candidates(lo, hi):
+    pts = [lo, hi]
+    if lo < 0.0 < hi:
+        pts.append(0.0)
+    return pts
+
+
+def _loop_weight_sampled(elements, m1, m2):
+    sampled = 1.0
+    for e in elements:
+        fs = _corner_candidates(e.f_lo, e.f_hi)
+        ts = _corner_candidates(e.t_lo, e.t_hi)
+        vals = [m1(x) * m2(t) for x in fs for t in ts]
+        top, bot = max(vals), min(vals)
+        if bot > 0:
+            sampled = max(sampled, top / bot)
+    return sampled
+
+
+ORACLE_COVERS = {
+    "linear": (linear_warp(1.0), 0.5, (-2.0, 2.0), (0.0, 2.0)),
+    "log_octaves": (log_warp(), math.log(2.0), (1.0, 64.0), (0.0, 1.0)),
+    "erb": (erb_warp(), 0.5, (20.0, 2000.0), (0.0, 0.2)),
+    "erb_across_zero": (erb_warp(), 0.5, (-3000.0, 1000.0), (-0.3, 0.05)),
+    "alpha_like": (alpha_like_warp(0.5), 0.3, (-50.0, 50.0), (-1.0, 1.0)),
+    "power_law": (power_law_warp(2.0, 300.0, 0.3), 0.5, (10.0, 4000.0),
+                  (0.0, 0.5)),
+    "erb_fine": (erb_warp(), 0.125, (20.0, 2000.0), (0.0, 0.05)),
+}
+
+ORACLE_WEIGHTS = [
+    (constant_weight(), constant_weight()),
+    (polynomial_weight(2.0), constant_weight()),
+    (polynomial_weight(1.0), polynomial_weight(0.5)),
+    (polynomial_weight(2.0), exponential_weight(0.3)),
+    # e^{1000 |t|} overflows past |t| = 0.71: an element there has an
+    # inf / inf ratio, which is skipped, and one across it an inf ratio
+    (constant_weight(), exponential_weight(1000.0)),
+]
+
+
+def _quietly(fn, *args):
+    """``fn(*args)`` with overflow warnings silenced, as the weight
+    constant of an overflowing weight raises them on both sides."""
+    with warnings.catch_warnings(), np.errstate(over="ignore",
+                                                invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return fn(*args)
+
+
+class TestArrayCoverOracle:
+    """The element arrays, neighbor counts, admissibility report and
+    sampled weight constant equal those of the per-element code."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
+    def test_matches_per_element_code(self, name):
+        warp, delta, fw, tw = ORACLE_COVERS[name]
+        cov = induced_cover(warp, delta, fw, tw)
+        old = _loop_cover(warp, delta, fw, tw)
+        assert cov.elements == old and repr(cov.elements) == repr(old)
+        assert len(cov) == len(old)
+        adj = _loop_adjacency(old)
+        assert cov.neighbor_counts().tolist() == [len(a) for a in adj]
+        assert repr(check_cover_admissible(cov)) == repr(
+            _loop_admissible(old, adj, delta, fw, tw))
+        for m1, m2 in ORACLE_WEIGHTS:
+            new = _quietly(weight_bound_C, cov, m1, m2).sampled
+            want = _quietly(_loop_weight_sampled, old, m1, m2)
+            assert repr(new) == repr(want), (m1, m2)
+
+    def test_all_overflowed_elements_are_skipped(self):
+        warp, delta, fw, _ = ORACLE_COVERS["erb"]
+        cov = induced_cover(warp, delta, fw, (1.0, 2.0))
+        m2 = exponential_weight(1000.0)
+        assert np.all(_quietly(m2, cov.t_lo) == np.inf)
+        new = _quietly(weight_bound_C, cov, None, m2).sampled
+        want = _quietly(_loop_weight_sampled, cov.elements,
+                        constant_weight(), m2)
+        assert repr(new) == repr(want) == "1.0"
+
+    def test_refusal_by_rows_times_largest_row(self):
+        """2,002 rows of at most 1,099 elements: 114k elements in all, but
+        rows times the largest row exceeds the cap, and both refuse."""
+        warp, delta = log_warp(), 0.01
+        fw, tw = (1.0, math.exp(20.0)), (0.0, 2.25e-8)
+        edges = np.exp(delta * np.arange(-1, 2002))
+        tau = delta * delta / np.diff(edges)
+        counts = np.floor(tw[1] / tau) - np.ceil(tw[0] / tau) + 2
+        assert counts.sum() < _MAX_ELEMENTS < counts.size * counts.max()
+        with pytest.raises(ConfigError):
+            _loop_cover(warp, delta, fw, tw)
+        with pytest.raises(ConfigError, match="more than"):
+            induced_cover(warp, delta, fw, tw)
 
 
 class TestQSetBounds:

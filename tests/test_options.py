@@ -8,7 +8,8 @@ import dataclasses
 import inspect
 
 from warpft import (Coefficients, KernelEvalSpec, QuadratureSpec,
-                    build_system, frame_bounds, synthesize)
+                    build_system, check_cover_admissible, frame_bounds,
+                    induced_cover, synthesize, weight_bound_C)
 
 
 def _parameters(fn):
@@ -31,6 +32,13 @@ def test_synthesize_parameters():
 
 def test_power_iteration_parameters():
     assert _parameters(frame_bounds) == ("system",)
+
+
+def test_cover_parameters():
+    assert _parameters(induced_cover) == ("warp", "delta", "freq_window",
+                                          "time_window")
+    assert _parameters(check_cover_admissible) == ("cover",)
+    assert _parameters(weight_bound_C) == ("cover", "m1_spec", "m2_spec")
 
 
 def test_kernel_eval_spec_fields():
