@@ -192,7 +192,8 @@ def _cmd_kernel(args) -> int:
         lines.append(f"inconclusive = "
                      f"{'true' if rep.inconclusive else 'false'}")
     elif args.op == "osc":
-        value = oscillation(warp, theta, args.delta or system.delta,
+        value = oscillation(warp, theta,
+                            system.delta if args.delta is None else args.delta,
                             not args.gamma_off, args.x, args.xi,
                             args.y, args.omega,
                             q_resolution=args.q_resolution)

@@ -50,6 +50,11 @@ FIBER_CAP = 1024
 #: unfold work a chunk at a time, which bounds their scratch
 CHUNK_ROWS = 8
 
+#: the fewest coefficients for which the transform splits a bank into two
+#: lanes (:meth:`WarpedSystem.lane_split`); below it a lane's FFTs are too
+#: short to pay for handing them to another thread
+LANE_MIN_COEFFICIENTS = 1 << 17
+
 
 @dataclass(frozen=True)
 class SignalGrid:
@@ -367,6 +372,7 @@ class WarpedSystem:
         self._painless: Optional[PainlessReport] = None
         self._diag: Optional[np.ndarray] = None
         self._layout: Optional[Tuple[list, List[int]]] = None
+        self._split = 0
         self._interior: Optional[np.ndarray] = None
         self._covered: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
         self._interior_fibers: Optional[Tuple[np.ndarray, list]] = None
@@ -419,6 +425,11 @@ class WarpedSystem:
         if self._layout is None:
             groups = self._groups
             values, support, sizes = self.bank
+            if (len(groups) > 1 and sum(len(ls) * m for m, _, ls in groups)
+                    >= LANE_MIN_COEFFICIENTS):
+                # FFT cost rows * M * log2 M, summed over the leading groups
+                cost = np.cumsum([len(ls) * m * np.log2(m) for m, _, ls in groups])
+                self._split = int(np.argmin(abs(cost[:-1] - cost[-1] / 2))) + 1
             frames = np.repeat([m for m, _, _ in groups],
                                [len(ls) for _, _, ls in groups])
             row = np.concatenate([np.arange(len(ls)) % CHUNK_ROWS
@@ -435,6 +446,15 @@ class WarpedSystem:
                 for r in range(0, len(ls), CHUNK_ROWS)]) for m, hop, ls in groups],
                 sorted(range(len(self._order)), key=self._order.__getitem__))
         return self._layout
+
+    def lane_split(self) -> int:
+        """How many leading groups of :meth:`bank_layout` form the first
+        of two lanes of about equal FFT cost (``rows * M * log2 M``
+        summed), built with the layout: at least one and fewer than all,
+        or 0 when the bank has one group or fewer than
+        :data:`LANE_MIN_COEFFICIENTS` coefficients."""
+        self.bank_layout()
+        return self._split
 
     def frame_fibers(self, bins: np.ndarray
                      ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:

@@ -18,7 +18,24 @@ see :meth:`WarpedSystem.frame_groups`).  Both maps work on chunks of at
 most :data:`CHUNK_ROWS` channels of a group, read from the system's flat
 bank layout: a gather, an in-place multiply and one ``np.add.at`` per
 chunk.  :func:`_fold` runs one in-place FFT per group and
-:func:`_unfold` one per chunk.
+:func:`_unfold` one per chunk.  :func:`_fold` scales the spectrum once
+by ``1/N`` and inverts with ``norm="forward"`` (no scaling): ``1/N``,
+``1/M_l`` and ``1/n_l`` are powers of two, so this gives the bits of
+``ifft(.) / n_l`` without a pass over the coefficients.
+
+The groups are independent batches of FFTs, and numpy's FFT releases
+the interpreter lock.  So on a bank of at least
+:data:`~warpft.system.LANE_MIN_COEFFICIENTS` coefficients, when more
+than one CPU is usable, both maps run in two lanes of about equal FFT
+cost (:meth:`WarpedSystem.lane_split`): the leading groups on one
+worker thread, started on first use, and the rest on the caller, which
+always waits for the worker.  Below that size, or on one CPU, handing a
+lane over costs more than it saves (ERB bank on 2 CPUs, round trip in
+lanes against one, three runs: 1.2-1.4x the time at N = 2^13, 45,696
+coefficients; 1.0-1.1x at 2^14; 0.83-0.89x at 2^15, 182,784
+coefficients), so everything runs on the caller.  Either way every
+coefficient and every bin is summed in the same order, so the results
+are the same bits.
 
 With unit-norm prototypes these coefficients approximate the continuous
 inner products ``<f, g_{x_l, k n_l / fs}>`` directly, no extra scaling.
@@ -34,13 +51,79 @@ to ``eps * max|fhat| * max(profile) / profile[j]`` on covered bin ``j``.
 from __future__ import annotations
 
 import csv
-from typing import List, Optional
+import os
+import threading
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from .errors import IllConditionedError, NotPainlessError, ShapeError
 from .prototype import admissibility_inner_product
 from .system import CHUNK_ROWS, Coefficients, WarpedSystem
+
+T = TypeVar("T")
+
+#: CPUs this process may run on; on one, two lanes would only take turns
+_USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+
+
+_WORKER = None  # the lane worker: one thread, made on first use
+_WORKER_LOCK = threading.Lock()
+
+
+def _worker():
+    """The lane worker, made on first use.  ``concurrent.futures`` is
+    imported only then: it adds ~0.6 MB to a process's RSS, which one
+    whose banks all stay below the lane cutoff never needs."""
+    global _WORKER
+    with _WORKER_LOCK:
+        if _WORKER is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _WORKER = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="warpft-lane")
+    return _WORKER
+
+
+def _forget_worker() -> None:
+    """In a forked child, which inherits no threads: make a new worker
+    on first use instead of waiting on the parent's."""
+    global _WORKER, _WORKER_LOCK
+    _WORKER, _WORKER_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _lane_split(system: WarpedSystem) -> int:
+    """The groups of the first lane (:meth:`WarpedSystem.lane_split`), or
+    0 to run the whole bank on the caller."""
+    return system.lane_split() if _USABLE_CPUS > 1 else 0
+
+
+def _scratch(groups: list) -> Tuple[np.ndarray, np.ndarray]:
+    """Memory for the rows and for the entries of the largest chunk of
+    ``groups``.  A lane works in memory that the caller takes: glibc
+    keeps what the worker thread frees in that thread's own arena, which
+    raised erb_stream's peak RSS by ~2 MB."""
+    return (np.empty(max(min(len(ls), CHUNK_ROWS) * m for m, _, ls, _ in groups),
+                     dtype=complex),
+            np.empty(max(c[1].size for g in groups for c in g[3]), dtype=complex))
+
+
+def _in_lanes(first: Callable[[], object], second: Callable[[], T]) -> T:
+    """Run ``first()`` on the lane worker and ``second()`` here, and return
+    ``second()``'s result once both have finished.  Either one's exception
+    is raised, the caller's if both raise."""
+    future = _worker().submit(first)
+    try:
+        result = second()
+    finally:
+        error = future.exception()  # waits for the worker
+    if error is not None:
+        raise error
+    return result
 
 
 def _as_signal(f, n: int) -> np.ndarray:
@@ -62,43 +145,86 @@ def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
     layout, the products are added onto their slots in index order,
     which sums each coefficient in its atom's support order.  One FFT
     per group inverts the block in place; its rows are the coefficients.
+    With two lanes each fills and inverts the blocks of its own groups.
     """
     groups, position = system.bank_layout()
+    # 1/N is a power of two, so scaling here and leaving the inverse FFTs
+    # unscaled gives the bits of ifft(.) / hop, with M_l * hop = N
+    fhat = fhat * (1.0 / system.grid.length)
     # the coefficients, group block after group block, in one allocation
-    store = np.zeros(sum(len(ls) * m for m, _, ls, _ in groups), dtype=complex)
-    rows: List[np.ndarray] = []
-    start = 0
-    for frames, hop, members, chunks in groups:
-        blk = store[start:start + len(members) * frames].reshape(-1, frames)
-        start += blk.size
-        for part, support, values, slot in chunks:
-            prod = fhat[support]
-            prod *= values
-            np.add.at(blk[part].ravel(), slot, prod)
-        np.fft.ifft(blk, axis=1, out=blk)
-        # hop is a power of two, so this scaling equals dividing by it
-        blk *= 1.0 / hop
-        rows.extend(blk)
+    sizes = [len(ls) * m for m, _, ls, _ in groups]
+    store = np.zeros(sum(sizes), dtype=complex)
+    blocks = [b.reshape(-1, g[0])
+              for b, g in zip(np.split(store, np.cumsum(sizes)), groups)]
+
+    def fold(lo: int, hi: int, prod: np.ndarray) -> None:
+        for (_, _, _, chunks), blk in zip(groups[lo:hi], blocks[lo:hi]):
+            for part, support, values, slot in chunks:
+                # valid indices: "clip" changes none, and takes no buffer
+                gathered = fhat.take(support, out=prod[:support.size],
+                                     mode="clip")
+                gathered *= values
+                np.add.at(blk[part].ravel(), slot, gathered)
+            np.fft.ifft(blk, axis=1, norm="forward", out=blk)
+
+    split = _lane_split(system)
+    if split:
+        first = _scratch(groups[:split])[1]
+        _in_lanes(lambda: fold(0, split, first),
+                  lambda: fold(split, len(groups), _scratch(groups[split:])[1]))
+    else:
+        fold(0, len(groups), _scratch(groups)[1])
+    rows = [row for blk in blocks for row in blk]
     return list(map(rows.__getitem__, position))
+
+
+def _spreads(data: List[np.ndarray], groups: list) -> Iterator[tuple]:
+    """Per chunk of ``groups``: its entries' bins and spread values,
+    the FFT of its rows gathered at their slots and weighted.  A chunk's
+    spread values are overwritten by the next chunk's; the scratch they
+    live in is taken by the call, not by the iteration."""
+    rows, spread = _scratch(groups)
+
+    def run():
+        for frames, _, members, chunks in groups:
+            for part, support, values, slot in chunks:
+                blk = rows[:len(members[part]) * frames]
+                np.concatenate(list(map(data.__getitem__, members[part])),
+                               out=blk)
+                blk = blk.reshape(-1, frames)
+                np.fft.fft(blk, axis=1, out=blk)
+                weighted = blk.ravel().take(slot, out=spread[:slot.size],
+                                            mode="clip")
+                weighted *= values
+                yield support, weighted
+    return run()
 
 
 def _unfold(data: List[np.ndarray], system: WarpedSystem) -> np.ndarray:
     """Synthesis in the DFT domain: the spectrum of ``V* c``.
 
     The rows of a chunk of the layout share one in-place FFT; the
-    spread rows are gathered at their slots, weighted and added onto
-    their atoms' supports, so each bin sums its channels group by group
-    and in channel order within a group.
+    spread rows are added onto their atoms' supports, so each bin sums
+    its channels group by group and in channel order within a group.
+    With two lanes the first adds its groups itself while the second
+    keeps copies of its spreads, which are added once the first has
+    finished.
     """
     out = np.zeros(system.grid.length, dtype=complex)
-    for _, _, members, chunks in system.bank_layout()[0]:
-        for part, support, values, slot in chunks:
-            blk = np.array(list(map(data.__getitem__, members[part])),
-                           dtype=complex)
-            np.fft.fft(blk, axis=1, out=blk)
-            spread = blk.ravel()[slot]
-            spread *= values
+    groups = system.bank_layout()[0]
+    split = _lane_split(system)
+
+    def add(spreads) -> None:
+        for support, spread in spreads:
             np.add.at(out, support, spread)
+
+    if split:
+        first = _spreads(data, groups[:split])
+        add(_in_lanes(lambda: add(first), lambda: [
+            (support, spread.copy())
+            for support, spread in _spreads(data, groups[split:])]))
+    else:
+        add(_spreads(data, groups))
     return out
 
 

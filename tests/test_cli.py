@@ -661,6 +661,7 @@ class TestNonFiniteArguments:
         ["kernel", "--op", "oscnorm", "--deltas", "inf"],
         ["kernel", "--op", "statphase", "--x", "nan"],
         ["kernel", "--op", "osc", "--delta", "-0.5"],
+        ["kernel", "--op", "osc", "--delta", "0"],
         ["kernel", "--op", "gramian", "--x", "nan"],
         ["kernel", "--op", "gramian", "--xi", "inf"],
     ])

@@ -1,9 +1,15 @@
 """Analysis/synthesis round trips, reference cross-checks, Moyal pairing."""
 
 import heapq
+import os
+import subprocess
+import threading
+import time
 
 import numpy as np
 import pytest
+
+from sys import executable, getswitchinterval, setswitchinterval
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,11 +21,13 @@ from warpft import (CapabilityError, ConfigError, IllConditionedError,
                     gaussian_prototype, linear_warp, log_warp,
                     power_law_warp)
 from warpft import system as system_module
+from warpft import transform as transform_module
 from warpft.discretization import frame_bounds, frame_bounds_painless
 from warpft.prototype import (PROTOTYPE_FAMILIES, admissibility_inner_product,
                               hann_prototype, l2_norm,
                               prototype_from_params)
-from warpft.system import Coefficients, SignalGrid, build_atom, build_system
+from warpft.system import (LANE_MIN_COEFFICIENTS, Coefficients, SignalGrid,
+                           build_atom, build_system)
 from warpft.warping import WARP_FAMILIES
 from warpft.transform import (CHUNK_ROWS, _fold, _unfold,
                               adjoint, analyze,
@@ -457,14 +465,14 @@ def _resampled_gaussian_system():
     return sys
 
 
-def _interleaved_system(time_scale):
+def _interleaved_system(time_scale, length=1024):
     """A warp whose slope swings between 0.2 and 1.8: the channel
     bandwidths rise and fall, so the frame-count groups interleave."""
     p = 40.0
     warp = custom_warp(lambda t: t + 0.8 * p * np.sin(t / p),
                        fn_derivative=lambda t: 1.0 + 0.8 * np.cos(t / p))
     sys = build_system(warp, bump_prototype(10.8), 12.0,
-                       SignalGrid(1024, 1024.0), time_scale=time_scale)
+                       SignalGrid(length, 1024.0), time_scale=time_scale)
     assert any(ls != list(range(ls[0], ls[-1] + 1))
                for _, _, ls in sys.frame_groups())
     return sys
@@ -539,6 +547,236 @@ class TestFlatLayoutOracle:
             rows += members
         assert [rows[p] for p in position] == list(
             range(len(sys.channels)))
+
+
+# -- two lanes: banks of at least LANE_MIN_COEFFICIENTS coefficients, run
+# with lanes forced on and off by setting the usable-CPU count
+
+LANE_SYSTEMS = {
+    "erb-stream": ORACLE_SYSTEMS["erb-stream"],
+    "erb-r2-32768": lambda: build_system(
+        erb_warp(9.265, 228.8), bump_prototype(2.0), 0.5,
+        SignalGrid(1 << 15, 16000.0)),
+    "interleaved-16384": lambda: _interleaved_system(1.0 / 1024, 1 << 14),
+}
+
+
+class _CountingWorker:
+    """The lane worker, counting what is handed to it."""
+
+    def __init__(self, worker):
+        self.worker = worker
+        self.calls = 0
+
+    def submit(self, fn):
+        self.calls += 1
+        return self.worker.submit(fn)
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    spy = _CountingWorker(transform_module._worker())
+    monkeypatch.setattr(transform_module, "_worker", lambda: spy)
+    return spy
+
+
+def _run_all(sys, f, c):
+    """Every map built on the lanes, on signal ``f`` and coefficients ``c``."""
+    fhat = np.fft.fft(f)
+    out = {"fold": _fold(fhat, sys), "unfold": [_unfold(c.data, sys)],
+           "analyze": analyze(f, sys).data, "adjoint": [adjoint(c, sys)],
+           "frame_operator": [apply_frame_operator(f, sys)]}
+    try:
+        out["synthesize"] = [synthesize(c, sys, iterative=True)]
+    except WarpFTError as exc:
+        out["synthesize"] = type(exc)
+    return out
+
+
+def _env_with_src():
+    """The environment, with this warpft first on the import path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(transform_module.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
+class TestLanes:
+    """Two lanes give the bits of one, and run only on large banks with
+    more than one usable CPU."""
+
+    @pytest.mark.parametrize("name", sorted(LANE_SYSTEMS))
+    def test_bitwise_equal_to_one_lane(self, name, monkeypatch, worker):
+        sys = LANE_SYSTEMS[name]()
+        n = sys.grid.length
+        groups = sys.frame_groups()
+        assert sum(len(ls) * m for m, _, ls in groups) >= LANE_MIN_COEFFICIENTS
+        assert 0 < sys.lane_split() < len(groups)
+        rng = np.random.default_rng(53)
+        f = _random_signal(n, rng)
+        c = Coefficients([_random_signal(ch.frames, rng)
+                          for ch in sys.channels], sys.channel_positions(),
+                         sys.hop_seconds(), n)
+        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 1)
+        one = _run_all(sys, f, c)
+        assert worker.calls == 0
+        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
+        two = _run_all(sys, f, c)
+        # fold, unfold, analyze, adjoint, the frame operator's two and
+        # synthesize's, unless it refuses the system first
+        refused = isinstance(one["synthesize"], type)
+        assert worker.calls == 6 + (not refused)
+        assert two.keys() == one.keys()
+        if refused:
+            assert two.pop("synthesize") is one.pop("synthesize")
+        for key in one:
+            for got, want in zip(two[key], one[key], strict=True):
+                _assert_bits(got, want)
+        for got, want in zip(two["fold"], _grouped_fold(np.fft.fft(f), sys),
+                             strict=True):
+            _assert_bits(got, want)
+        _assert_bits(two["unfold"][0], _grouped_unfold(c.data, sys))
+
+    def test_split_balances_fft_cost(self):
+        for name in sorted(LANE_SYSTEMS):
+            sys = LANE_SYSTEMS[name]()
+            cost = [len(ls) * m * np.log2(m) for m, _, ls in sys.frame_groups()]
+            half = sum(cost) / 2
+            gaps = [abs(sum(cost[:k]) - half) for k in range(1, len(cost))]
+            assert gaps[sys.lane_split() - 1] == min(gaps)
+
+    def test_small_banks_and_one_cpu_stay_inline(self, monkeypatch, worker):
+        """The README's erb.cfg bank at 2^12 never hands work over, nor
+        does the erb-stream bank when one CPU is usable."""
+        small = build_system(erb_warp(9.265, 228.8), bump_prototype(0.9),
+                             0.5, SignalGrid(4096, 16000.0))
+        assert small.lane_split() == 0
+        rng = np.random.default_rng(59)
+        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
+        f = _random_signal(small.grid.length, rng)
+        _run_all(small, f, analyze(f, small))
+        assert worker.calls == 0
+        big = LANE_SYSTEMS["erb-stream"]()
+        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 1)
+        f = _random_signal(big.grid.length, rng)
+        _run_all(big, f, analyze(f, big))
+        assert worker.calls == 0
+
+    def test_no_worker_thread_below_the_cutoff(self):
+        """A process whose banks all stay below the cutoff starts no
+        thread and imports no executor; importing the transform starts
+        no thread either."""
+        script = (
+            "import sys, threading, numpy as np\n"
+            "from warpft import analyze, synthesize, erb_warp, bump_prototype\n"
+            "from warpft.system import SignalGrid, build_system\n"
+            "assert threading.active_count() == 1\n"
+            "s = build_system(erb_warp(9.265, 228.8), bump_prototype(0.9), "
+            "0.5, SignalGrid(4096, 16000.0))\n"
+            "f = np.random.default_rng(1).standard_normal(4096)\n"
+            "synthesize(analyze(f, s), s)\n"
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
+        proc = subprocess.run([executable, "-c", script], env=_env_with_src(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1 False"
+
+    def test_concurrent_callers(self, monkeypatch):
+        """Four threads (more than the cores) share the one worker and a
+        system whose layout none has built yet, switching often: every
+        result keeps the bits of one caller alone."""
+        make = LANE_SYSTEMS["erb-stream"]
+        ref = make()
+        f = _random_signal(ref.grid.length, np.random.default_rng(67))
+        want = analyze(f, ref)
+        want_back = adjoint(want, ref)
+        sys = make()
+        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
+        errors = []
+
+        def work():
+            try:
+                for _ in range(3):
+                    got = analyze(f, sys)
+                    for a, b in zip(got.data, want.data, strict=True):
+                        _assert_bits(a, b)
+                    _assert_bits(adjoint(got, sys), want_back)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = getswitchinterval()
+        setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_lanes(self):
+        """A child forked after the lanes ran inherits no worker thread;
+        it starts its own instead of waiting on the parent's."""
+        script = (
+            "import os, signal, numpy as np\n"
+            "from warpft import transform as t, erb_warp, bump_prototype\n"
+            "from warpft.system import SignalGrid, build_system\n"
+            "t._USABLE_CPUS = 2\n"
+            "s = build_system(erb_warp(9.265, 228.8), bump_prototype(0.9), "
+            "0.5, SignalGrid(1 << 16, 16000.0))\n"
+            "f = np.random.default_rng(1).standard_normal(1 << 16)\n"
+            "want = t.analyze(f, s).data\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(20)\n"
+            "    got = t.analyze(f, s).data\n"
+            "    os._exit(0 if all(map(np.array_equal, got, want)) else 3)\n"
+            "print(os.waitpid(pid, 0)[1])\n")
+        proc = subprocess.run([executable, "-c", script], env=_env_with_src(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    @pytest.mark.parametrize("stage", ["fold", "unfold"])
+    def test_exception_waits_for_the_worker(self, where, stage, monkeypatch):
+        """A lane's exception reaches the caller, and only once the
+        worker's lane has finished."""
+        sys = LANE_SYSTEMS["erb-stream"]()
+        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
+        first = sys.bank_layout()[0][:sys.lane_split()]
+        # the FFTs of the worker's lane: one per group, or one per chunk
+        lane = (len(first) if stage == "fold"
+                else sum(len(g[3]) for g in first))
+        name = "ifft" if stage == "fold" else "fft"
+        real = getattr(np.fft, name)
+        finished = []
+
+        def fft(*args, **kwargs):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker:
+                time.sleep(0.2)
+                finished.append(True)
+            if on_worker == (where == "worker"):
+                raise RuntimeError(where)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, fft)
+        f = _random_signal(sys.grid.length, np.random.default_rng(61))
+        with pytest.raises(RuntimeError, match=where):
+            if stage == "fold":
+                _fold(np.fft.fft(f), sys)
+            else:
+                _unfold([np.zeros(ch.frames, complex) for ch in sys.channels],
+                        sys)
+        # the worker's lane ended (at its first FFT when it raised)
+        # before the caller returned, and nothing of it ran later
+        assert len(finished) == (1 if where == "worker" else lane)
+        time.sleep(0.3)
+        assert len(finished) == (1 if where == "worker" else lane)
 
 
 def _parent_sample_atoms(warp, theta, xs, grid, truncation):
