@@ -58,6 +58,7 @@ from .prototype import (
 from .system import (
     Atom,
     Channel,
+    ChannelTable,
     Coefficients,
     PainlessReport,
     SignalGrid,

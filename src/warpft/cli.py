@@ -140,7 +140,7 @@ def _cmd_diagnose(args) -> int:
     report["moyal_relative"] = residual / energy
 
     chans = system.channels
-    f_window = (chans[0].band_lo_hz, chans[-1].band_hi_hz)
+    f_window = (chans.band_lo_hz[0].item(), chans.band_hi_hz[-1].item())
     t_window = (0.0, system.grid.length / system.grid.sample_rate)
     cover = induced_cover(system.warp, system.delta, f_window, t_window)
     cov = check_cover_admissible(cover)

@@ -28,6 +28,8 @@ from .warping import WARP_FAMILIES, warp_from_params
 
 _COEFF_MAGIC = b"WTC1"
 _VERSION = 1
+#: one channel header of a WTC1 container
+_HEADER = np.dtype([("center", "<f8"), ("hop", "<f8"), ("frames", "<u8")])
 
 
 def fmt(value) -> str:
@@ -184,16 +186,17 @@ def read_signal(path) -> np.ndarray:
 
 
 def write_coefficients(path, coeffs: Coefficients):
+    headers = np.empty(coeffs.channel_count, _HEADER)
+    headers["center"] = coeffs.centers_hz
+    headers["hop"] = coeffs.hop_seconds
+    headers["frames"] = coeffs.frame_counts()
     with open(path, "wb") as fh:
         fh.write(_COEFF_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(coeffs.data)))
-        for center, hop, frames in zip(coeffs.centers_hz,
-                                       coeffs.hop_seconds,
-                                       coeffs.frame_counts()):
-            fh.write(struct.pack("<ddQ", center, hop, frames))
-        for block in coeffs.data:
-            fh.write(np.asarray(block, dtype=np.complex128)
-                     .astype("<c16").tobytes())
+        fh.write(struct.pack("<II", _VERSION, coeffs.channel_count))
+        fh.write(headers)
+        # each block as stored when it already is little-endian and contiguous
+        fh.writelines(np.ascontiguousarray(block, "<c16")
+                      for block in coeffs.data)
 
 
 def read_coefficients(path, system: WarpedSystem) -> Coefficients:
@@ -210,35 +213,43 @@ def read_coefficients(path, system: WarpedSystem) -> Coefficients:
     version, count = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
-    if count != len(system.channels):
+    channels = system.channels
+    if count != len(channels):
         raise ShapeError(f"{path}: container has {count} channels, "
-                         f"system has {len(system.channels)}")
+                         f"system has {len(channels)}")
     off = 12 + 24 * count
     if off > len(blob):
         raise FormatError(f"{path}: truncated channel headers")
+    headers = np.frombuffer(blob, _HEADER, count, 12)
     centers, hops = system.channel_positions(), system.hop_seconds()
-    data = []
-    for i, ch in enumerate(system.channels):
-        center, hop, frames = struct.unpack_from("<ddQ", blob, 12 + 24 * i)
+    # channels are checked in order: the first whose header disagrees, or
+    # whose frames run past the end of the file, is the one reported
+    frames_end = np.cumsum(channels.frames)
+    ends = off + 16 * frames_end
+    wrong = ((headers["center"] != centers) | (headers["hop"] != hops)
+             | (headers["frames"] != channels.frames.astype(np.uint64)))
+    bad = np.flatnonzero(wrong | (ends > len(blob)))
+    if bad.size:
+        i = int(bad[0])
+        center, hop, frames = headers[i].tolist()
         if center != centers[i] or hop != hops[i]:
-            raise ShapeError(f"{path}: channel {ch.index} sits at "
+            raise ShapeError(f"{path}: channel {channels.index[i]} sits at "
                              f"({fmt(center)} Hz, {fmt(hop)} s), system has "
                              f"({fmt(centers[i])} Hz, {fmt(hops[i])} s)")
-        if frames != ch.frames:
-            raise ShapeError(f"{path}: channel {ch.index} has {frames} "
-                             f"frames, system expects {ch.frames}")
-        end = off + 16 * frames
-        if end > len(blob):
-            raise FormatError(f"{path}: truncated payload")
-        data.append(np.frombuffer(blob[off:end], dtype="<c16")
-                    .astype(np.complex128))
-        off = end
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
-    finite = np.isfinite(np.frombuffer(blob, "<f8", offset=12 + 24 * count))
+        if wrong[i]:
+            raise ShapeError(f"{path}: channel {channels.index[i]} has "
+                             f"{frames} frames, system expects "
+                             f"{channels.frames[i]}")
+        raise FormatError(f"{path}: truncated payload")
+    if ends[-1] != len(blob):
+        raise FormatError(f"{path}: {len(blob) - ends[-1]} trailing bytes")
+    payload = np.frombuffer(blob, "<c16", offset=off).astype(np.complex128)
+    finite = np.isfinite(payload.view(float))
     if not finite.all():  # name the channel of the first bad entry
-        ends = np.cumsum([ch.frames for ch in system.channels])
-        l = int(np.searchsorted(ends, np.argmin(finite) // 2, side="right"))
-        raise FormatError(f"{path}: channel {system.channels[l].index} "
+        l = int(np.searchsorted(frames_end, np.argmin(finite) // 2,
+                                side="right"))
+        raise FormatError(f"{path}: channel {channels.index[l]} "
                           "holds a value that is not finite")
+    bounds = frames_end.tolist()
+    data = [payload[a:b] for a, b in zip([0] + bounds, bounds)]
     return Coefficients(data, centers, hops, system.grid.length)

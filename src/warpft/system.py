@@ -18,9 +18,11 @@ sampled as one array expression over (channel, bin) pairs, evaluated in
 batches of the channels' windows laid end to end.  The channels' band
 edges, centres, ``F(x_l)`` and ``F'(x_l)`` are evaluated on arrays too.
 
-A system stores its atoms once, as one bank in frame-group order (the
-retained values and bins, and each atom's entry count): the channels'
-atoms are views of it, and the transform reads it in chunks.
+A system holds its channels as one table of arrays (:class:`ChannelTable`)
+and its atoms once, as one bank in frame-group order (the retained
+values and bins, and each atom's entry count): the transform reads the
+bank in chunks, and the per-channel :class:`Channel` and :class:`Atom`
+objects are built only when asked for.
 
 Half-line warps analyze the analytic part only: non-positive bins are
 zeroed and reconstructions live on positive frequencies.
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -111,6 +114,39 @@ class Channel:
     frames: int
 
 
+@dataclass(eq=False)
+class ChannelTable:
+    """The channels' geometry, one read-only array per :class:`Channel`
+    field, in channel order.  It reads as a sequence of channels:
+    indexing and iteration give :class:`Channel` rows, a slice gives a
+    table, and a table equals a list of the same rows."""
+
+    index: np.ndarray
+    center_hz: np.ndarray
+    band_lo_hz: np.ndarray
+    band_hi_hz: np.ndarray
+    bandwidth_hz: np.ndarray
+    tau_seconds: np.ndarray
+    hop_samples: np.ndarray
+    frames: np.ndarray
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ChannelTable(*(c[i] for c in vars(self).values()))
+        return Channel(*(c[i].item() for c in vars(self).values()))
+
+    def __iter__(self) -> Iterator[Channel]:
+        return map(Channel, *(c.tolist() for c in vars(self).values()))
+
+    def __eq__(self, other):
+        if not isinstance(other, (ChannelTable, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 def _active_bins(grid: SignalGrid, domain: str) -> Tuple[int, int]:
     """The lowest and highest signed bin of the grid's active band."""
     k_max = grid.length // 2
@@ -118,8 +154,9 @@ def _active_bins(grid: SignalGrid, domain: str) -> Tuple[int, int]:
 
 
 def design_channels(warp: WarpingFunction, delta: float, grid: SignalGrid,
-                    time_scale: float = 1.0) -> List[Channel]:
-    """All channels whose centre lies in the grid's active band.
+                    time_scale: float = 1.0) -> ChannelTable:
+    """The table of all channels whose centre lies in the grid's active
+    band.
 
     Raises :class:`ConfigError` when fewer than two channels fit, or
     more channels than the grid has bins.
@@ -152,9 +189,10 @@ def design_channels(warp: WarpingFunction, delta: float, grid: SignalGrid,
     # while still a float, since tau * fs can exceed any integer type
     samples = np.minimum(tau * grid.sample_rate, grid.length)
     hop = 1 << np.floor(np.log2(np.maximum(samples, 1.0))).astype(np.int64)
-    return [Channel(*row) for row in zip(
-        l.tolist(), center.tolist(), lo.tolist(), hi.tolist(), bw.tolist(),
-        tau.tolist(), hop.tolist(), (grid.length // hop).tolist())]
+    table = ChannelTable(l, center, lo, hi, bw, tau, hop, grid.length // hop)
+    for column in vars(table).values():
+        column.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -299,10 +337,11 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
     return values[take], support[take], sizes[np.argsort(ids)]
 
 
-def _frame_groups(channels: List[Channel]) -> List[Tuple[int, int, List[int]]]:
+def _frame_groups(channels: ChannelTable) -> List[Tuple[int, int, List[int]]]:
     groups = {}
-    for l, ch in enumerate(channels):
-        groups.setdefault((ch.frames, ch.hop_samples), []).append(l)
+    for l, key in enumerate(zip(channels.frames.tolist(),
+                                channels.hop_samples.tolist())):
+        groups.setdefault(key, []).append(l)
     return [(m, hop, ls) for (m, hop), ls in groups.items()]
 
 
@@ -324,10 +363,10 @@ def painless_check(system: "WarpedSystem") -> PainlessReport:
     order = system._order       # the channel of each atom of the bank
     sup = np.empty(len(order))
     sup[order] = sizes * system.grid.bin_hz
-    lim = np.array([1.0 / ch.tau_seconds for ch in system.channels])
+    lim = 1.0 / system.channels.tau_seconds
     # one count per (channel, residue); channel l's residues start at
     # offsets[l], and the counts take as many entries as the coefficients
-    frames = np.array([ch.frames for ch in system.channels])
+    frames = system.channels.frames
     offsets = np.cumsum(frames) - frames
     residues = (support % np.repeat(frames[order], sizes)
                 + np.repeat(offsets[order], sizes))
@@ -344,11 +383,11 @@ class WarpedSystem:
     together.  ``bank`` is the one stored form of the atoms: ``(values,
     support, sizes)``, their entries end to end in the order of
     ``groups`` (:meth:`frame_groups`) and each atom's entry count.
-    ``atoms`` lists them in channel order, as views of the bank.
+    ``channels`` is the :class:`ChannelTable`.
     """
 
     def __init__(self, warp: WarpingFunction, theta: Prototype, delta: float,
-                 grid: SignalGrid, channels: List[Channel],
+                 grid: SignalGrid, channels: ChannelTable,
                  groups: List[Tuple[int, int, List[int]]],
                  bank: Tuple[np.ndarray, np.ndarray, np.ndarray],
                  time_scale: float = 1.0, truncation: float = 1e-8,
@@ -363,12 +402,10 @@ class WarpedSystem:
         self.truncation = truncation
         self.normalize = normalize
         self._groups = groups
-        self._order = [l for _, _, ls in groups for l in ls]
-        values, support, sizes = bank
-        ends = np.cumsum(sizes).tolist()
-        self.atoms: List[Atom] = [None] * len(channels)
-        for l, a, b in zip(self._order, [0] + ends, ends):
-            self.atoms[l] = Atom(values[a:b], support[a:b], channels[l].center_hz)
+        # the channel of each atom of the bank, and each channel's atom
+        self._order = np.concatenate([ls for _, _, ls in groups])
+        self._position = np.empty_like(self._order)
+        self._position[self._order] = np.arange(self._order.size)
         self._painless: Optional[PainlessReport] = None
         self._diag: Optional[np.ndarray] = None
         self._layout: Optional[Tuple[list, List[int]]] = None
@@ -377,6 +414,28 @@ class WarpedSystem:
         self._covered: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
         self._interior_fibers: Optional[Tuple[np.ndarray, list]] = None
         self._inverses: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+
+    @cached_property
+    def atoms(self) -> List[Atom]:
+        """The atoms in channel order, as views of the bank; built on
+        first access."""
+        values, support, sizes = self.bank
+        at = self._position
+        return [Atom(values[b - k:b], support[b - k:b], x) for b, k, x in zip(
+            np.cumsum(sizes)[at].tolist(), sizes[at].tolist(),
+            self.channels.center_hz.tolist())]
+
+    def _entries(self, ls: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(support, values, sizes)`` of channels ``ls``: their atoms'
+        bins and values end to end, channel after channel, gathered from
+        the bank, and each atom's entry count."""
+        values, support, sizes = self.bank
+        counts = sizes[self._position[ls]]
+        at = np.repeat(np.cumsum(sizes)[self._position[ls]] - np.cumsum(counts),
+                       counts)
+        at += np.arange(at.size)
+        return support[at], values[at], counts
 
     @property
     def painless_report(self) -> PainlessReport:
@@ -395,13 +454,12 @@ class WarpedSystem:
         in the painless regime the whole of it.
         """
         if self._diag is None:
-            # summed in channel order, as bincount adds its weights in order
-            hops = [ch.hop_samples for ch in self.channels]
-            sizes = [a.support_bins for a in self.atoms]
-            self._diag = np.bincount(
-                np.concatenate([a.support for a in self.atoms]),
-                np.concatenate([a.values for a in self.atoms]) ** 2
-                / np.repeat(hops, sizes), minlength=self.grid.length)
+            # summed in channel order, as bincount adds its weights in order;
+            # squared and divided in place, as each pass is one bank long
+            bins, weights, sizes = self._entries(np.arange(len(self.channels)))
+            weights **= 2
+            weights /= np.repeat(self.channels.hop_samples, sizes)
+            self._diag = np.bincount(bins, weights, minlength=self.grid.length)
         return self._diag
 
     def frame_groups(self) -> List[Tuple[int, int, List[int]]]:
@@ -444,7 +502,7 @@ class WarpedSystem:
             self._layout = ([(m, hop, ls, [
                 (slice(r, r + CHUNK_ROWS), *next(chunks))
                 for r in range(0, len(ls), CHUNK_ROWS)]) for m, hop, ls in groups],
-                sorted(range(len(self._order)), key=self._order.__getitem__))
+                self._position.tolist())
         return self._layout
 
     def lane_split(self) -> int:
@@ -466,16 +524,14 @@ class WarpedSystem:
         ``(F, k, k)``.  A fiber above :data:`FIBER_CAP` bins raises
         :class:`CapabilityError`."""
         # only a channel that is not alias-free couples two bins
-        ls = np.flatnonzero(~self.painless_report.alias_free).tolist()
-        if not ls:
+        ls = np.flatnonzero(~self.painless_report.alias_free)
+        if not ls.size:
             return bins, []
         n = self.grid.length
         inside = np.zeros(n, dtype=bool)
         inside[bins] = True
-        sizes = [self.atoms[l].support_bins for l in ls]
-        j = np.concatenate([self.atoms[l].support for l in ls])
-        g = np.concatenate([self.atoms[l].values for l in ls])
-        hop = np.repeat([self.channels[l].hop_samples for l in ls], sizes)
+        j, g, sizes = self._entries(ls)
+        hop = np.repeat(self.channels.hop_samples[ls], sizes)
         # a class per channel and residue mod n / hop, its entries in order
         cls = np.repeat(ls, sizes) * n + j % (n // hop)
         keep = inside[j]
@@ -533,15 +589,16 @@ class WarpedSystem:
 
     def _interior_bins(self) -> np.ndarray:
         radius = self.theta.support_radius(max(self.truncation, 1e-12))
-        w_lo = self.delta * (self.channels[0].index + 0.5) + radius
-        w_hi = self.delta * (self.channels[-1].index + 0.5) - radius
+        w_lo = self.delta * (int(self.channels.index[0]) + 0.5) + radius
+        w_hi = self.delta * (int(self.channels.index[-1]) + 0.5) - radius
         if w_hi <= w_lo:
             return np.array([], dtype=int)
         freqs = self.grid.bin_freqs()
-        active = self.grid.active_mask(self.warp.domain)
-        lo_hz = float(self.warp.inverse(w_lo))
-        hi_hz = float(self.warp.inverse(w_hi))
-        return np.flatnonzero(active & (freqs >= lo_hz) & (freqs <= hi_hz))
+        inside = ((freqs >= float(self.warp.inverse(w_lo)))
+                  & (freqs <= float(self.warp.inverse(w_hi))))
+        if self.warp.domain == POSITIVE_HALF_LINE:
+            inside &= freqs > 0
+        return np.flatnonzero(inside)
 
     def interior_fibers(self):
         """:meth:`frame_fibers` on :meth:`interior_bins`, computed once."""
@@ -582,11 +639,10 @@ class WarpedSystem:
         return self._inverses
 
     def channel_positions(self) -> np.ndarray:
-        return np.array([ch.center_hz for ch in self.channels])
+        return self.channels.center_hz.copy()
 
     def hop_seconds(self) -> np.ndarray:
-        fs = self.grid.sample_rate
-        return np.array([ch.hop_samples / fs for ch in self.channels])
+        return self.channels.hop_samples / self.grid.sample_rate
 
 
 def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
@@ -610,9 +666,8 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
     channels = design_channels(warp, delta, grid, time_scale)
     groups = _frame_groups(channels)
     # sampled in frame-group order, so the bank is laid out for the transform
-    bank = _sample_bank(warp, theta, [channels[l].center_hz
-                                      for _, _, ls in groups for l in ls],
-                        grid, truncation)
+    bank = _sample_bank(warp, theta, channels.center_hz[
+        np.concatenate([ls for _, _, ls in groups])], grid, truncation)
     return WarpedSystem(warp, theta, delta, grid, channels, groups, bank,
                         time_scale, truncation, normalize)
 
@@ -644,9 +699,5 @@ class Coefficients:
         return int(sum(c.size for c in self.data))
 
     def matches_system(self, system: WarpedSystem) -> bool:
-        if self.channel_count != len(system.channels):
-            return False
-        if self.length != system.grid.length:
-            return False
-        return all(c.size == ch.frames
-                   for c, ch in zip(self.data, system.channels))
+        return (self.length == system.grid.length and np.array_equal(
+            self.frame_counts(), system.channels.frames))

@@ -269,12 +269,16 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
             "frame profile nearly vanishes inside the covered band")
     _check_layout(coeffs, system)
     num = _unfold(coeffs.data, system)
-    # solved from num before num is reused for the spectrum and the output
-    parts = [(covered, num[covered] / profile)] + [
-        (bins, (inverses @ num[bins][..., None])[..., 0])
-        for bins, inverses in system.fiber_inverses()]
-    num.fill(0)
-    for bins, x in parts:
+    # solved from num before num is divided in place
+    fibers = [(bins, (inverses @ num[bins][..., None])[..., 0])
+              for bins, inverses in system.fiber_inverses()]
+    if covered.size == num.size:  # then profile is the whole frame profile
+        num /= profile
+    else:
+        x = num[covered] / profile
+        num.fill(0)
+        num[covered] = x
+    for bins, x in fibers:
         num[bins] = x
     return np.fft.ifft(num, out=num)
 
@@ -311,10 +315,11 @@ def moyal_residual(f1, f2, system1: WarpedSystem,
     c2 = analyze(f2, s2)
     fs = s1.grid.sample_rate
     lhs = 0.0 + 0.0j
-    for a, b, ch in zip(c1.data, c2.data, s1.channels):
-        slot = s1.delta * (ch.index + 0.5)
+    for a, b, l, hop in zip(c1.data, c2.data, s1.channels.index.tolist(),
+                            s1.channels.hop_samples.tolist()):
+        slot = s1.delta * (l + 0.5)
         wslot = float(s1.warp.weight(slot))
-        lhs += s1.delta * wslot * (ch.hop_samples / fs) * np.vdot(b, a)
+        lhs += s1.delta * wslot * (hop / fs) * np.vdot(b, a)
     inner = np.vdot(_as_signal(f2, s1.grid.length),
                     _as_signal(f1, s1.grid.length)) / fs
     rhs = inner * admissibility_inner_product(s2.theta, s1.theta)

@@ -17,7 +17,7 @@ from warpft.cli import _build_parser, main
 from warpft.discretization import frame_bounds, frame_bounds_painless
 from warpft.io import (read_coefficients, read_descriptor, read_signal,
                        write_signal)
-from warpft.system import WarpedSystem
+from warpft.system import Atom, Channel, WarpedSystem
 
 ERB_CFG = """\
 warp.kind = erb
@@ -302,6 +302,32 @@ class TestAnalyzeSynthesize:
         line = [ln for ln in capsys.readouterr().out.splitlines()
                 if ln.startswith("relative_error")][0]
         assert float(line.split("=")[1]) <= 1e-10
+
+    def test_round_trip_builds_no_channel_or_atom(self, erb_paths, tmp_path,
+                                                  capsys, monkeypatch):
+        """The system, the transform and the container all read the
+        channel table and the bank: no per-channel object is made."""
+        _, desc = erb_paths
+        sig = tmp_path / "sig.f64"
+        write_signal(sig, _bandlimited_signal(desc))
+
+        def refuse(self, *args):
+            raise AssertionError(f"{type(self).__name__} constructed")
+
+        monkeypatch.setattr(Channel, "__init__", refuse)
+        monkeypatch.setattr(Atom, "__init__", refuse)
+        coeffs = tmp_path / "c.wtc"
+        capsys.readouterr()
+        assert main(["analyze", "--system", str(desc), "--signal", str(sig),
+                     "--out", str(coeffs)]) == 0
+        assert main(["synthesize", "--system", str(desc),
+                     "--coeffs", str(coeffs), "--out", str(tmp_path / "r.f64"),
+                     "--verify", str(sig)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert float(out.out.splitlines()[-1].split("=")[1]) <= 1e-12
+        with pytest.raises(AssertionError, match="Channel constructed"):
+            read_descriptor(desc).channels[0]
 
     def test_zero_signal_zero_payload(self, erb_paths, tmp_path):
         _, desc = erb_paths

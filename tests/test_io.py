@@ -1,7 +1,13 @@
 """Config parsing, descriptors, and binary container round trips."""
 
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpft import ConfigError, FormatError, ShapeError
 from warpft.io import (fmt, format_config, parse_config, read_coefficients,
@@ -10,10 +16,12 @@ from warpft.io import (fmt, format_config, parse_config, read_coefficients,
                        write_descriptor, write_signal)
 from warpft.prototype import (bump_prototype, gaussian_prototype,
                               hann_prototype)
-from warpft.system import SignalGrid, build_system
+from warpft.system import Coefficients, SignalGrid, build_system
 from warpft.transform import analyze
 from warpft.warping import (alpha_like_warp, erb_warp, linear_warp, log_warp,
                             power_law_warp)
+
+from test_transform import SYSTEMS
 
 RNG = np.random.default_rng(31)
 
@@ -213,3 +221,212 @@ class TestCoefficientContainer:
         write_coefficients(path, coeffs)
         with pytest.raises(ShapeError, match="channels"):
             read_coefficients(path, other)
+
+
+# -- the WTC1 reader and writer as they ran channel by channel with struct,
+# kept as the reference for the ones that read headers as one structured
+# array and the payload as one buffer
+
+
+def _parent_write_coefficients(path, coeffs):
+    with open(path, "wb") as fh:
+        fh.write(b"WTC1")
+        fh.write(struct.pack("<II", 1, len(coeffs.data)))
+        for center, hop, frames in zip(coeffs.centers_hz,
+                                       coeffs.hop_seconds,
+                                       coeffs.frame_counts()):
+            fh.write(struct.pack("<ddQ", center, hop, frames))
+        for block in coeffs.data:
+            fh.write(np.asarray(block, dtype=np.complex128)
+                     .astype("<c16").tobytes())
+
+
+def _parent_read_coefficients(path, system):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != b"WTC1":
+        raise FormatError(f"{path}: bad magic {blob[:4]!r}, "
+                          f"expected {b'WTC1'!r}")
+    if len(blob) < 12:
+        raise FormatError(f"{path}: truncated header")
+    version, count = struct.unpack_from("<II", blob, 4)
+    if version != 1:
+        raise FormatError(f"{path}: unsupported container version {version}")
+    if count != len(system.channels):
+        raise ShapeError(f"{path}: container has {count} channels, "
+                         f"system has {len(system.channels)}")
+    off = 12 + 24 * count
+    if off > len(blob):
+        raise FormatError(f"{path}: truncated channel headers")
+    centers, hops = system.channel_positions(), system.hop_seconds()
+    data = []
+    for i, ch in enumerate(system.channels):
+        center, hop, frames = struct.unpack_from("<ddQ", blob, 12 + 24 * i)
+        if center != centers[i] or hop != hops[i]:
+            raise ShapeError(f"{path}: channel {ch.index} sits at "
+                             f"({fmt(center)} Hz, {fmt(hop)} s), system has "
+                             f"({fmt(centers[i])} Hz, {fmt(hops[i])} s)")
+        if frames != ch.frames:
+            raise ShapeError(f"{path}: channel {ch.index} has {frames} "
+                             f"frames, system expects {ch.frames}")
+        end = off + 16 * frames
+        if end > len(blob):
+            raise FormatError(f"{path}: truncated payload")
+        data.append(np.frombuffer(blob[off:end], dtype="<c16")
+                    .astype(np.complex128))
+        off = end
+    if off != len(blob):
+        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
+    finite = np.isfinite(np.frombuffer(blob, "<f8", offset=12 + 24 * count))
+    if not finite.all():
+        ends = np.cumsum([ch.frames for ch in system.channels])
+        l = int(np.searchsorted(ends, np.argmin(finite) // 2, side="right"))
+        raise FormatError(f"{path}: channel {system.channels[l].index} "
+                          "holds a value that is not finite")
+    return Coefficients(data, centers, hops, system.grid.length)
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint8).tobytes()
+
+
+# a 4-channel linear bank on 64 bins and a 108-channel ERB bank on 1024
+_CONTAINER_SYSTEMS = [
+    build_system(linear_warp(1.0), gaussian_prototype(4.0), 16.0,
+                 SignalGrid(64, 64.0), time_scale=1.0 / 16),
+    _erb_system(),
+]
+
+
+def _container_bytes(system):
+    """The WTC1 container of a seeded full-band signal's coefficients."""
+    rng = np.random.default_rng(43)
+    coeffs = analyze(rng.standard_normal(system.grid.length) + 0j, system)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.wtc")
+        write_coefficients(path, coeffs)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_CONTAINERS = [_container_bytes(system) for system in _CONTAINER_SYSTEMS]
+
+
+def _outcome(read, path, system):
+    try:
+        return read(path, system)
+    except (FormatError, ShapeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _damaged(draw):
+    """A container of one of the systems above with some of: a header
+    field of one channel replaced, one payload value replaced (often by
+    one that is not finite), the file cut at any byte, bytes appended."""
+    which = draw(st.integers(0, len(_CONTAINERS) - 1))
+    system, blob = _CONTAINER_SYSTEMS[which], bytearray(_CONTAINERS[which])
+    count = len(system.channels)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, count - 1))
+        field = draw(st.sampled_from(["center", "hop", "frames"]))
+        at = 12 + 24 * i + {"center": 0, "hop": 8, "frames": 16}[field]
+        if field == "frames":
+            new = struct.pack("<Q", draw(st.one_of(
+                st.integers(0, 2 ** 64 - 1),
+                st.integers(0, 2 * system.grid.length))))
+        else:
+            old = struct.unpack_from("<d", blob, at)[0]
+            new = struct.pack("<d", draw(st.one_of(
+                st.floats(), st.sampled_from([np.nextafter(old, np.inf),
+                                              -old, 0.0, -0.0]))))
+        blob[at:at + 8] = new
+    if draw(st.booleans()):
+        j = draw(st.integers(0, (len(blob) - 12 - 24 * count) // 8 - 1))
+        value = draw(st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]),
+                               st.floats()))
+        struct.pack_into("<d", blob, 12 + 24 * count + 8 * j, value)
+    if draw(st.booleans()):  # often inside the payload
+        blob = blob[:draw(st.one_of(st.integers(0, len(blob)), st.integers(
+            12 + 24 * count, len(blob))))]
+    if draw(st.booleans()):
+        blob += draw(st.binary(min_size=1, max_size=40))
+    return system, bytes(blob)
+
+
+class TestContainerAgainstStructReader:
+    """The array reader and writer equal the channel-by-channel struct
+    ones: the same exception class and message (the first bad channel
+    named) or bit-identical data, and byte-identical files."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_damaged())
+    def test_same_outcome(self, case):
+        system, blob = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.wtc")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            got = _outcome(read_coefficients, path, system)
+            want = _outcome(_parent_read_coefficients, path, system)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, Coefficients)
+        assert len(got.data) == len(want.data)
+        for a, b in zip(got.data, want.data):
+            assert a.dtype == b.dtype and _bits(a) == _bits(b)
+        assert _bits(got.centers_hz) == _bits(want.centers_hz)
+        assert _bits(got.hop_seconds) == _bits(want.hop_seconds)
+        assert got.length == want.length
+
+    def test_every_cut_of_every_damaged_header(self, tmp_path):
+        """The 4-channel container, each header field in turn nudged (or
+        none), cut at every byte and with one byte appended."""
+        system, blob = _CONTAINER_SYSTEMS[0], _CONTAINERS[0]
+        path = tmp_path / "c.wtc"
+        variants = [blob]
+        for at in range(12, 12 + 24 * len(system.channels), 8):
+            damaged = bytearray(blob)
+            if (at - 12) % 24 == 16:  # a frame count, one more
+                struct.pack_into("<Q", damaged, at,
+                                 struct.unpack_from("<Q", blob, at)[0] + 1)
+            else:                     # a centre or hop, one ulp up
+                struct.pack_into("<d", damaged, at, np.nextafter(
+                    struct.unpack_from("<d", blob, at)[0], np.inf))
+            variants.append(bytes(damaged))
+        for damaged in variants:
+            for cut in [damaged[:size] for size in range(len(damaged) + 1)
+                        ] + [damaged + b"\0"]:
+                path.write_bytes(cut)
+                got = _outcome(read_coefficients, path, system)
+                want = _outcome(_parent_read_coefficients, path, system)
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    assert [_bits(c) for c in got.data] == [
+                        _bits(c) for c in want.data]
+
+    def test_intact_containers_read_back(self):
+        # the property's undamaged case, drawn or not
+        for system, blob in zip(_CONTAINER_SYSTEMS, _CONTAINERS):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "c.wtc")
+                with open(path, "wb") as fh:
+                    fh.write(blob)
+                assert read_coefficients(path, system).matches_system(system)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_files_byte_identical(self, name, tmp_path):
+        system = SYSTEMS[name]()
+        coeffs = analyze(_signal(system), system)
+        # and blocks that are strided views, which the writer makes contiguous
+        strided = Coefficients(
+            [np.repeat(c, 2)[::2] for c in coeffs.data], coeffs.centers_hz,
+            coeffs.hop_seconds, coeffs.length)
+        assert not strided.data[0].flags.c_contiguous
+        for c in (coeffs, strided):
+            write_coefficients(tmp_path / "new.wtc", c)
+            _parent_write_coefficients(tmp_path / "old.wtc", c)
+            assert ((tmp_path / "new.wtc").read_bytes()
+                    == (tmp_path / "old.wtc").read_bytes())

@@ -2,19 +2,20 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from warpft import (ConfigError, DegenerateAtomError, ShapeError,
-                    bump_prototype, erb_warp, gaussian_prototype, linear_warp,
-                    log_warp)
+from warpft import (CapabilityError, ConfigError, DegenerateAtomError,
+                    ShapeError, bump_prototype, erb_warp, gaussian_prototype,
+                    linear_warp, log_warp)
 from warpft.prototype import hann_prototype, normalized
-from warpft.system import (Channel, Coefficients, SignalGrid, _sample_bank,
-                           build_atom, build_system, design_channels)
-from warpft.warping import (POSITIVE_HALF_LINE, alpha_like_warp,
-                            custom_warp, power_law_warp)
+from warpft.system import (Atom, Channel, ChannelTable, Coefficients,
+                           SignalGrid, _sample_bank, build_atom, build_system,
+                           design_channels)
+from warpft.warping import (POSITIVE_HALF_LINE, WARP_FAMILIES,
+                            alpha_like_warp, custom_warp, power_law_warp)
 
 
 class TestSignalGrid:
@@ -524,6 +525,83 @@ class TestBankSampler:
         for grid in (SignalGrid(1024, 16000.0), self.GRID):
             assert (design_channels(warp, delta, grid, time_scale)
                     == _loop_channels(warp, delta, grid, time_scale))
+
+
+def _eager_atoms(system):
+    """The atoms as the constructor built them before they were lazy."""
+    values, support, sizes = system.bank
+    order = [l for _, _, ls in system.frame_groups() for l in ls]
+    ends = np.cumsum(sizes).tolist()
+    atoms = [None] * len(system.channels)
+    for l, a, b in zip(order, [0] + ends, ends):
+        atoms[l] = Atom(values[a:b], support[a:b], system.channels[l].center_hz)
+    return atoms
+
+
+class TestChannelTable:
+    """``design_channels`` returns one table of arrays.  Its columns hold
+    the bits of the channel-at-a-time loop, and it reads as the list of
+    :class:`Channel` it replaced."""
+
+    GRID = SignalGrid(4096, 16000.0)
+
+    @pytest.mark.parametrize("time_scale", [1e-6, 1.0, 1e300])
+    @pytest.mark.parametrize("kind", sorted(WARP_FAMILIES))
+    def test_columns_equal_loop(self, kind, time_scale):
+        warp, delta = _WINDOW_WARPS[kind]
+        table = design_channels(warp, delta, self.GRID, time_scale)
+        ref = _loop_channels(warp, delta, self.GRID, time_scale)
+        for name in (f.name for f in fields(Channel)):
+            col = getattr(table, name)
+            want = np.array([getattr(ch, name) for ch in ref])
+            assert col.dtype == want.dtype and col.shape == want.shape
+            assert np.array_equal(col.view(np.uint64), want.view(np.uint64))
+            assert not col.flags.writeable
+
+    def test_reads_as_the_channel_list(self):
+        warp, delta = _WINDOW_WARPS["erb"]
+        table = design_channels(warp, delta, self.GRID)
+        ref = _loop_channels(warp, delta, self.GRID)
+        assert len(table) == len(ref) == 132
+        assert table == ref and ref == table and table == tuple(ref)
+        assert table != ref[:-1] and table != ref[::-1]
+        assert list(table) == ref
+        assert all(type(ch) is Channel for ch in table)
+        assert type(table[0].index) is int and type(table[0].frames) is int
+        assert type(table[0].center_hz) is float
+        for i in (0, 7, -1, -len(ref), np.int64(5)):
+            assert table[i] == ref[i]
+        for part in (slice(None, None, 7), slice(3, -3), slice(5, 5)):
+            assert isinstance(table[part], ChannelTable)
+            assert table[part] == ref[part]
+        with pytest.raises(IndexError):
+            table[len(ref)]
+        assert (table == 3) is False and table != "channels"
+
+    @pytest.mark.parametrize("name", sorted(_PLAIN_BANKS))
+    def test_atoms_built_lazily_equal_eager(self, name):
+        warp, theta, delta, grid = _PLAIN_BANKS[name]
+        system = build_system(warp, theta, delta, grid)
+        system.frame_diag()
+        system.bank_layout()
+        try:
+            system.frame_fibers(system.interior_bins())
+        except CapabilityError:  # the linear bank's fibers pass FIBER_CAP
+            pass
+        assert "atoms" not in vars(system)
+        atoms = system.atoms
+        assert system.atoms is atoms
+        eager = _eager_atoms(system)
+        assert len(atoms) == len(eager) == len(system.channels)
+        for got, want in zip(atoms, eager):
+            assert got.center_hz == want.center_hz
+            assert type(got.center_hz) is float
+            assert np.array_equal(got.values.view(np.uint64),
+                                  want.values.view(np.uint64))
+            assert np.array_equal(got.support, want.support)
+            assert got.support.dtype == want.support.dtype
+            assert np.shares_memory(got.values, system.bank[0])
+            assert np.shares_memory(got.support, system.bank[1])
 
 
 class TestPainless:
