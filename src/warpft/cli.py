@@ -227,11 +227,11 @@ def _cmd_cover_dump(args) -> int:
     system = read_descriptor(args.system)
     cover = induced_cover(system.warp, system.delta,
                           (args.f_lo, args.f_hi), (args.t_lo, args.t_hi))
+    cols = (cover.l, cover.k, cover.f_lo, cover.f_hi, cover.t_lo, cover.t_hi)
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("l,k,f_lo,f_hi,t_lo,t_hi\n")
-        for e in cover.elements:
-            fh.write(f"{e.l},{e.k},{fmt(e.f_lo)},{fmt(e.f_hi)},"
-                     f"{fmt(e.t_lo)},{fmt(e.t_hi)}\n")
+        for l, k, *edges in zip(*(c.tolist() for c in cols)):
+            fh.write(f"{l},{k},{','.join(map(fmt, edges))}\n")
     print(f"elements = {len(cover)}")
     return _EXIT_OK
 

@@ -19,10 +19,11 @@ batches of the channels' windows laid end to end.  The channels' band
 edges, centres, ``F(x_l)`` and ``F'(x_l)`` are evaluated on arrays too.
 
 A system holds its channels as one table of arrays (:class:`ChannelTable`)
-and its atoms once, as one bank in frame-group order (the retained
-values and bins, and each atom's entry count): the transform reads the
-bank in chunks, and the per-channel :class:`Channel` and :class:`Atom`
-objects are built only when asked for.
+and its atoms once, as one bank in channel order (the retained values
+and bins, and each atom's entry count): the transform reads the bank in
+runs of channels that share a frame count, and the per-channel
+:class:`Channel` and :class:`Atom` objects are built only when asked
+for.
 
 Half-line warps analyze the analytic part only: non-positive bins are
 zeroed and reconstructions live on positive frequencies.
@@ -54,7 +55,7 @@ FIBER_CAP = 1024
 CHUNK_ROWS = 8
 
 #: the fewest coefficients for which the transform splits a bank into two
-#: lanes (:meth:`WarpedSystem.lane_split`); below it a lane's FFTs are too
+#: lanes (:meth:`WarpedSystem.bank_layout`); below it a lane's FFTs are too
 #: short to pay for handing them to another thread
 LANE_MIN_COEFFICIENTS = 1 << 17
 
@@ -318,13 +319,19 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
             support = np.remainder(k, grid.length,
                                    out=store_s[used:used + k.size])
             used += k.size
-            # storage order: a window across DC puts its negative bins last
-            ends_kept = np.cumsum(counts)
-            for j in np.flatnonzero(done & (lo < 0) & (0 <= hi)).tolist():
-                seg = slice(ends_kept[j] - counts[j], ends_kept[j])
-                wrap = np.count_nonzero(k[seg] < 0)
-                vals[seg] = np.roll(vals[seg], -wrap)
-                support[seg] = np.roll(support[seg], -wrap)
+            # storage order: a window across DC puts its negative bins last,
+            # a rotation of its entries, gathered for all such windows at once
+            cross = np.flatnonzero(done & (lo < 0) & (0 <= hi))
+            if cross.size:
+                width = counts[cross]
+                head = np.cumsum(width) - width
+                start = np.repeat((np.cumsum(counts) - counts)[cross], width)
+                at = start + np.arange(start.size) - np.repeat(head, width)
+                wrap = np.add.reduceat(k[at] < 0, head, dtype=np.intp)
+                rot = at - start + np.repeat(wrap, width)
+                take = start + rot % np.repeat(width, width)
+                vals[at] = vals[take]
+                support[at] = support[take]
         stores.append((store_v[:used], store_s[:used],
                        np.concatenate(kept), np.concatenate(done_ids)))
         todo = np.concatenate(redo)
@@ -335,14 +342,6 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
     values, support, sizes, ids = map(np.concatenate, zip(*stores))
     take = np.argsort(np.repeat(ids, sizes), kind="stable")
     return values[take], support[take], sizes[np.argsort(ids)]
-
-
-def _frame_groups(channels: ChannelTable) -> List[Tuple[int, int, List[int]]]:
-    groups = {}
-    for l, key in enumerate(zip(channels.frames.tolist(),
-                                channels.hop_samples.tolist())):
-        groups.setdefault(key, []).append(l)
-    return [(m, hop, ls) for (m, hop), ls in groups.items()]
 
 
 @dataclass(frozen=True)
@@ -360,16 +359,13 @@ def painless_check(system: "WarpedSystem") -> PainlessReport:
     must occupy distinct residues modulo the per-channel frame count
     (which makes the subsampled analysis alias-free)."""
     _, support, sizes = system.bank
-    order = system._order       # the channel of each atom of the bank
-    sup = np.empty(len(order))
-    sup[order] = sizes * system.grid.bin_hz
+    sup = sizes * system.grid.bin_hz
     lim = 1.0 / system.channels.tau_seconds
     # one count per (channel, residue); channel l's residues start at
     # offsets[l], and the counts take as many entries as the coefficients
     frames = system.channels.frames
     offsets = np.cumsum(frames) - frames
-    residues = (support % np.repeat(frames[order], sizes)
-                + np.repeat(offsets[order], sizes))
+    residues = support % np.repeat(frames, sizes) + np.repeat(offsets, sizes)
     alias = np.maximum.reduceat(
         np.bincount(residues, minlength=int(frames.sum())), offsets) <= 1
     bad = tuple(np.flatnonzero((sup > lim) | ~alias).tolist())
@@ -381,14 +377,12 @@ class WarpedSystem:
 
     Use :func:`build_system`; the constructor only wires the parts
     together.  ``bank`` is the one stored form of the atoms: ``(values,
-    support, sizes)``, their entries end to end in the order of
-    ``groups`` (:meth:`frame_groups`) and each atom's entry count.
-    ``channels`` is the :class:`ChannelTable`.
+    support, sizes)``, their entries end to end in channel order and
+    each atom's entry count.  ``channels`` is the :class:`ChannelTable`.
     """
 
     def __init__(self, warp: WarpingFunction, theta: Prototype, delta: float,
                  grid: SignalGrid, channels: ChannelTable,
-                 groups: List[Tuple[int, int, List[int]]],
                  bank: Tuple[np.ndarray, np.ndarray, np.ndarray],
                  time_scale: float = 1.0, truncation: float = 1e-8,
                  normalize: bool = True):
@@ -401,15 +395,9 @@ class WarpedSystem:
         self.time_scale = time_scale
         self.truncation = truncation
         self.normalize = normalize
-        self._groups = groups
-        # the channel of each atom of the bank, and each channel's atom
-        self._order = np.concatenate([ls for _, _, ls in groups])
-        self._position = np.empty_like(self._order)
-        self._position[self._order] = np.arange(self._order.size)
         self._painless: Optional[PainlessReport] = None
         self._diag: Optional[np.ndarray] = None
-        self._layout: Optional[Tuple[list, List[int]]] = None
-        self._split = 0
+        self._layout: Optional[Tuple[list, list]] = None
         self._interior: Optional[np.ndarray] = None
         self._covered: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
         self._interior_fibers: Optional[Tuple[np.ndarray, list]] = None
@@ -420,22 +408,9 @@ class WarpedSystem:
         """The atoms in channel order, as views of the bank; built on
         first access."""
         values, support, sizes = self.bank
-        at = self._position
         return [Atom(values[b - k:b], support[b - k:b], x) for b, k, x in zip(
-            np.cumsum(sizes)[at].tolist(), sizes[at].tolist(),
+            np.cumsum(sizes).tolist(), sizes.tolist(),
             self.channels.center_hz.tolist())]
-
-    def _entries(self, ls: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(support, values, sizes)`` of channels ``ls``: their atoms'
-        bins and values end to end, channel after channel, gathered from
-        the bank, and each atom's entry count."""
-        values, support, sizes = self.bank
-        counts = sizes[self._position[ls]]
-        at = np.repeat(np.cumsum(sizes)[self._position[ls]] - np.cumsum(counts),
-                       counts)
-        at += np.arange(at.size)
-        return support[at], values[at], counts
 
     @property
     def painless_report(self) -> PainlessReport:
@@ -455,64 +430,66 @@ class WarpedSystem:
         """
         if self._diag is None:
             # summed in channel order, as bincount adds its weights in order;
-            # squared and divided in place, as each pass is one bank long
-            bins, weights, sizes = self._entries(np.arange(len(self.channels)))
-            weights **= 2
+            # divided in place, as each pass is one bank long
+            values, support, sizes = self.bank
+            weights = values ** 2
             weights /= np.repeat(self.channels.hop_samples, sizes)
-            self._diag = np.bincount(bins, weights, minlength=self.grid.length)
+            self._diag = np.bincount(support, weights,
+                                     minlength=self.grid.length)
         return self._diag
 
-    def frame_groups(self) -> List[Tuple[int, int, List[int]]]:
-        """The channels grouped by frame lattice: ``(frames, hop,
-        channel indices)`` per distinct frame count, in order of first
-        appearance, each index list in channel order.
+    def bank_layout(self) -> Tuple[list, list]:
+        """How the transform batches the bank, built once: ``(one, two)``,
+        the bank as one lane and as two lanes of about equal FFT cost
+        (``rows * M * log2 M`` summed).  ``two`` is empty when the bank
+        has one run or fewer than :data:`LANE_MIN_COEFFICIENTS`
+        coefficients.  A lane is ``(runs, coefficients, entries)``: its
+        runs, and the coefficient and entry counts of its largest chunk,
+        which size its scratch.
 
-        Hops are powers of two dividing N, so a bank has only a handful
-        of frame counts; the transform runs one FFT per group instead of
-        one per channel.
-        """
-        return self._groups
-
-    def bank_layout(self) -> Tuple[list, List[int]]:
-        """``(groups, position)``, built once: ``(frames, hop, channel
-        indices, chunks)`` per group of :meth:`frame_groups`, and each
-        channel's row among the groups' rows.  A chunk of at most
-        :data:`CHUNK_ROWS` channels is ``(rows, support, values, slot)``:
-        their rows in the group, their entries (views of the bank), and
-        each entry's ``row * frames + (bin mod frames)`` in those rows."""
+        A run is a maximal stretch of consecutive channels that share a
+        frame count ``M``: ``(M, block, chunks)``, with ``block`` its
+        slice of the coefficients laid end to end in channel order, and
+        its chunks of at most :data:`CHUNK_ROWS` channels.  A chunk is
+        ``(channels, coeffs, support, values, slot)``: its channel and
+        coefficient slices, its entries (views of the bank), and each
+        entry's ``row * M + (bin mod M)`` in the chunk's rows."""
         if self._layout is None:
-            groups = self._groups
             values, support, sizes = self.bank
-            if (len(groups) > 1 and sum(len(ls) * m for m, _, ls in groups)
-                    >= LANE_MIN_COEFFICIENTS):
-                # FFT cost rows * M * log2 M, summed over the leading groups
-                cost = np.cumsum([len(ls) * m * np.log2(m) for m, _, ls in groups])
-                self._split = int(np.argmin(abs(cost[:-1] - cost[-1] / 2))) + 1
-            frames = np.repeat([m for m, _, _ in groups],
-                               [len(ls) for _, _, ls in groups])
-            row = np.concatenate([np.arange(len(ls)) % CHUNK_ROWS
-                                  for _, _, ls in groups])
+            frames = self.channels.frames
+            # the runs' first channels, and each channel's row in its chunk
+            heads = np.flatnonzero(np.diff(frames, prepend=0)).tolist()
+            ends = heads[1:] + [len(frames)]
+            row = np.concatenate([np.arange(b - a) for a, b in zip(heads, ends)])
+            row %= CHUNK_ROWS
             # frames is a power of two: the mask is the residue mod frames
             slot = np.repeat(frames - 1, sizes)
             slot &= support
             slot += np.repeat(row * frames, sizes)
-            cuts = (np.cumsum(sizes) - sizes)[row == 0].tolist() + [slot.size]
-            chunks = iter([(support[a:b], values[a:b], slot[a:b])
-                           for a, b in zip(cuts, cuts[1:])])
-            self._layout = ([(m, hop, ls, [
-                (slice(r, r + CHUNK_ROWS), *next(chunks))
-                for r in range(0, len(ls), CHUNK_ROWS)]) for m, hop, ls in groups],
-                self._position.tolist())
-        return self._layout
+            coef = [0] + np.cumsum(frames).tolist()
+            entry = [0] + np.cumsum(sizes).tolist()
+            runs = []
+            for a, b in zip(heads, ends):
+                cuts = [*range(a, b, CHUNK_ROWS), b]
+                runs.append((int(frames[a]), slice(coef[a], coef[b]), [
+                    (slice(c, d), slice(coef[c], coef[d]),
+                     *(v[entry[c]:entry[d]] for v in (support, values, slot)))
+                    for c, d in zip(cuts, cuts[1:])]))
 
-    def lane_split(self) -> int:
-        """How many leading groups of :meth:`bank_layout` form the first
-        of two lanes of about equal FFT cost (``rows * M * log2 M``
-        summed), built with the layout: at least one and fewer than all,
-        or 0 when the bank has one group or fewer than
-        :data:`LANE_MIN_COEFFICIENTS` coefficients."""
-        self.bank_layout()
-        return self._split
+            def lane(part):
+                chunks = [c for _, _, cs in part for c in cs]
+                return (part, max(c[1].stop - c[1].start for c in chunks),
+                        max(c[2].size for c in chunks))
+
+            two = []
+            if len(runs) > 1 and coef[-1] >= LANE_MIN_COEFFICIENTS:
+                # FFT cost rows * M * log2 M, summed over the leading runs
+                cost = np.cumsum([(block.stop - block.start) * np.log2(m)
+                                  for m, block, _ in runs])
+                split = int(np.argmin(abs(cost[:-1] - cost[-1] / 2))) + 1
+                two = [lane(runs[:split]), lane(runs[split:])]
+            self._layout = ([lane(runs)], two)
+        return self._layout
 
     def frame_fibers(self, bins: np.ndarray
                      ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
@@ -524,13 +501,16 @@ class WarpedSystem:
         ``(F, k, k)``.  A fiber above :data:`FIBER_CAP` bins raises
         :class:`CapabilityError`."""
         # only a channel that is not alias-free couples two bins
-        ls = np.flatnonzero(~self.painless_report.alias_free)
+        aliased = ~self.painless_report.alias_free
+        ls = np.flatnonzero(aliased)
         if not ls.size:
             return bins, []
         n = self.grid.length
         inside = np.zeros(n, dtype=bool)
         inside[bins] = True
-        j, g, sizes = self._entries(ls)
+        values, support, sizes = self.bank
+        entries = np.repeat(aliased, sizes)
+        j, g, sizes = support[entries], values[entries], sizes[ls]
         hop = np.repeat(self.channels.hop_samples[ls], sizes)
         # a class per channel and residue mod n / hop, its entries in order
         cls = np.repeat(ls, sizes) * n + j % (n // hop)
@@ -664,11 +644,8 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
             raise ConfigError(
                 f"prototype cannot be normalized: {exc}") from None
     channels = design_channels(warp, delta, grid, time_scale)
-    groups = _frame_groups(channels)
-    # sampled in frame-group order, so the bank is laid out for the transform
-    bank = _sample_bank(warp, theta, channels.center_hz[
-        np.concatenate([ls for _, _, ls in groups])], grid, truncation)
-    return WarpedSystem(warp, theta, delta, grid, channels, groups, bank,
+    bank = _sample_bank(warp, theta, channels.center_hz, grid, truncation)
+    return WarpedSystem(warp, theta, delta, grid, channels, bank,
                         time_scale, truncation, normalize)
 
 

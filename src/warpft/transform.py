@@ -12,30 +12,32 @@ The hop ``n_l`` divides N, so that subsampled N-point inverse FFT is an
 each atom's support and :func:`_unfold` is its adjoint; analysis, the
 adjoint and the frame operator are built on this pair.
 
-Hops are powers of two, so the channels fall into a few groups that
-share one frame count (six for the 132-channel ERB bank at N = 2^16;
-see :meth:`WarpedSystem.frame_groups`).  Both maps work on chunks of at
-most :data:`CHUNK_ROWS` channels of a group, read from the system's flat
-bank layout: a gather, an in-place multiply and one ``np.add.at`` per
-chunk.  :func:`_fold` runs one in-place FFT per group and
-:func:`_unfold` one per chunk.  :func:`_fold` scales the spectrum once
-by ``1/N`` and inverts with ``norm="forward"`` (no scaling): ``1/N``,
-``1/M_l`` and ``1/n_l`` are powers of two, so this gives the bits of
-``ifft(.) / n_l`` without a pass over the coefficients.
+Hops are powers of two, so consecutive channels often share one frame
+count: the channels fall into a few runs of them (eleven for the
+132-channel ERB bank at N = 2^16; see :meth:`WarpedSystem.bank_layout`).
+Both maps work on chunks of at most :data:`~warpft.system.CHUNK_ROWS`
+channels of a run, read from the system's bank in channel order: a
+gather, an in-place multiply and one ``np.add.at`` per chunk.
+:func:`_fold` runs one in-place FFT per run and :func:`_unfold` one per
+chunk.  :func:`_fold` scales the spectrum once by ``1/N`` and inverts
+with ``norm="forward"`` (no scaling): ``1/N``, ``1/M_l`` and ``1/n_l``
+are powers of two, so this gives the bits of ``ifft(.) / n_l`` without
+a pass over the coefficients.
 
-The groups are independent batches of FFTs, and numpy's FFT releases
+The runs are independent batches of FFTs, and numpy's FFT releases
 the interpreter lock.  So on a bank of at least
 :data:`~warpft.system.LANE_MIN_COEFFICIENTS` coefficients, when more
 than one CPU is usable, both maps run in two lanes of about equal FFT
-cost (:meth:`WarpedSystem.lane_split`): the leading groups on one
+cost (:meth:`WarpedSystem.bank_layout`): the leading runs on one
 worker thread, started on first use, and the rest on the caller, which
 always waits for the worker.  Below that size, or on one CPU, handing a
 lane over costs more than it saves (ERB bank on 2 CPUs, round trip in
 lanes against one, three runs: 1.2-1.4x the time at N = 2^13, 45,696
 coefficients; 1.0-1.1x at 2^14; 0.83-0.89x at 2^15, 182,784
 coefficients), so everything runs on the caller.  Either way every
-coefficient and every bin is summed in the same order, so the results
-are the same bits.
+coefficient is summed in its atom's support order and every bin in
+channel order, as the definition reads, so the results are the same
+bits.
 
 With unit-norm prototypes these coefficients approximate the continuous
 inner products ``<f, g_{x_l, k n_l / fs}>`` directly, no extra scaling.
@@ -53,13 +55,13 @@ from __future__ import annotations
 import csv
 import os
 import threading
-from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Iterator, List, Optional, TypeVar
 
 import numpy as np
 
 from .errors import IllConditionedError, NotPainlessError, ShapeError
 from .prototype import admissibility_inner_product
-from .system import CHUNK_ROWS, Coefficients, WarpedSystem
+from .system import Coefficients, WarpedSystem
 
 T = TypeVar("T")
 
@@ -96,20 +98,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _lane_split(system: WarpedSystem) -> int:
-    """The groups of the first lane (:meth:`WarpedSystem.lane_split`), or
-    0 to run the whole bank on the caller."""
-    return system.lane_split() if _USABLE_CPUS > 1 else 0
-
-
-def _scratch(groups: list) -> Tuple[np.ndarray, np.ndarray]:
-    """Memory for the rows and for the entries of the largest chunk of
-    ``groups``.  A lane works in memory that the caller takes: glibc
-    keeps what the worker thread frees in that thread's own arena, which
-    raised erb_stream's peak RSS by ~2 MB."""
-    return (np.empty(max(min(len(ls), CHUNK_ROWS) * m for m, _, ls, _ in groups),
-                     dtype=complex),
-            np.empty(max(c[1].size for g in groups for c in g[3]), dtype=complex))
+def _lanes(system: WarpedSystem) -> list:
+    """The lanes to run (:meth:`WarpedSystem.bank_layout`): two when the
+    bank splits and more than one CPU is usable, otherwise one.  A lane
+    works in scratch that the caller takes: glibc keeps what the worker
+    thread frees in that thread's own arena, which raised erb_stream's
+    peak RSS by ~2 MB."""
+    one, two = system.bank_layout()
+    return two if two and _USABLE_CPUS > 1 else one
 
 
 def _in_lanes(first: Callable[[], object], second: Callable[[], T]) -> T:
@@ -140,57 +136,54 @@ def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
     Per channel the product ``fhat * g_l`` is aliased onto the ``M_l``
     residues of the frame lattice and inverted with an ``M_l``-point
     FFT; that equals ``ifft_N(fhat * g_l)[::n_l]`` for any hop dividing
-    N, painless or not.  The channels of a frame-count group fill the
-    rows of one block of a single coefficient store: per chunk of the
-    layout, the products are added onto their slots in index order,
-    which sums each coefficient in its atom's support order.  One FFT
-    per group inverts the block in place; its rows are the coefficients.
-    With two lanes each fills and inverts the blocks of its own groups.
+    N, painless or not.  The coefficients lie end to end in channel
+    order in one store, so the channels of a run fill the rows of one
+    block of it: per chunk of the layout, the products are added onto
+    their slots in index order, which sums each coefficient in its
+    atom's support order.  One FFT per run inverts the block in place;
+    the store's rows are the coefficients.  With two lanes each fills
+    and inverts the blocks of its own runs.
     """
-    groups, position = system.bank_layout()
+    lanes = _lanes(system)
     # 1/N is a power of two, so scaling here and leaving the inverse FFTs
     # unscaled gives the bits of ifft(.) / hop, with M_l * hop = N
     fhat = fhat * (1.0 / system.grid.length)
-    # the coefficients, group block after group block, in one allocation
-    sizes = [len(ls) * m for m, _, ls, _ in groups]
-    store = np.zeros(sum(sizes), dtype=complex)
-    blocks = [b.reshape(-1, g[0])
-              for b, g in zip(np.split(store, np.cumsum(sizes)), groups)]
+    store = np.zeros(int(system.channels.frames.sum()), dtype=complex)
 
-    def fold(lo: int, hi: int, prod: np.ndarray) -> None:
-        for (_, _, _, chunks), blk in zip(groups[lo:hi], blocks[lo:hi]):
-            for part, support, values, slot in chunks:
+    def fold(runs: list, prod: np.ndarray) -> None:
+        for frames, block, chunks in runs:
+            for _, coeffs, support, values, slot in chunks:
                 # valid indices: "clip" changes none, and takes no buffer
                 gathered = fhat.take(support, out=prod[:support.size],
                                      mode="clip")
                 gathered *= values
-                np.add.at(blk[part].ravel(), slot, gathered)
+                np.add.at(store[coeffs], slot, gathered)
+            blk = store[block].reshape(-1, frames)
             np.fft.ifft(blk, axis=1, norm="forward", out=blk)
 
-    split = _lane_split(system)
-    if split:
-        first = _scratch(groups[:split])[1]
-        _in_lanes(lambda: fold(0, split, first),
-                  lambda: fold(split, len(groups), _scratch(groups[split:])[1]))
+    prods = [np.empty(entries, dtype=complex) for _, _, entries in lanes]
+    if len(lanes) > 1:
+        _in_lanes(lambda: fold(lanes[0][0], prods[0]),
+                  lambda: fold(lanes[1][0], prods[1]))
     else:
-        fold(0, len(groups), _scratch(groups)[1])
-    rows = [row for blk in blocks for row in blk]
-    return list(map(rows.__getitem__, position))
+        fold(lanes[0][0], prods[0])
+    return [row for runs, _, _ in lanes for frames, block, _ in runs
+            for row in store[block].reshape(-1, frames)]
 
 
-def _spreads(data: List[np.ndarray], groups: list) -> Iterator[tuple]:
-    """Per chunk of ``groups``: its entries' bins and spread values,
-    the FFT of its rows gathered at their slots and weighted.  A chunk's
+def _spreads(data: List[np.ndarray], lane: tuple) -> Iterator[tuple]:
+    """Per chunk of ``lane``: its entries' bins and spread values, the
+    FFT of its rows gathered at their slots and weighted.  A chunk's
     spread values are overwritten by the next chunk's; the scratch they
     live in is taken by the call, not by the iteration."""
-    rows, spread = _scratch(groups)
+    runs, size, entries = lane
+    rows, spread = np.empty(size, complex), np.empty(entries, complex)
 
     def run():
-        for frames, _, members, chunks in groups:
-            for part, support, values, slot in chunks:
-                blk = rows[:len(members[part]) * frames]
-                np.concatenate(list(map(data.__getitem__, members[part])),
-                               out=blk)
+        for frames, _, chunks in runs:
+            for channels, coeffs, support, values, slot in chunks:
+                blk = rows[:coeffs.stop - coeffs.start]
+                np.concatenate(data[channels], out=blk)
                 blk = blk.reshape(-1, frames)
                 np.fft.fft(blk, axis=1, out=blk)
                 weighted = blk.ravel().take(slot, out=spread[:slot.size],
@@ -205,26 +198,24 @@ def _unfold(data: List[np.ndarray], system: WarpedSystem) -> np.ndarray:
 
     The rows of a chunk of the layout share one in-place FFT; the
     spread rows are added onto their atoms' supports, so each bin sums
-    its channels group by group and in channel order within a group.
-    With two lanes the first adds its groups itself while the second
-    keeps copies of its spreads, which are added once the first has
-    finished.
+    its channels in channel order.  With two lanes the first adds its
+    runs itself while the second keeps copies of its spreads, which are
+    added once the first has finished.
     """
     out = np.zeros(system.grid.length, dtype=complex)
-    groups = system.bank_layout()[0]
-    split = _lane_split(system)
+    lanes = _lanes(system)
 
     def add(spreads) -> None:
         for support, spread in spreads:
             np.add.at(out, support, spread)
 
-    if split:
-        first = _spreads(data, groups[:split])
+    if len(lanes) > 1:
+        first = _spreads(data, lanes[0])
         add(_in_lanes(lambda: add(first), lambda: [
             (support, spread.copy())
-            for support, spread in _spreads(data, groups[split:])]))
+            for support, spread in _spreads(data, lanes[1])]))
     else:
-        add(_spreads(data, groups))
+        add(_spreads(data, lanes[0]))
     return out
 
 

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpft.cli import _build_parser, main
-from warpft.discretization import frame_bounds, frame_bounds_painless
-from warpft.io import (read_coefficients, read_descriptor, read_signal,
+from warpft.discretization import (Cover, frame_bounds,
+                                   frame_bounds_painless, induced_cover)
+from warpft.io import (fmt, read_coefficients, read_descriptor, read_signal,
                        write_signal)
 from warpft.system import Atom, Channel, WarpedSystem
 
@@ -708,7 +709,44 @@ class TestNonFiniteArguments:
         assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
+def _element_loop_dump(cover):
+    """cover-dump's file as it was written from ``Cover.elements``, one
+    element object at a time."""
+    lines = ["l,k,f_lo,f_hi,t_lo,t_hi\n"]
+    for e in cover.elements:
+        lines.append(f"{e.l},{e.k},{fmt(e.f_lo)},{fmt(e.f_hi)},"
+                     f"{fmt(e.t_lo)},{fmt(e.t_hi)}\n")
+    return "".join(lines).encode("ascii")
+
+
 class TestCoverDumpAndSpectrogram:
+    @pytest.mark.parametrize("cfg", ["erb", "flat"])
+    @pytest.mark.parametrize("window", [
+        ("50", "4000", "0", "0.25"), ("-3000", "2500", "-0.01", "0.02"),
+        ("-8000", "8000", "-1e-3", "1e-3"), ("100", "100.5", "0.5", "0.5001")])
+    def test_cover_dump_bytes_equal_element_loop(self, cfg, window, tmp_path,
+                                                 monkeypatch):
+        """The rows formatted from the cover's arrays, building no element
+        object, are the bytes the element loop wrote."""
+        path = tmp_path / "sys.cfg"
+        path.write_text(ERB_CFG if cfg == "erb" else FLAT_CFG)
+        desc = tmp_path / "sys.desc"
+        assert main(["design", "--config", str(path), "--out", str(desc)]) == 0
+        out = tmp_path / "cov.csv"
+        f_lo, f_hi, t_lo, t_hi = window
+        monkeypatch.setattr(Cover, "elements", property(
+            lambda cover: pytest.fail("cover-dump built the elements")))
+        assert main(["cover-dump", "--system", str(desc), f"--f-lo={f_lo}",
+                     f"--f-hi={f_hi}", f"--t-lo={t_lo}", f"--t-hi={t_hi}",
+                     "--out", str(out)]) == 0
+        monkeypatch.undo()
+        system = read_descriptor(desc)
+        cover = induced_cover(system.warp, system.delta,
+                              (float(f_lo), float(f_hi)),
+                              (float(t_lo), float(t_hi)))
+        assert len(cover) > 0
+        assert out.read_bytes() == _element_loop_dump(cover)
+
     def test_cover_dump(self, erb_paths, tmp_path):
         _, desc = erb_paths
         out = tmp_path / "cov.csv"

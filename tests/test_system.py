@@ -528,14 +528,12 @@ class TestBankSampler:
 
 
 def _eager_atoms(system):
-    """The atoms as the constructor built them before they were lazy."""
+    """The atoms as the constructor built them before they were lazy,
+    reading the bank in channel order."""
     values, support, sizes = system.bank
-    order = [l for _, _, ls in system.frame_groups() for l in ls]
     ends = np.cumsum(sizes).tolist()
-    atoms = [None] * len(system.channels)
-    for l, a, b in zip(order, [0] + ends, ends):
-        atoms[l] = Atom(values[a:b], support[a:b], system.channels[l].center_hz)
-    return atoms
+    return [Atom(values[a:b], support[a:b], ch.center_hz)
+            for ch, a, b in zip(system.channels, [0] + ends, ends)]
 
 
 class TestChannelTable:

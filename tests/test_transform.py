@@ -26,10 +26,10 @@ from warpft.discretization import frame_bounds, frame_bounds_painless
 from warpft.prototype import (PROTOTYPE_FAMILIES, admissibility_inner_product,
                               hann_prototype, l2_norm,
                               prototype_from_params)
-from warpft.system import (LANE_MIN_COEFFICIENTS, Coefficients, SignalGrid,
-                           build_atom, build_system)
+from warpft.system import (CHUNK_ROWS, LANE_MIN_COEFFICIENTS, Coefficients,
+                           SignalGrid, build_atom, build_system)
 from warpft.warping import WARP_FAMILIES
-from warpft.transform import (CHUNK_ROWS, _fold, _unfold,
+from warpft.transform import (_fold, _unfold,
                               adjoint, analyze,
                               apply_frame_operator, coefficient_deviation,
                               moyal_residual, roundtrip_residual,
@@ -345,28 +345,49 @@ GROUPED_SYSTEMS["no-shared-group"] = lambda: build_system(
     log_warp(), bump_prototype(0.9), np.log(2.0), SignalGrid(1024, 16000.0))
 
 
+def _runs(system):
+    """The runs of the system's layout, run as one lane."""
+    return system.bank_layout()[0][0][0]
+
+
+def _run_channels(run):
+    """The channels of a run of the layout, in order."""
+    return [l for part, *_ in run[2] for l in range(part.start, part.stop)]
+
+
 class TestGroupedCore:
     def test_group_shapes(self):
+        """A bank of one frame count is one run of several chunks; a bank
+        whose channels all differ in frame count is a run per channel."""
         one = GROUPED_SYSTEMS["one-group"]()
-        assert len(one.frame_groups()) == 1
+        assert len(_frame_groups(one.channels)) == len(_runs(one)) == 1
         assert len(one.channels) > CHUNK_ROWS
+        assert len(_runs(one)[0][2]) == -(-len(one.channels) // CHUNK_ROWS)
         lone = GROUPED_SYSTEMS["no-shared-group"]()
-        assert all(len(ls) == 1 for _, _, ls in lone.frame_groups())
-        assert len(lone.frame_groups()) == len(lone.channels) > 2
+        assert all(len(ls) == 1 for _, _, ls in _frame_groups(lone.channels))
+        assert all(len(_run_channels(run)) == 1 for run in _runs(lone))
+        assert len(_runs(lone)) == len(lone.channels) > 2
 
     @pytest.mark.parametrize("name", sorted(GROUPED_SYSTEMS))
     def test_groups_partition_channels(self, name):
+        """The runs cut the channels, in channel order, into maximal
+        stretches that share a frame count, and each run's block holds
+        its channels' coefficients in the channel-order store."""
         sys = GROUPED_SYSTEMS[name]()
+        runs = _runs(sys)
+        ends = np.cumsum(sys.channels.frames).tolist()
         seen = []
-        for frames, hop, members in sys.frame_groups():
-            assert members == sorted(members)
-            assert frames * hop == sys.grid.length
+        for frames, block, chunks in runs:
+            members = _run_channels((frames, block, chunks))
+            assert members == list(range(members[0], members[-1] + 1))
+            assert block == slice(ends[members[0]] - frames, ends[members[-1]])
             for l in members:
                 ch = sys.channels[l]
-                assert (ch.frames, ch.hop_samples) == (frames, hop)
+                assert ch.frames == frames
+                assert frames * ch.hop_samples == sys.grid.length
             seen += members
-        assert sorted(seen) == list(range(len(sys.channels)))
-        assert len({g[0] for g in sys.frame_groups()}) == len(sys.frame_groups())
+        assert seen == list(range(len(sys.channels)))
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
 
     @pytest.mark.parametrize("name", sorted(GROUPED_SYSTEMS))
     def test_fold_equals_per_channel_fold(self, name):
@@ -380,27 +401,44 @@ class TestGroupedCore:
 
     @pytest.mark.parametrize("name", sorted(GROUPED_SYSTEMS))
     def test_unfold_and_adjoint_match_per_channel(self, name):
-        """Only the order of summation across groups differs."""
+        """Each bin sums its channels in channel order, as the per-channel
+        adjoint does: the same bits."""
         sys = GROUPED_SYSTEMS[name]()
         rng = np.random.default_rng(31)
         data = [_random_signal(ch.frames, rng) for ch in sys.channels]
-        ref = _per_channel_unfold(data, sys)
-        scale = np.abs(ref).max()
-        assert np.abs(_unfold(data, sys) - ref).max() <= 1e-14 * scale
+        _assert_bits(_unfold(data, sys), _per_channel_unfold(data, sys))
         coeffs = analyze(np.fft.ifft(_random_signal(sys.grid.length, rng)),
                          sys)
-        ref_t = np.fft.ifft(_per_channel_unfold(coeffs.data, sys))
-        got_t = adjoint(coeffs, sys)
-        assert np.abs(got_t - ref_t).max() <= 1e-14 * np.abs(ref_t).max()
+        _assert_bits(adjoint(coeffs, sys),
+                     np.fft.ifft(_per_channel_unfold(coeffs.data, sys)))
 
 
 # -- the grouped core as it ran before the flat bank layout: one bincount
 # fold per channel into its group's block, and one spread per channel
 
 
+def _frame_groups(channels):
+    """The channels grouped by frame lattice, as the bank was laid out
+    before it was kept in channel order: ``(frames, hop, channel
+    indices)`` per distinct frame count, in order of first appearance,
+    each index list in channel order."""
+    groups = {}
+    for l, key in enumerate(zip(channels.frames.tolist(),
+                                channels.hop_samples.tolist())):
+        groups.setdefault(key, []).append(l)
+    return [(m, hop, ls) for (m, hop), ls in groups.items()]
+
+
+def _groups_interleave(system):
+    """Whether some frame-count group is not one stretch of channels, so
+    that summing group by group differs from channel order."""
+    return any(ls != list(range(ls[0], ls[-1] + 1))
+               for _, _, ls in _frame_groups(system.channels))
+
+
 def _grouped_fold(fhat, system):
     data = [None] * len(system.channels)
-    for frames, hop, members in system.frame_groups():
+    for frames, hop, members in _frame_groups(system.channels):
         blk = np.empty((len(members), frames), dtype=complex)
         for row, l in zip(blk, members):
             atom = system.atoms[l]
@@ -416,7 +454,7 @@ def _grouped_fold(fhat, system):
 
 def _grouped_unfold(data, system):
     out = np.zeros(system.grid.length, dtype=complex)
-    for frames, _, members in system.frame_groups():
+    for frames, _, members in _frame_groups(system.channels):
         for start in range(0, len(members), 8):
             chunk = members[start:start + 8]
             blk = np.array([data[l] for l in chunk], dtype=complex)
@@ -428,11 +466,13 @@ def _grouped_unfold(data, system):
     return out
 
 
-def _grouped_synthesize(coeffs, system):
+def _synthesize_with(unfold, coeffs, system):
+    """Synthesis with the adjoint ``unfold``, solved as ``synthesize``
+    solves it."""
     covered, profile, interior_covered = system.covered_bins()
     if not interior_covered:
         raise IllConditionedError("no covered interior")
-    num = _grouped_unfold(coeffs.data, system)
+    num = unfold(coeffs.data, system)
     fhat = np.zeros_like(num)
     fhat[covered] = num[covered] / profile
     for bins, inverses in system.fiber_inverses():
@@ -473,8 +513,7 @@ def _interleaved_system(time_scale, length=1024):
                        fn_derivative=lambda t: 1.0 + 0.8 * np.cos(t / p))
     sys = build_system(warp, bump_prototype(10.8), 12.0,
                        SignalGrid(length, 1024.0), time_scale=time_scale)
-    assert any(ls != list(range(ls[0], ls[-1] + 1))
-               for _, _, ls in sys.frame_groups())
+    assert _groups_interleave(sys)
     return sys
 
 
@@ -490,10 +529,41 @@ ORACLE_SYSTEMS["interleaved"] = lambda: _interleaved_system(1.0 / 1024)
 ORACLE_SYSTEMS["interleaved-fibers"] = lambda: _interleaved_system(1.0 / 256)
 
 
+def _adjoint_of(unfold, data, system):
+    """``V* c`` in time, from the adjoint ``unfold``."""
+    return np.fft.ifft(unfold(data, system))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the class of the warpft error it raised."""
+    try:
+        return fn(*args)
+    except WarpFTError as exc:
+        return type(exc)
+
+
+def _assert_adjoint_oracles(got, through, arg, system):
+    """``got`` is ``through(_unfold, arg, system)``, or the class of what
+    that raised.  It has the bits of ``through`` on the per-channel
+    adjoint; it lies within 1e-14 of its peak of ``through`` on the
+    grouped adjoint, and has its bits too when the groups do not
+    interleave."""
+    if isinstance(got, type):   # the oracles refuse the system alike
+        with pytest.raises(got):
+            through(_per_channel_unfold, arg, system)
+        return
+    _assert_bits(got, through(_per_channel_unfold, arg, system))
+    grouped = through(_grouped_unfold, arg, system)
+    assert np.abs(got - grouped).max() <= 1e-14 * np.abs(grouped).max()
+    if not _groups_interleave(system):
+        _assert_bits(got, grouped)
+
+
 class TestFlatLayoutOracle:
-    """The chunked core on the flat bank layout gives the grouped core's
-    bits: coefficients, the adjoint, the frame operator and synthesis,
-    painless or solved on fibers."""
+    """The chunked core on the channel-order bank gives the grouped
+    core's coefficients bit for bit, and the adjoint, the frame operator
+    and synthesis (painless or solved on fibers) of the per-channel
+    adjoint, which sums each bin in channel order."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
     def test_bitwise_equal_to_grouped_core(self, name):
@@ -509,31 +579,36 @@ class TestFlatLayoutOracle:
         c = Coefficients([_random_signal(ch.frames, rng)
                           for ch in sys.channels], sys.channel_positions(),
                          sys.hop_seconds(), n)
-        _assert_bits(adjoint(c, sys), np.fft.ifft(_grouped_unfold(c.data, sys)))
-        _assert_bits(apply_frame_operator(f, sys),
-                     np.fft.ifft(_grouped_unfold(ref, sys)))
-        try:
-            want = _grouped_synthesize(coeffs, sys)
-        except WarpFTError as exc:
-            with pytest.raises(type(exc)):
-                synthesize(coeffs, sys, iterative=True)
-            return
-        _assert_bits(synthesize(coeffs, sys, iterative=True), want)
+        _assert_bits(_unfold(c.data, sys), _per_channel_unfold(c.data, sys))
+        _assert_adjoint_oracles(adjoint(c, sys), _adjoint_of, c.data, sys)
+        _assert_adjoint_oracles(apply_frame_operator(f, sys), _adjoint_of,
+                                ref, sys)
+        _assert_adjoint_oracles(_outcome(synthesize, coeffs, sys, True),
+                                _synthesize_with, coeffs, sys)
 
     def test_layout_views_the_bank(self):
         """Each chunk's entries are its channels' atoms end to end, as
-        views of the one stored bank, and each slot is the entry's row
-        within the chunk times the frame count plus its residue."""
+        views of the one stored bank, each slot is the entry's row
+        within the chunk times the frame count plus its residue, and the
+        chunks' coefficient slices lie end to end in channel order.  The
+        lane's scratch sizes are its largest chunk's."""
         sys = ORACLE_SYSTEMS["interleaved"]()
-        groups, position = sys.bank_layout()
-        assert sys.bank_layout()[0] is groups
-        rows = []
-        for frames, _, members, chunks in groups:
+        one, two = sys.bank_layout()
+        assert sys.bank_layout()[0] is one and two == []
+        (runs, size, entries), = one
+        assert len(runs) > len(_frame_groups(sys.channels))
+        channels, coefficients = [], 0
+        for frames, block, chunks in runs:
+            members = _run_channels((frames, block, chunks))
             assert [c[0].start for c in chunks] == list(
-                range(0, len(members), CHUNK_ROWS))
-            for part, support, values, slot in chunks:
-                atoms = [sys.atoms[l] for l in members[part]]
+                range(members[0], members[-1] + 1, CHUNK_ROWS))
+            assert block.start == coefficients
+            for part, coeffs, support, values, slot in chunks:
+                atoms = sys.atoms[part]
                 assert 0 < len(atoms) <= CHUNK_ROWS
+                assert coeffs == slice(coefficients,
+                                       coefficients + len(atoms) * frames)
+                coefficients = coeffs.stop
                 assert np.array_equal(support, np.concatenate(
                     [a.support for a in atoms]))
                 assert np.array_equal(values, np.concatenate(
@@ -544,9 +619,13 @@ class TestFlatLayoutOracle:
                 for a in atoms:
                     assert np.shares_memory(a.values, values)
                     assert np.shares_memory(a.support, support)
-            rows += members
-        assert [rows[p] for p in position] == list(
-            range(len(sys.channels)))
+            assert block.stop == coefficients
+            channels += members
+        assert channels == list(range(len(sys.channels)))
+        assert coefficients == sys.channels.frames.sum()
+        chunks = [c for run in runs for c in run[2]]
+        assert size == max(c[1].stop - c[1].start for c in chunks)
+        assert entries == max(c[2].size for c in chunks)
 
 
 # -- two lanes: banks of at least LANE_MIN_COEFFICIENTS coefficients, run
@@ -608,9 +687,11 @@ class TestLanes:
     def test_bitwise_equal_to_one_lane(self, name, monkeypatch, worker):
         sys = LANE_SYSTEMS[name]()
         n = sys.grid.length
-        groups = sys.frame_groups()
-        assert sum(len(ls) * m for m, _, ls in groups) >= LANE_MIN_COEFFICIENTS
-        assert 0 < sys.lane_split() < len(groups)
+        (runs, _, _), = sys.bank_layout()[0]
+        lanes = sys.bank_layout()[1]
+        assert sys.channels.frames.sum() >= LANE_MIN_COEFFICIENTS
+        assert len(lanes) == 2 and 0 < len(lanes[0][0]) < len(runs)
+        assert lanes[0][0] + lanes[1][0] == runs
         rng = np.random.default_rng(53)
         f = _random_signal(n, rng)
         c = Coefficients([_random_signal(ch.frames, rng)
@@ -624,6 +705,7 @@ class TestLanes:
         # fold, unfold, analyze, adjoint, the frame operator's two and
         # synthesize's, unless it refuses the system first
         refused = isinstance(one["synthesize"], type)
+        synthesized = one["synthesize"] if refused else two["synthesize"][0]
         assert worker.calls == 6 + (not refused)
         assert two.keys() == one.keys()
         if refused:
@@ -634,22 +716,35 @@ class TestLanes:
         for got, want in zip(two["fold"], _grouped_fold(np.fft.fft(f), sys),
                              strict=True):
             _assert_bits(got, want)
-        _assert_bits(two["unfold"][0], _grouped_unfold(c.data, sys))
+        _assert_bits(two["unfold"][0], _per_channel_unfold(c.data, sys))
+        _assert_adjoint_oracles(two["adjoint"][0], _adjoint_of, c.data, sys)
+        _assert_adjoint_oracles(two["frame_operator"][0], _adjoint_of,
+                                two["fold"], sys)
+        _assert_adjoint_oracles(synthesized, _synthesize_with, c, sys)
 
     def test_split_balances_fft_cost(self):
+        """The first lane is the leading runs whose FFT cost comes
+        closest to half; each lane's scratch fits its largest chunk."""
         for name in sorted(LANE_SYSTEMS):
             sys = LANE_SYSTEMS[name]()
-            cost = [len(ls) * m * np.log2(m) for m, _, ls in sys.frame_groups()]
+            (runs, _, _), = sys.bank_layout()[0]
+            lanes = sys.bank_layout()[1]
+            cost = [len(_run_channels(run)) * run[0] * np.log2(run[0])
+                    for run in runs]
             half = sum(cost) / 2
             gaps = [abs(sum(cost[:k]) - half) for k in range(1, len(cost))]
-            assert gaps[sys.lane_split() - 1] == min(gaps)
+            assert gaps[len(lanes[0][0]) - 1] == min(gaps)
+            for part, size, entries in lanes:
+                chunks = [c for run in part for c in run[2]]
+                assert size == max(c[1].stop - c[1].start for c in chunks)
+                assert entries == max(c[2].size for c in chunks)
 
     def test_small_banks_and_one_cpu_stay_inline(self, monkeypatch, worker):
         """The README's erb.cfg bank at 2^12 never hands work over, nor
         does the erb-stream bank when one CPU is usable."""
         small = build_system(erb_warp(9.265, 228.8), bump_prototype(0.9),
                              0.5, SignalGrid(4096, 16000.0))
-        assert small.lane_split() == 0
+        assert small.bank_layout()[1] == []
         rng = np.random.default_rng(59)
         monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
         f = _random_signal(small.grid.length, rng)
@@ -747,10 +842,10 @@ class TestLanes:
         worker's lane has finished."""
         sys = LANE_SYSTEMS["erb-stream"]()
         monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
-        first = sys.bank_layout()[0][:sys.lane_split()]
-        # the FFTs of the worker's lane: one per group, or one per chunk
+        first = sys.bank_layout()[1][0][0]
+        # the FFTs of the worker's lane: one per run, or one per chunk
         lane = (len(first) if stage == "fold"
-                else sum(len(g[3]) for g in first))
+                else sum(len(run[2]) for run in first))
         name = "ifft" if stage == "fold" else "fft"
         real = getattr(np.fft, name)
         finished = []
@@ -958,27 +1053,49 @@ BANK_SYSTEMS["resampled-interleaved"] = _resampled_interleaved_system
 BANK_SYSTEMS["dc-crossing"] = _dc_crossing_system
 
 
+def _parent_frame_bounds(system):
+    """``frame_bounds`` from the fibers and profile of the per-atom code."""
+    if system.interior_bins().size == 0:
+        raise ConfigError("system has no fully covered bins")
+    singles, fibers = _parent_frame_fibers(system, system.interior_bins())
+    eig = np.concatenate([_parent_frame_diag(system)[singles]]
+                         + [np.linalg.eigvalsh(s).ravel() for _, s in fibers])
+    return max(float(eig.min()), 0.0), float(eig.max())
+
+
+def _parent_fiber_inverses(system):
+    """``fiber_inverses`` from the fibers and profile of the per-atom code."""
+    floor = system_module.DIAG_FLOOR * float(np.max(_parent_frame_diag(system)))
+    fibers = _parent_frame_fibers(system, system.covered_bins()[0])[1]
+    if any(np.linalg.eigvalsh(s)[:, 0].min() < floor for _, s in fibers):
+        raise IllConditionedError("singular fiber")
+    return [(b, np.linalg.inv(s)) for b, s in fibers]
+
+
 class TestSingleBankOracle:
-    """The one stored bank, the groups computed at build and the fibers
-    read from the bank give the bits of the per-atom code they
-    replaced, and the build integrates the prototype norm and groups
-    the channels once."""
+    """The one stored bank, held in channel order, and the painless
+    report, profile, fibers, bounds and fiber inverses read from it give
+    the bits of the per-atom code they replaced, sampled in the
+    frame-group order that the bank was once stored in; the build
+    integrates the prototype norm and samples the bank once."""
 
     @pytest.mark.parametrize("name", sorted(BANK_SYSTEMS))
     def test_equal_to_per_atom_code(self, name):
         sys = BANK_SYSTEMS[name]()
-        order = [l for _, _, ls in sys.frame_groups() for l in ls]
-        ref = _parent_sample_atoms(
-            sys.warp, sys.theta, [sys.channels[l].center_hz for l in order],
-            sys.grid, sys.truncation)
+        order = [l for _, _, ls in _frame_groups(sys.channels) for l in ls]
+        ref = [None] * len(order)
+        for l, atom in zip(order, _parent_sample_atoms(
+                sys.warp, sys.theta, [sys.channels[l].center_hz for l in order],
+                sys.grid, sys.truncation)):
+            ref[l] = atom
         values, support, sizes = sys.bank
         assert sizes.tolist() == [s.size for _, s in ref]
-        assert np.array_equal(values, np.concatenate([v for v, _ in ref]))
-        assert np.array_equal(support, np.concatenate([s for _, s in ref]))
-        for l, (v, s) in zip(order, ref):
+        _assert_bits(values, np.concatenate([v for v, _ in ref]))
+        _assert_bits(support, np.concatenate([s for _, s in ref]))
+        for l, (v, s) in enumerate(ref):
             atom = sys.atoms[l]
-            assert np.array_equal(atom.values, v)
-            assert np.array_equal(atom.support, s)
+            _assert_bits(atom.values, v)
+            _assert_bits(atom.support, s)
             assert atom.center_hz == sys.channels[l].center_hz
             assert np.shares_memory(atom.values, values)
 
@@ -1005,6 +1122,18 @@ class TestSingleBankOracle:
                 assert np.array_equal(b, wb)
                 _assert_bits(s, ws)
 
+        want = _outcome(_parent_frame_bounds, sys)
+        assert _outcome(frame_bounds, sys) == want
+        want = _outcome(_parent_fiber_inverses, sys)
+        got = _outcome(sys.fiber_inverses)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+        else:
+            assert len(got) == len(want)
+            for (b, s), (wb, ws) in zip(got, want):
+                assert np.array_equal(b, wb)
+                _assert_bits(s, ws)
+
     def test_prototype_norm_integrated_once(self, monkeypatch):
         from warpft import prototype
         calls = []
@@ -1022,19 +1151,22 @@ class TestSingleBankOracle:
         assert len(calls) == 1
         assert second.theta == first.theta
 
-    def test_groups_computed_once_per_build(self, monkeypatch):
+    def test_bank_sampled_once_in_channel_order(self, monkeypatch):
+        """The build samples the bank once, at the channels' centres as
+        designed; the transform and the painless check sample nothing."""
         calls = []
-        frame_groups = system_module._frame_groups
+        sample = system_module._sample_bank
 
-        def counting(channels):
-            calls.append(len(channels))
-            return frame_groups(channels)
+        def counting(warp, theta, xs, grid, truncation):
+            calls.append(np.array(xs))
+            return sample(warp, theta, xs, grid, truncation)
 
-        monkeypatch.setattr(system_module, "_frame_groups", counting)
+        monkeypatch.setattr(system_module, "_sample_bank", counting)
         sys = _erb_system()
         analyze(_interior_signal(sys), sys)
         assert sys.painless_report.painless
-        assert calls == [len(sys.channels)]
+        assert len(calls) == 1
+        _assert_bits(calls[0], sys.channels.center_hz)
 
 
 class TestAllocation:
@@ -1056,9 +1188,9 @@ class TestAllocation:
         first = synthesize(coeffs, sys, iterative=True)
         cached = [*sys.covered_bins()[:2], sys.frame_diag(),
                   sys.interior_bins(), *(a.values for a in sys.atoms)]
-        for _, _, _, chunks in sys.bank_layout()[0]:
+        for _, _, chunks in _runs(sys):
             for chunk in chunks:
-                cached += chunk[1:]
+                cached += chunk[2:]
         for bins, inverses in sys.fiber_inverses():
             cached += [bins, inverses]
         for arr in coeffs.data + cached:
@@ -1163,9 +1295,9 @@ class TestOperatorIdentities:
         channels, an atom that vanishes on the grid).  When it builds,
         V* is the adjoint of V to rounding, analysis equals the direct
         sliding-window reference (up to N = 2^10; it takes O(N^2) per
-        channel), ``_fold`` and ``_unfold`` give the grouped core's bits,
-        and the frame bounds bracket the Rayleigh quotient of a signal
-        on the fully covered band.  A painless bank reconstructs a
+        channel), ``_fold`` gives the grouped core's bits and ``_unfold``
+        the per-channel adjoint's, and the frame bounds bracket the
+        Rayleigh quotient of a signal on the fully covered band.  A painless bank reconstructs a
         signal on its covered bins to machine precision on the interior
         band, and on every covered bin ``j`` within ``eps * peak /
         profile[j]`` of the spectrum's peak (the diagonal solve's
@@ -1198,7 +1330,7 @@ class TestOperatorIdentities:
         for got, want in zip(_fold(fhat, sys), _grouped_fold(fhat, sys),
                              strict=True):
             _assert_bits(got, want)
-        _assert_bits(_unfold(c, sys), _grouped_unfold(c, sys))
+        _assert_bits(_unfold(c, sys), _per_channel_unfold(c, sys))
 
         covered, profile, interior_covered = sys.covered_bins()
         if sys.painless and interior_covered:
