@@ -20,10 +20,11 @@ edges, centres, ``F(x_l)`` and ``F'(x_l)`` are evaluated on arrays too.
 
 A system holds its channels as one table of arrays (:class:`ChannelTable`)
 and its atoms once, as one bank in channel order (the retained values
-and bins, and each atom's entry count): the transform reads the bank in
-runs of channels that share a frame count, and the per-channel
-:class:`Channel` and :class:`Atom` objects are built only when asked
-for.
+and bins, and each atom's entry count).  All else it knows is a function
+of these, computed on first use and kept per system: the per-channel
+:class:`Channel` and :class:`Atom` objects, the painless report, the
+frame profile, the transform's layout (runs of channels that share a
+frame count), and the interior and covered bins and their fibers.
 
 Half-line warps analyze the analytic part only: non-positive bins are
 zeroed and reconstructions live on positive frequencies.
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, List, Optional, Tuple
+from functools import cached_property, wraps
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -372,6 +373,18 @@ def painless_check(system: "WarpedSystem") -> PainlessReport:
     return PainlessReport(len(bad) == 0, sup, lim, alias, bad)
 
 
+def _once(method):
+    """A zero-argument method computed once per instance and kept in its
+    ``_memo``; the first value stored wins, and an exception is not kept."""
+    @wraps(method)
+    def memo(self):
+        try:
+            return self._memo[method]
+        except KeyError:
+            return self._memo.setdefault(method, method(self))
+    return memo
+
+
 class WarpedSystem:
     """A fully built warped filterbank on a signal grid.
 
@@ -395,13 +408,7 @@ class WarpedSystem:
         self.time_scale = time_scale
         self.truncation = truncation
         self.normalize = normalize
-        self._painless: Optional[PainlessReport] = None
-        self._diag: Optional[np.ndarray] = None
-        self._layout: Optional[Tuple[list, list]] = None
-        self._interior: Optional[np.ndarray] = None
-        self._covered: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
-        self._interior_fibers: Optional[Tuple[np.ndarray, list]] = None
-        self._inverses: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        self._memo: dict = {}
 
     @cached_property
     def atoms(self) -> List[Atom]:
@@ -412,40 +419,37 @@ class WarpedSystem:
             np.cumsum(sizes).tolist(), sizes.tolist(),
             self.channels.center_hz.tolist())]
 
-    @property
+    @cached_property
     def painless_report(self) -> PainlessReport:
-        if self._painless is None:
-            self._painless = painless_check(self)
-        return self._painless
+        return painless_check(self)
 
     @property
     def painless(self) -> bool:
         return self.painless_report.painless
 
+    @_once
     def frame_diag(self) -> np.ndarray:
         """Diagonal frame profile ``S_d[j] = sum_l |g_l[j]|^2 / n_l``.
 
         This is the diagonal of the frame operator in the DFT basis, and
         in the painless regime the whole of it.
         """
-        if self._diag is None:
-            # summed in channel order, as bincount adds its weights in order;
-            # divided in place, as each pass is one bank long
-            values, support, sizes = self.bank
-            weights = values ** 2
-            weights /= np.repeat(self.channels.hop_samples, sizes)
-            self._diag = np.bincount(support, weights,
-                                     minlength=self.grid.length)
-        return self._diag
+        # summed in channel order, as bincount adds its weights in order;
+        # divided in place, as each pass is one bank long
+        values, support, sizes = self.bank
+        weights = values ** 2
+        weights /= np.repeat(self.channels.hop_samples, sizes)
+        return np.bincount(support, weights, minlength=self.grid.length)
 
-    def bank_layout(self) -> Tuple[list, list]:
-        """How the transform batches the bank, built once: ``(one, two)``,
-        the bank as one lane and as two lanes of about equal FFT cost
-        (``rows * M * log2 M`` summed).  ``two`` is empty when the bank
-        has one run or fewer than :data:`LANE_MIN_COEFFICIENTS`
-        coefficients.  A lane is ``(runs, coefficients, entries)``: its
-        runs, and the coefficient and entry counts of its largest chunk,
-        which size its scratch.
+    @_once
+    def bank_layout(self) -> Tuple[list, int, int, int]:
+        """How the transform batches the bank: ``(runs, half,
+        coefficients, entries)``.  ``runs[:half]`` and ``runs[half:]``
+        are two lanes of about equal FFT cost (``rows * M * log2 M``
+        summed); ``half`` is 0 when the bank has one run or fewer than
+        :data:`LANE_MIN_COEFFICIENTS` coefficients.  ``coefficients``
+        and ``entries`` are the counts of the largest chunk, which size
+        a lane's scratch.
 
         A run is a maximal stretch of consecutive channels that share a
         frame count ``M``: ``(M, block, chunks)``, with ``block`` its
@@ -454,42 +458,35 @@ class WarpedSystem:
         ``(channels, coeffs, support, values, slot)``: its channel and
         coefficient slices, its entries (views of the bank), and each
         entry's ``row * M + (bin mod M)`` in the chunk's rows."""
-        if self._layout is None:
-            values, support, sizes = self.bank
-            frames = self.channels.frames
-            # the runs' first channels, and each channel's row in its chunk
-            heads = np.flatnonzero(np.diff(frames, prepend=0)).tolist()
-            ends = heads[1:] + [len(frames)]
-            row = np.concatenate([np.arange(b - a) for a, b in zip(heads, ends)])
-            row %= CHUNK_ROWS
-            # frames is a power of two: the mask is the residue mod frames
-            slot = np.repeat(frames - 1, sizes)
-            slot &= support
-            slot += np.repeat(row * frames, sizes)
-            coef = [0] + np.cumsum(frames).tolist()
-            entry = [0] + np.cumsum(sizes).tolist()
-            runs = []
-            for a, b in zip(heads, ends):
-                cuts = [*range(a, b, CHUNK_ROWS), b]
-                runs.append((int(frames[a]), slice(coef[a], coef[b]), [
-                    (slice(c, d), slice(coef[c], coef[d]),
-                     *(v[entry[c]:entry[d]] for v in (support, values, slot)))
-                    for c, d in zip(cuts, cuts[1:])]))
-
-            def lane(part):
-                chunks = [c for _, _, cs in part for c in cs]
-                return (part, max(c[1].stop - c[1].start for c in chunks),
-                        max(c[2].size for c in chunks))
-
-            two = []
-            if len(runs) > 1 and coef[-1] >= LANE_MIN_COEFFICIENTS:
-                # FFT cost rows * M * log2 M, summed over the leading runs
-                cost = np.cumsum([(block.stop - block.start) * np.log2(m)
-                                  for m, block, _ in runs])
-                split = int(np.argmin(abs(cost[:-1] - cost[-1] / 2))) + 1
-                two = [lane(runs[:split]), lane(runs[split:])]
-            self._layout = ([lane(runs)], two)
-        return self._layout
+        values, support, sizes = self.bank
+        frames = self.channels.frames
+        # the runs' first channels, and each channel's row in its chunk
+        heads = np.flatnonzero(np.diff(frames, prepend=0)).tolist()
+        ends = heads[1:] + [len(frames)]
+        row = np.concatenate([np.arange(b - a) for a, b in zip(heads, ends)])
+        row %= CHUNK_ROWS
+        # frames is a power of two: the mask is the residue mod frames
+        slot = np.repeat(frames - 1, sizes)
+        slot &= support
+        slot += np.repeat(row * frames, sizes)
+        coef = [0] + np.cumsum(frames).tolist()
+        entry = [0] + np.cumsum(sizes).tolist()
+        runs = []
+        for a, b in zip(heads, ends):
+            cuts = [*range(a, b, CHUNK_ROWS), b]
+            runs.append((int(frames[a]), slice(coef[a], coef[b]), [
+                (slice(c, d), slice(coef[c], coef[d]),
+                 *(v[entry[c]:entry[d]] for v in (support, values, slot)))
+                for c, d in zip(cuts, cuts[1:])]))
+        half = 0
+        if len(runs) > 1 and coef[-1] >= LANE_MIN_COEFFICIENTS:
+            # FFT cost rows * M * log2 M, summed over the leading runs
+            cost = np.cumsum([(block.stop - block.start) * np.log2(m)
+                              for m, block, _ in runs])
+            half = int(np.argmin(abs(cost[:-1] - cost[-1] / 2))) + 1
+        chunks = [c for _, _, cs in runs for c in cs]
+        return (runs, half, max(c[1].stop - c[1].start for c in chunks),
+                max(c[2].size for c in chunks))
 
     def frame_fibers(self, bins: np.ndarray
                      ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
@@ -558,65 +555,57 @@ class WarpedSystem:
         return singles, [(b.reshape(-1, size[b[0]]),
                           s.reshape(-1, size[b[0]], size[b[0]])) for b, s in blocks]
 
+    @_once
     def interior_bins(self) -> np.ndarray:
         """Bins whose warped position sees every prototype translate that
         an unbounded channel set would contribute (full-coverage band).
-        Computed once; the array is read-only."""
-        if self._interior is None:
-            self._interior = self._interior_bins()
-            self._interior.setflags(write=False)
-        return self._interior
-
-    def _interior_bins(self) -> np.ndarray:
+        The array is read-only."""
         radius = self.theta.support_radius(max(self.truncation, 1e-12))
         w_lo = self.delta * (int(self.channels.index[0]) + 0.5) + radius
         w_hi = self.delta * (int(self.channels.index[-1]) + 0.5) - radius
-        if w_hi <= w_lo:
-            return np.array([], dtype=int)
-        freqs = self.grid.bin_freqs()
-        inside = ((freqs >= float(self.warp.inverse(w_lo)))
-                  & (freqs <= float(self.warp.inverse(w_hi))))
-        if self.warp.domain == POSITIVE_HALF_LINE:
-            inside &= freqs > 0
-        return np.flatnonzero(inside)
+        bins = np.array([], dtype=int)
+        if w_lo < w_hi:
+            freqs = self.grid.bin_freqs()
+            inside = ((freqs >= float(self.warp.inverse(w_lo)))
+                      & (freqs <= float(self.warp.inverse(w_hi))))
+            if self.warp.domain == POSITIVE_HALF_LINE:
+                inside &= freqs > 0
+            bins = np.flatnonzero(inside)
+        bins.setflags(write=False)
+        return bins
 
+    @_once
     def interior_fibers(self):
-        """:meth:`frame_fibers` on :meth:`interior_bins`, computed once."""
-        if self._interior_fibers is None:
-            self._interior_fibers = self.frame_fibers(self.interior_bins())
-        return self._interior_fibers
+        """:meth:`frame_fibers` on :meth:`interior_bins`."""
+        return self.frame_fibers(self.interior_bins())
 
+    @_once
     def covered_bins(self) -> Tuple[np.ndarray, np.ndarray, bool]:
         """``(bins, profile, interior_covered)``: the bins whose frame
         profile reaches ``DIAG_FLOOR`` times its peak, the profile on
         them, and whether every interior bin is among them.  The
         diagonal inverse divides on these bins and leaves the rest at
-        zero.  Computed once; the arrays are read-only."""
-        if self._covered is None:
-            d = self.frame_diag()
-            floor = DIAG_FLOOR * float(np.max(d))
-            bins = np.flatnonzero(d >= floor)
-            profile = d[bins]
-            interior = self.interior_bins()
-            interior_covered = not (interior.size
-                                    and float(np.min(d[interior])) < floor)
-            bins.setflags(write=False)
-            profile.setflags(write=False)
-            self._covered = (bins, profile, interior_covered)
-        return self._covered
+        zero.  The arrays are read-only."""
+        d = self.frame_diag()
+        floor = DIAG_FLOOR * float(np.max(d))
+        bins = np.flatnonzero(d >= floor)
+        profile = d[bins]
+        interior_covered = bool(np.all(d[self.interior_bins()] >= floor))
+        bins.setflags(write=False)
+        profile.setflags(write=False)
+        return bins, profile, interior_covered
 
+    @_once
     def fiber_inverses(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """``(bins, inverses)`` of the fibers of ``S`` on the covered bins,
-        per size ``k > 1``; computed once.  A fiber eigenvalue below ``DIAG_FLOOR``
+        per size ``k > 1``.  A fiber eigenvalue below ``DIAG_FLOOR``
         times the profile's peak raises :class:`IllConditionedError`."""
-        if self._inverses is None:
-            floor = DIAG_FLOOR * float(np.max(self.frame_diag()))
-            fibers = self.frame_fibers(self.covered_bins()[0])[1]
-            if any(np.linalg.eigvalsh(s)[:, 0].min() < floor for _, s in fibers):
-                raise IllConditionedError(
-                    "frame operator is singular to rounding on a fiber")
-            self._inverses = [(b, np.linalg.inv(s)) for b, s in fibers]
-        return self._inverses
+        floor = DIAG_FLOOR * float(np.max(self.frame_diag()))
+        fibers = self.frame_fibers(self.covered_bins()[0])[1]
+        if any(np.linalg.eigvalsh(s)[:, 0].min() < floor for _, s in fibers):
+            raise IllConditionedError(
+                "frame operator is singular to rounding on a fiber")
+        return [(b, np.linalg.inv(s)) for b, s in fibers]
 
     def channel_positions(self) -> np.ndarray:
         return self.channels.center_hz.copy()

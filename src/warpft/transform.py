@@ -24,20 +24,20 @@ with ``norm="forward"`` (no scaling): ``1/N``, ``1/M_l`` and ``1/n_l``
 are powers of two, so this gives the bits of ``ifft(.) / n_l`` without
 a pass over the coefficients.
 
-The runs are independent batches of FFTs, and numpy's FFT releases
-the interpreter lock.  So on a bank of at least
+The runs are independent batches of FFTs, and numpy's FFT releases the
+interpreter lock.  So on a bank of at least
 :data:`~warpft.system.LANE_MIN_COEFFICIENTS` coefficients, when more
 than one CPU is usable, both maps run in two lanes of about equal FFT
-cost (:meth:`WarpedSystem.bank_layout`): the leading runs on one
-worker thread, started on first use, and the rest on the caller, which
-always waits for the worker.  Below that size, or on one CPU, handing a
-lane over costs more than it saves (ERB bank on 2 CPUs, round trip in
-lanes against one, three runs: 1.2-1.4x the time at N = 2^13, 45,696
-coefficients; 1.0-1.1x at 2^14; 0.83-0.89x at 2^15, 182,784
-coefficients), so everything runs on the caller.  Either way every
-coefficient is summed in its atom's support order and every bin in
-channel order, as the definition reads, so the results are the same
-bits.
+cost, the layout's runs cut at ``half``
+(:meth:`WarpedSystem.bank_layout`): the leading runs on one persistent
+worker thread and the rest on the caller, which always waits for the
+worker.  Below that size, or on one CPU, handing a lane over costs more
+than it saves (ERB bank on 2 CPUs, round trip in lanes against one,
+three runs: 1.2-1.4x the time at N = 2^13, 45,696 coefficients;
+1.0-1.1x at 2^14; 0.83-0.89x at 2^15, 182,784 coefficients), so
+everything runs on the caller.  Either way every coefficient is summed
+in its atom's support order and every bin in channel order, as the
+definition reads, so the results are the same bits.
 
 With unit-norm prototypes these coefficients approximate the continuous
 inner products ``<f, g_{x_l, k n_l / fs}>`` directly, no extra scaling.
@@ -75,9 +75,11 @@ _WORKER_LOCK = threading.Lock()
 
 
 def _worker():
-    """The lane worker, made on first use.  ``concurrent.futures`` is
-    imported only then: it adds ~0.6 MB to a process's RSS, which one
-    whose banks all stay below the lane cutoff never needs."""
+    """The lane worker, made on first use and kept.  A thread started per
+    lane call instead added ~0.8 ms (~7%) to each round trip on the 2^16
+    ERB bank (2 CPUs).  ``concurrent.futures`` is imported only here: it
+    adds ~0.6 MB to a process's RSS, which one whose banks all stay
+    below the lane cutoff never needs."""
     global _WORKER
     with _WORKER_LOCK:
         if _WORKER is None:
@@ -98,14 +100,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _lanes(system: WarpedSystem) -> list:
-    """The lanes to run (:meth:`WarpedSystem.bank_layout`): two when the
-    bank splits and more than one CPU is usable, otherwise one.  A lane
-    works in scratch that the caller takes: glibc keeps what the worker
-    thread frees in that thread's own arena, which raised erb_stream's
-    peak RSS by ~2 MB."""
-    one, two = system.bank_layout()
-    return two if two and _USABLE_CPUS > 1 else one
+def _lanes(runs: list, half: int) -> list:
+    """The runs of each lane: two lanes when the layout splits and more
+    than one CPU is usable, otherwise one.  A lane's scratch is taken by
+    the caller: glibc keeps what the worker thread frees in that
+    thread's own arena, which raised erb_stream's peak RSS by ~2 MB."""
+    return [runs[:half], runs[half:]] if half and _USABLE_CPUS > 1 else [runs]
 
 
 def _in_lanes(first: Callable[[], object], second: Callable[[], T]) -> T:
@@ -144,7 +144,8 @@ def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
     the store's rows are the coefficients.  With two lanes each fills
     and inverts the blocks of its own runs.
     """
-    lanes = _lanes(system)
+    runs, half, _, entries = system.bank_layout()
+    lanes = _lanes(runs, half)
     # 1/N is a power of two, so scaling here and leaving the inverse FFTs
     # unscaled gives the bits of ifft(.) / hop, with M_l * hop = N
     fhat = fhat * (1.0 / system.grid.length)
@@ -161,22 +162,21 @@ def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
             blk = store[block].reshape(-1, frames)
             np.fft.ifft(blk, axis=1, norm="forward", out=blk)
 
-    prods = [np.empty(entries, dtype=complex) for _, _, entries in lanes]
+    prods = [np.empty(entries, dtype=complex) for _ in lanes]
     if len(lanes) > 1:
-        _in_lanes(lambda: fold(lanes[0][0], prods[0]),
-                  lambda: fold(lanes[1][0], prods[1]))
+        _in_lanes(lambda: fold(lanes[0], prods[0]),
+                  lambda: fold(lanes[1], prods[1]))
     else:
-        fold(lanes[0][0], prods[0])
-    return [row for runs, _, _ in lanes for frames, block, _ in runs
+        fold(runs, prods[0])
+    return [row for frames, block, _ in runs
             for row in store[block].reshape(-1, frames)]
 
 
-def _spreads(data: List[np.ndarray], lane: tuple) -> Iterator[tuple]:
-    """Per chunk of ``lane``: its entries' bins and spread values, the
+def _spreads(data: list, runs: list, size: int, entries: int) -> Iterator:
+    """Per chunk of ``runs``: its entries' bins and spread values, the
     FFT of its rows gathered at their slots and weighted.  A chunk's
     spread values are overwritten by the next chunk's; the scratch they
     live in is taken by the call, not by the iteration."""
-    runs, size, entries = lane
     rows, spread = np.empty(size, complex), np.empty(entries, complex)
 
     def run():
@@ -203,19 +203,20 @@ def _unfold(data: List[np.ndarray], system: WarpedSystem) -> np.ndarray:
     added once the first has finished.
     """
     out = np.zeros(system.grid.length, dtype=complex)
-    lanes = _lanes(system)
+    runs, half, size, entries = system.bank_layout()
+    lanes = _lanes(runs, half)
 
     def add(spreads) -> None:
         for support, spread in spreads:
             np.add.at(out, support, spread)
 
     if len(lanes) > 1:
-        first = _spreads(data, lanes[0])
+        first = _spreads(data, lanes[0], size, entries)
         add(_in_lanes(lambda: add(first), lambda: [
             (support, spread.copy())
-            for support, spread in _spreads(data, lanes[1])]))
+            for support, spread in _spreads(data, lanes[1], size, entries)]))
     else:
-        add(_spreads(data, lanes[0]))
+        add(_spreads(data, runs, size, entries))
     return out
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from sys import executable, getswitchinterval, setswitchinterval
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -191,6 +191,19 @@ def _fiber_product(system, bins, vhat):
     return out
 
 
+def _fiber_matrix(system, bins):
+    """``S`` compressed to ``bins`` as a dense matrix, from its fibers."""
+    singles, fibers = system.frame_fibers(bins)
+    at = np.full(system.grid.length, -1)
+    at[bins] = np.arange(bins.size)
+    out = np.zeros((bins.size, bins.size))
+    out[at[singles], at[singles]] = system.frame_diag()[singles]
+    for fbins, blocks in fibers:
+        rows = at[fbins]
+        out[rows[:, :, None], rows[:, None, :]] = blocks
+    return out
+
+
 def _dense_frame_operator(system, idx):
     """The frame operator compressed to the bins ``idx``, column by column
     from ``_unfold(_fold(e_j))``.  Column ``j`` is nonzero only on the
@@ -346,8 +359,8 @@ GROUPED_SYSTEMS["no-shared-group"] = lambda: build_system(
 
 
 def _runs(system):
-    """The runs of the system's layout, run as one lane."""
-    return system.bank_layout()[0][0][0]
+    """The runs of the system's layout."""
+    return system.bank_layout()[0]
 
 
 def _run_channels(run):
@@ -593,9 +606,10 @@ class TestFlatLayoutOracle:
         chunks' coefficient slices lie end to end in channel order.  The
         lane's scratch sizes are its largest chunk's."""
         sys = ORACLE_SYSTEMS["interleaved"]()
-        one, two = sys.bank_layout()
-        assert sys.bank_layout()[0] is one and two == []
-        (runs, size, entries), = one
+        layout = sys.bank_layout()
+        assert sys.bank_layout() is layout
+        runs, half, size, entries = layout
+        assert half == 0
         assert len(runs) > len(_frame_groups(sys.channels))
         channels, coefficients = [], 0
         for frames, block, chunks in runs:
@@ -687,20 +701,22 @@ class TestLanes:
     def test_bitwise_equal_to_one_lane(self, name, monkeypatch, worker):
         sys = LANE_SYSTEMS[name]()
         n = sys.grid.length
-        (runs, _, _), = sys.bank_layout()[0]
-        lanes = sys.bank_layout()[1]
+        runs, half = sys.bank_layout()[:2]
         assert sys.channels.frames.sum() >= LANE_MIN_COEFFICIENTS
-        assert len(lanes) == 2 and 0 < len(lanes[0][0]) < len(runs)
-        assert lanes[0][0] + lanes[1][0] == runs
+        assert 0 < half < len(runs)
         rng = np.random.default_rng(53)
         f = _random_signal(n, rng)
         c = Coefficients([_random_signal(ch.frames, rng)
                           for ch in sys.channels], sys.channel_positions(),
                          sys.hop_seconds(), n)
         monkeypatch.setattr(transform_module, "_USABLE_CPUS", 1)
+        assert transform_module._lanes(runs, half) == [runs]
         one = _run_all(sys, f, c)
         assert worker.calls == 0
         monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
+        lanes = transform_module._lanes(runs, half)
+        assert len(lanes) == 2 and 0 < len(lanes[0]) < len(runs)
+        assert lanes[0] + lanes[1] == runs
         two = _run_all(sys, f, c)
         # fold, unfold, analyze, adjoint, the frame operator's two and
         # synthesize's, unless it refuses the system first
@@ -724,27 +740,25 @@ class TestLanes:
 
     def test_split_balances_fft_cost(self):
         """The first lane is the leading runs whose FFT cost comes
-        closest to half; each lane's scratch fits its largest chunk."""
+        closest to half; the scratch fits the largest chunk of either."""
         for name in sorted(LANE_SYSTEMS):
             sys = LANE_SYSTEMS[name]()
-            (runs, _, _), = sys.bank_layout()[0]
-            lanes = sys.bank_layout()[1]
+            runs, split, size, entries = sys.bank_layout()
             cost = [len(_run_channels(run)) * run[0] * np.log2(run[0])
                     for run in runs]
             half = sum(cost) / 2
             gaps = [abs(sum(cost[:k]) - half) for k in range(1, len(cost))]
-            assert gaps[len(lanes[0][0]) - 1] == min(gaps)
-            for part, size, entries in lanes:
-                chunks = [c for run in part for c in run[2]]
-                assert size == max(c[1].stop - c[1].start for c in chunks)
-                assert entries == max(c[2].size for c in chunks)
+            assert gaps[split - 1] == min(gaps)
+            chunks = [c for run in runs for c in run[2]]
+            assert size == max(c[1].stop - c[1].start for c in chunks)
+            assert entries == max(c[2].size for c in chunks)
 
     def test_small_banks_and_one_cpu_stay_inline(self, monkeypatch, worker):
         """The README's erb.cfg bank at 2^12 never hands work over, nor
         does the erb-stream bank when one CPU is usable."""
         small = build_system(erb_warp(9.265, 228.8), bump_prototype(0.9),
                              0.5, SignalGrid(4096, 16000.0))
-        assert small.bank_layout()[1] == []
+        assert small.bank_layout()[1] == 0
         rng = np.random.default_rng(59)
         monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
         f = _random_signal(small.grid.length, rng)
@@ -842,7 +856,8 @@ class TestLanes:
         worker's lane has finished."""
         sys = LANE_SYSTEMS["erb-stream"]()
         monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
-        first = sys.bank_layout()[1][0][0]
+        runs, half = sys.bank_layout()[:2]
+        first = runs[:half]
         # the FFTs of the worker's lane: one per run, or one per chunk
         lane = (len(first) if stage == "fold"
                 else sum(len(run[2]) for run in first))
@@ -1227,6 +1242,90 @@ class TestCoveredBins:
                 arr[0] = 0
 
 
+# each memoized part of a system, and a function it computes with
+MEMOIZED = {
+    "frame_diag": (np, "bincount"),
+    "bank_layout": (np, "repeat"),
+    "interior_bins": (SignalGrid, "bin_freqs"),
+    "interior_fibers": (system_module.WarpedSystem, "frame_fibers"),
+    "covered_bins": (np, "flatnonzero"),
+    "fiber_inverses": (np.linalg, "inv"),
+    "painless_report": (system_module, "painless_check"),
+}
+
+
+def _memoized(system, name):
+    value = getattr(system, name)
+    return value if name == "painless_report" else value()
+
+
+def _spy(monkeypatch, owner, attr):
+    """Count the calls of ``owner.attr`` for the rest of the test."""
+    real, calls = getattr(owner, attr), []
+
+    def spy(*args, **kwargs):
+        calls.append(attr)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, attr, spy)
+    return calls
+
+
+def _arrays(value):
+    """Every array in a memoized value."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for part in value:
+            yield from _arrays(part)
+    elif isinstance(value, system_module.PainlessReport):
+        yield from _arrays(list(vars(value).values()))
+
+
+class TestMemo:
+    """What a system derives from its bank is computed on first use and
+    kept by that system alone; an exception is not kept."""
+
+    @pytest.mark.parametrize("name", sorted(MEMOIZED))
+    def test_second_call_recomputes_nothing(self, name, monkeypatch):
+        sys = _erb_system(radius=2.0)
+        calls = _spy(monkeypatch, *MEMOIZED[name])
+        first = _memoized(sys, name)
+        made = len(calls)
+        assert made > 0
+        assert _memoized(sys, name) is first
+        assert len(calls) == made
+        assert not sys.painless
+
+    def test_singular_fiber_raised_again(self, monkeypatch):
+        sys = FIBER_SYSTEMS["singular"]()
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        for tries in (1, 2):
+            with pytest.raises(IllConditionedError, match="fiber"):
+                sys.fiber_inverses()
+            assert len(calls) >= tries
+
+    def test_fiber_cap_raised_again(self, monkeypatch):
+        sys = _erb_system(radius=2.0)
+        monkeypatch.setattr(system_module, "FIBER_CAP", 2)
+        for _ in range(2):
+            with pytest.raises(CapabilityError, match="FIBER_CAP = 2"):
+                sys.interior_fibers()
+        monkeypatch.undo()
+        singles, fibers = sys.interior_fibers()
+        assert fibers and sys.interior_fibers()[1] is fibers
+
+    def test_systems_share_no_cached_array(self):
+        one, two = _erb_system(radius=2.0), _erb_system(radius=2.0)
+        kept = [[a for name in sorted(MEMOIZED)
+                 for a in _arrays(_memoized(s, name))] for s in (one, two)]
+        assert len(kept[0]) == len(kept[1]) > 2 * len(MEMOIZED)
+        for a, b in zip(*kept):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert not any(np.shares_memory(a, b)
+                       for a in kept[0] for b in kept[1])
+
+
 class TestAdjoint:
     def test_pairing_identity(self):
         """<V f, c> must equal <f, V* c> for the analysis map V, on every
@@ -1252,11 +1351,11 @@ class TestAdjoint:
 
 
 @st.composite
-def _drawn_banks(draw):
+def _drawn_banks(draw, max_log2n=12):
     """A bank of any built-in warp with drawn parameters, any prototype
     family, a channel step giving ~3-48 channels across the band, a
     prototype width around the step, hops around the painless limit,
-    and N from 2^8 to 2^12."""
+    and N from 2^8 to 2^max_log2n."""
     pos = st.floats(0.25, 4.0)
     kind = draw(st.sampled_from(sorted(WARP_FAMILIES)), label="warp")
     if kind == "linear":
@@ -1270,7 +1369,8 @@ def _drawn_banks(draw):
         warp = erb_warp(9.265 * draw(pos), 228.8 * draw(pos))
     else:
         warp = alpha_like_warp(draw(st.floats(0.2, 1.0)))
-    grid = SignalGrid(1 << draw(st.integers(8, 12), label="log2n"), 16000.0)
+    grid = SignalGrid(1 << draw(st.integers(8, max_log2n), label="log2n"),
+                      16000.0)
     f_lo = grid.bin_hz if warp.domain == "positive_half_line" else -8000.0
     span = warp.eval(8000.0) - warp.eval(f_lo)
     delta = span / draw(st.floats(3.0, 48.0), label="channels")
@@ -1354,6 +1454,36 @@ class TestOperatorIdentities:
         g = _interior_signal(sys, rng)
         q = np.vdot(g, apply_frame_operator(g, sys)).real / np.vdot(g, g).real
         assert a - 1e-12 * b <= q <= b + 1e-12 * b
+
+    @settings(max_examples=25, deadline=None)
+    @given(bank=_drawn_banks(max_log2n=10))
+    def test_drawn_fibers_match_dense_oracle(self, bank):
+        """On a drawn bank that builds and is not painless, the fibers of
+        ``S`` on the covered bins are the dense ``S`` built column by
+        column from ``_unfold(_fold(e_j))``, to 1e-14 of its largest
+        entry, and ``frame_bounds`` are its extreme eigenvalues on the
+        interior bins, to 1e-12 relative.  A fiber above FIBER_CAP, or no
+        fully covered bin, is refused instead."""
+        warp, theta, delta, grid, time_scale = bank
+        try:
+            sys = build_system(warp, theta, delta, grid,
+                               time_scale=time_scale)
+        except ConfigError:
+            sys = None
+        assume(sys is not None and not sys.painless)
+        covered = sys.covered_bins()[0]
+        try:
+            got = _fiber_matrix(sys, covered)
+        except CapabilityError:
+            got = None
+        if got is not None:
+            dense = _dense_frame_operator(sys, covered)
+            assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+        try:
+            frame_bounds(sys)
+        except (ConfigError, CapabilityError):
+            return
+        _assert_oracle_bounds(sys)
 
 
 class TestAgainstReferenceStft:
