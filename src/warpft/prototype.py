@@ -84,44 +84,49 @@ class Prototype:
 
     def _hann(self, u, order):
         r = self.radius
+        # every point evaluated, then selected, as in _bump; cos(inf) is nan
         inside = np.abs(u) < r
-        out = np.zeros_like(u)
-        phase = np.pi * u[inside] / r
-        if order == 0:
-            out[inside] = 0.5 * (1.0 + np.cos(phase))
-        else:
-            out[inside] = 0.5 * (np.pi / r) ** order * np.cos(phase + 0.5 * np.pi * order)
-        return out
+        phase = np.pi * np.atleast_1d(u) / r
+        with np.errstate(invalid="ignore"):
+            if order == 0:
+                out = 0.5 * (1.0 + np.cos(phase))
+            else:
+                out = (0.5 * (np.pi / r) ** order
+                       * np.cos(phase + 0.5 * np.pi * order))
+        return np.where(inside, out.reshape(u.shape), 0.0)
 
     def _bump(self, u, order):
         r = self.radius
         # Stay clear of the support edge: every derivative vanishes there
-        # faster than the rational prefactors blow up.
+        # faster than the rational prefactors blow up.  All points are
+        # evaluated (at least 1-d: a numpy scalar's ``**`` is libm pow) and
+        # np.where keeps the inside ones; outside, ``den <= 0`` may divide
+        # by zero or overflow.
         inside = np.abs(u) < r * (1.0 - 1e-9)
-        out = np.zeros_like(u)
-        s = u[inside]
+        s = np.atleast_1d(u)
         r2 = r * r
-        den = r2 - s * s
-        g = np.exp(-r2 / den)
-        if order == 0:
-            out[inside] = g
-            return out
-        g1 = -2.0 * r2 * s / den ** 2
-        if order == 1:
-            out[inside] = g1 * g
-            return out
-        g2 = -2.0 * r2 * (r2 + 3.0 * s * s) / den ** 3
-        if order == 2:
-            out[inside] = (g2 + g1 ** 2) * g
-            return out
-        g3 = -24.0 * r2 * s * (r2 + s * s) / den ** 4
-        if order == 3:
-            out[inside] = (g3 + 3.0 * g1 * g2 + g1 ** 3) * g
-            return out
-        g4 = -24.0 * r2 * (r2 ** 2 + 10.0 * r2 * s * s + 5.0 * s ** 4) / den ** 5
-        out[inside] = (g4 + 4.0 * g1 * g3 + 3.0 * g2 ** 2
-                       + 6.0 * g1 ** 2 * g2 + g1 ** 4) * g
-        return out
+
+        def keep(v):
+            return np.where(inside, v.reshape(u.shape), 0.0)
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            den = r2 - s * s
+            g = np.exp(-r2 / den)
+            if order == 0:
+                return keep(g)
+            g1 = -2.0 * r2 * s / den ** 2
+            if order == 1:
+                return keep(g1 * g)
+            g2 = -2.0 * r2 * (r2 + 3.0 * s * s) / den ** 3
+            if order == 2:
+                return keep((g2 + g1 ** 2) * g)
+            g3 = -24.0 * r2 * s * (r2 + s * s) / den ** 4
+            if order == 3:
+                return keep((g3 + 3.0 * g1 * g2 + g1 ** 3) * g)
+            g4 = (-24.0 * r2 * (r2 ** 2 + 10.0 * r2 * s * s + 5.0 * s ** 4)
+                  / den ** 5)
+            return keep((g4 + 4.0 * g1 * g3 + 3.0 * g2 ** 2
+                         + 6.0 * g1 ** 2 * g2 + g1 ** 4) * g)
 
 
 def gaussian_prototype(sigma: float = 1.0) -> Prototype:

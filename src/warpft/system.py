@@ -216,8 +216,12 @@ class Atom:
         return out
 
 
-#: window entries sampled per batch, which bounds the temporaries
-SAMPLE_CHUNK = 1 << 12
+#: window entries sampled per batch, which bounds the temporaries.  Each
+#: batch makes ~30 numpy calls, so small batches are mostly overhead.
+#: 2^15 built the ERB bank fastest from N = 2^12 to 2^18 and slowed no
+#: bank measured; its temporaries pass glibc's 128 KiB mmap threshold,
+#: which a process that has freed N = 2^16 arrays has raised already.
+SAMPLE_CHUNK = 1 << 15
 
 
 def build_atom(warp: WarpingFunction, theta: Prototype, x: float,
@@ -254,9 +258,12 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
     bin, bit for bit.
 
     ``F(x)``, ``F'(x)`` and the peak frequencies are evaluated on the
-    array ``xs``, and ``F`` and ``theta`` on batches of whole windows,
-    laid end to end, of about ``SAMPLE_CHUNK`` entries, each round into
-    one store; atoms of later rounds are gathered back into ``xs`` order.
+    array ``xs``, and ``theta`` on batches of whole windows laid end to
+    end: the windows that start in one ``SAMPLE_CHUNK``-entry block, so a
+    batch holds at most ``SAMPLE_CHUNK`` entries and its last window.
+    ``F`` is evaluated once per bin of a batch's range when bins repeat
+    in it, else once per entry.  Each round's kept entries go into one
+    store; atoms of later rounds are gathered back into ``xs`` order.
     The first centre in ``xs`` whose atom vanishes is named.
     """
     x = np.array(xs, dtype=float)
@@ -299,27 +306,42 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
             ids, lo, hi, size = todo[a:b], k_lo[a:b], k_hi[a:b], sizes[a:b]
             starts = np.cumsum(size) - size
             k = np.arange(starts[-1] + size[-1]) + np.repeat(lo - starts, size)
-            vals = np.repeat(scale[ids], size) * theta.eval(
-                warp.eval(grid.signed_bin_freqs(k)) - np.repeat(fx[ids], size))
-            peak = np.maximum.reduceat(np.abs(vals), starts)
+            # F once per bin of the batch's range (about the union of its
+            # windows, which overlap) when bins repeat, else once per entry
+            base = int(lo.min())
+            span = int(hi.max()) - base + 1
+            if span < k.size:
+                bins = np.arange(base, base + span)
+                vals = warp.eval(grid.signed_bin_freqs(bins))[k - base]
+            else:
+                vals = warp.eval(grid.signed_bin_freqs(k))
+            # in place where the bits allow, so fewer temporaries are live
+            vals -= np.repeat(fx[ids], size)
+            vals = theta.eval(vals)
+            np.multiply(np.repeat(scale[ids], size), vals, out=vals)
+            mag = np.abs(vals)
+            peak = np.maximum.reduceat(mag, starts)
             if not peak.all():
                 x0 = xs[ids[np.argmin(peak != 0.0)]]
                 raise DegenerateAtomError(
                     f"atom at {x0} Hz vanishes on the grid")
-            if truncation:
-                vals[np.abs(vals) < np.repeat(truncation * peak, size)] = 0.0
-            done = (((lo == k_min) | (vals[starts] == 0.0))
-                    & ((hi == k_max) | (vals[starts + size - 1] == 0.0)))
+            # the entries the truncation drops; the floor is at least the
+            # least subnormal, so zeros are dropped even when it underflows
+            small = mag < (np.repeat(np.fmax(truncation * peak, 5e-324), size)
+                           if truncation else 5e-324)
+            done = (((lo == k_min) | small[starts])
+                    & ((hi == k_max) | small[starts + size - 1]))
             redo.append(ids[~done])
-            keep = (vals != 0.0) & np.repeat(done, size)
+            keep = ~small & np.repeat(done, size)
             counts = np.add.reduceat(keep, starts, dtype=np.intp)
             done_ids.append(ids[done])
             kept.append(counts[done])
-            k = k[keep]
-            vals = np.compress(keep, vals, out=store_v[used:used + k.size])
-            support = np.remainder(k, grid.length,
-                                   out=store_s[used:used + k.size])
-            used += k.size
+            end = used + int(counts.sum())
+            store_v[used:end] = vals[keep]
+            store_s[used:end] = k[keep]
+            vals, support = store_v[used:end], store_s[used:end]
+            support &= grid.length - 1      # k + N (k < 0), as N = 2^m
+            used = end
             # storage order: a window across DC puts its negative bins last,
             # a rotation of its entries, gathered for all such windows at once
             cross = np.flatnonzero(done & (lo < 0) & (0 <= hi))
@@ -328,7 +350,8 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
                 head = np.cumsum(width) - width
                 start = np.repeat((np.cumsum(counts) - counts)[cross], width)
                 at = start + np.arange(start.size) - np.repeat(head, width)
-                wrap = np.add.reduceat(k[at] < 0, head, dtype=np.intp)
+                wrap = np.add.reduceat(support[at] > grid.length // 2, head,
+                                       dtype=np.intp)
                 rot = at - start + np.repeat(wrap, width)
                 take = start + rot % np.repeat(width, width)
                 vals[at] = vals[take]

@@ -83,6 +83,78 @@ class TestDerivatives:
             assert abs(th.eval(0.999999, order)) < 1e-200
 
 
+def _masked_compact(theta, s, order):
+    """``Prototype.eval`` of a compact prototype as it read with boolean
+    gather and scatter: the reference for the ``np.where`` form."""
+    arr = np.asarray(s, dtype=float)
+    u = arr - theta.center
+    r = theta.radius
+    if theta.kind == "hann_bump":
+        inside = np.abs(u) < r
+        out = np.zeros_like(u)
+        phase = np.pi * u[inside] / r
+        if order == 0:
+            out[inside] = 0.5 * (1.0 + np.cos(phase))
+        else:
+            out[inside] = (0.5 * (np.pi / r) ** order
+                           * np.cos(phase + 0.5 * np.pi * order))
+    else:
+        inside = np.abs(u) < r * (1.0 - 1e-9)
+        out = np.zeros_like(u)
+        s = u[inside]
+        r2 = r * r
+        den = r2 - s * s
+        g = np.exp(-r2 / den)
+        g1 = -2.0 * r2 * s / den ** 2
+        g2 = -2.0 * r2 * (r2 + 3.0 * s * s) / den ** 3
+        g3 = -24.0 * r2 * s * (r2 + s * s) / den ** 4
+        g4 = (-24.0 * r2 * (r2 ** 2 + 10.0 * r2 * s * s + 5.0 * s ** 4)
+              / den ** 5)
+        out[inside] = (g, g1 * g, (g2 + g1 ** 2) * g,
+                       (g3 + 3.0 * g1 * g2 + g1 ** 3) * g,
+                       (g4 + 4.0 * g1 * g3 + 3.0 * g2 ** 2
+                        + 6.0 * g1 ** 2 * g2 + g1 ** 4) * g)[order]
+    out = theta.scale * out
+    return float(out) if arr.ndim == 0 else out
+
+
+class TestMaskFreeCompact:
+    """The compact prototypes evaluate every point and select the inside
+    ones; each value keeps the bits of the masked code, and no numpy
+    warning from the points outside reaches the caller."""
+
+    @staticmethod
+    def points(r):
+        edge = r * (1.0 - 1e-9)
+        near = [0.0, edge, np.nextafter(edge, 0.0), r, np.nextafter(r, 0.0),
+                np.nextafter(r, np.inf), 0.5 * r, 2.0 * r, 1e300, np.inf]
+        grid = np.random.default_rng(5).uniform(-1.5 * r, 1.5 * r, 997)
+        return np.concatenate([near, np.negative(near), [np.nan], grid])
+
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("theta", [
+        bump_prototype(0.9), normalized(bump_prototype(2.5)),
+        replace(hann_prototype(1.0), center=-0.3),
+        hann_prototype(0.9), normalized(hann_prototype(2.5)),
+        replace(bump_prototype(1.0), center=-0.3),
+    ], ids=lambda t: f"{t.kind}-{t.radius}-{t.center}-{t.scale:.3f}")
+    def test_bits_of_the_masked_code(self, theta, order):
+        s = theta.center + self.points(theta.radius)
+        got = theta.eval(s, order)
+        want = _masked_compact(theta, s, order)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not got[~(np.abs(s - theta.center) < theta.radius)].any()
+        # a 0-d input gives a float with the bits of the masked code, which
+        # ran array loops on it too (a numpy scalar's ``**`` is libm pow)
+        for x in s[:240].tolist() + [np.float64(s[240]), np.array(s[241])]:
+            got = theta.eval(x, order)
+            want = _masked_compact(theta, x, order)
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == \
+                np.float64(want).view(np.uint64)
+
+
 class TestNorms:
     def test_gaussian_l2_analytic(self):
         # ||e^{-s^2/2}||_2 = pi^{1/4} for sigma = 1

@@ -10,6 +10,7 @@ import pytest
 from warpft import (CapabilityError, ConfigError, DegenerateAtomError,
                     ShapeError, bump_prototype, erb_warp, gaussian_prototype,
                     linear_warp, log_warp)
+from warpft import system as system_module
 from warpft.prototype import hann_prototype, normalized
 from warpft.system import (Atom, Channel, ChannelTable, Coefficients,
                            SignalGrid, _sample_bank, build_atom, build_system,
@@ -509,6 +510,27 @@ class TestBankSampler:
         self.assert_bank_same(warp, theta, good, grid, 1e-8)
         # reversed, the first vanishing centre comes after working ones
         self.assert_bank_same(warp, theta, xs[::-1], grid, 1e-8)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+    def test_loop_oracle_at_any_batch_size(self, chunk, monkeypatch):
+        """The batches move no bit: the oracle tests above hold with
+        one-window batches, batches of a few windows and one batch a
+        round, as they do at the default, at which many of their banks
+        are one batch."""
+        monkeypatch.setattr(system_module, "SAMPLE_CHUNK", chunk)
+        for truncation in (1e-8, 0.0):
+            for kind in sorted(_WINDOW_WARPS):
+                for proto in sorted(_WINDOW_PROTOS):
+                    self.test_bank_matches_loop(kind, proto, truncation)
+                self.test_band_edges_and_dc(kind, truncation)
+            self.test_gaussian_narrower_than_a_bin(truncation)
+        for name in sorted(_PLAIN_BANKS):
+            self.test_plain_banks_match_loop(name)
+        for shift in (-2.5, 0.7):
+            self.test_shifted_prototype(shift)
+        self.test_newton_inverse()
+        self.test_some_channels_double_the_radius()
+        self.test_vanishing_channel_named()
 
     def test_huge_time_scale_clamps_every_hop(self):
         # tau * fs ~ 1e300 samples: the hop is clamped to N, never cast

@@ -1149,6 +1149,14 @@ class TestSingleBankOracle:
                 assert np.array_equal(b, wb)
                 _assert_bits(s, ws)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+    def test_per_atom_code_at_any_batch_size(self, chunk, monkeypatch):
+        """The sampler's batch size moves no bit of any bank here; the
+        per-atom oracle is batched by the same constant."""
+        monkeypatch.setattr(system_module, "SAMPLE_CHUNK", chunk)
+        for name in sorted(BANK_SYSTEMS):
+            self.test_equal_to_per_atom_code(name)
+
     def test_prototype_norm_integrated_once(self, monkeypatch):
         from warpft import prototype
         calls = []
