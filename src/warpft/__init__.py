@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedOrderError,
     WarpFTError,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_decaying
+from .quadrature import integrate, integrate_decaying
 from .warping import (
     AxiomReport,
     WarpingFunction,

@@ -32,11 +32,21 @@ from .discretization import _quasi_constant, elements_containing
 from .errors import CapabilityError, ConfigError, DomainError, \
     NonConvergenceError, UnsupportedOrderError, check_finite
 from .prototype import Prototype, l2_norm
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 from .warping import POSITIVE_HALF_LINE, WarpingFunction, WeightSpec, \
     constant_weight
 
+#: the most nodes a kernel grid or temporary may hold: a Gramian has at
+#: least ``_MIN_U_NODES``, and an s-chunk ``_S_CHUNK`` per grid row
 _NODE_CAP = 4_000_000
+_MIN_U_NODES = 2048
+_S_CHUNK = 1 << 15
+
+
+def _check_nodes(nodes: int, what: str, remedy: str) -> None:
+    if nodes > _NODE_CAP:
+        raise CapabilityError(
+            f"{what} requires more than {_NODE_CAP} nodes; {remedy}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +100,7 @@ def weight_m(m1_spec: Optional[WeightSpec], m2_spec: Optional[WeightSpec],
 
 
 def gramian(warp: WarpingFunction, theta: Prototype, x: float, xi: float,
-            y: float, omega: float,
-            quad: Optional[QuadratureSpec] = None) -> complex:
+            y: float, omega: float) -> complex:
     """Normalized atom cross-correlation by adaptive quadrature."""
     _require_eligible(warp)
     check_finite(x=x, xi=xi, y=y, omega=omega)
@@ -111,7 +120,7 @@ def gramian(warp: WarpingFunction, theta: Prototype, x: float, xi: float,
                 * np.exp(2j * np.pi * nu * warp.inverse(u)))
 
     try:
-        return complex(integrate(integrand, lo, hi, quad) / a)
+        return complex(integrate(integrand, lo, hi) / a)
     except NonConvergenceError:
         ests = []
         for n_u in (1 << 14, 1 << 15):
@@ -133,10 +142,8 @@ def _gramian_batch(warp: WarpingFunction, theta: Prototype, x: float,
     nus = xi - np.asarray(omegas, dtype=float)
     lo, hi = fx - r, fx + r
     wmax = float(np.max(warp.weight(np.linspace(lo, hi, 65))))
-    n_u = max(2048, int(16.0 * np.max(np.abs(nus)) * wmax * r) + 1)
-    if n_u > _NODE_CAP:
-        raise CapabilityError("phase rate requires more than "
-                              f"{_NODE_CAP} nodes; shrink the box")
+    n_u = max(_MIN_U_NODES, int(16.0 * np.max(np.abs(nus)) * wmax * r) + 1)
+    _check_nodes(n_u, "phase rate", "shrink the box")
     du = (hi - lo) / n_u
     u = lo + (np.arange(n_u) + 0.5) * du
     base = theta.eval(u - fx)
@@ -195,21 +202,20 @@ def _phase_constants(warp: WarpingFunction, x: float, n: int,
 
 def _oscillatory_matrix(warp, theta, x, z_vals, etas, s_lo, s_hi):
     """Inner integrals over s for every (z, eta) pair, s-chunked so the
-    phase matrix never exceeds a few tens of MB."""
+    phase matrix never exceeds ``_NODE_CAP`` entries (64 MB)."""
     wmax = float(np.max(warp.weight(np.linspace(s_lo, s_hi, 65) + x)))
     wx = float(warp.weight(x))
     rate = np.max(np.abs(etas)) * wmax / wx
     n_s = max(4096, int(16.0 * rate * (s_hi - s_lo)) + 1)
-    if n_s > _NODE_CAP:
-        raise CapabilityError("phase rate requires more than "
-                              f"{_NODE_CAP} nodes; shrink the eta range")
+    _check_nodes(n_s, "phase rate", "shrink the eta range")
+    _check_nodes(max(len(z_vals), len(etas)) * min(n_s, _S_CHUNK),
+                 "an s-chunk of the grid", "lower the resolution")
     ds = (s_hi - s_lo) / n_s
     z_arr = np.asarray(z_vals, dtype=float)
     etas = np.asarray(etas, dtype=float)
     out = np.zeros((len(z_arr), len(etas)), dtype=complex)
-    chunk = 1 << 15
-    for start in range(0, n_s, chunk):
-        idx = np.arange(start, min(start + chunk, n_s))
+    for start in range(0, n_s, _S_CHUNK):
+        idx = np.arange(start, min(start + _S_CHUNK, n_s))
         s = s_lo + (idx + 0.5) * ds
         w_ratio = np.asarray(warp.weight(s + x), dtype=float) / wx
         g = np.asarray(warp.inverse(s + x), dtype=float) / wx
@@ -329,6 +335,7 @@ def kernel_norm_I(warp: WarpingFunction, theta: Prototype,
     _require_eligible(warp)
     check_finite(x=x, xi=xi)
     nz = ne = spec.resolution
+    _check_nodes(nz * ne, f"a {nz} x {ne} grid", "lower the resolution")
     zb, hb = spec.z_half_width, spec.eta_half_width
     dz = 2.0 * zb / nz
     de = 2.0 * hb / ne
@@ -396,18 +403,15 @@ def oscillation(warp: WarpingFunction, theta: Prototype, delta: float,
     check_finite(x=x, xi=xi, y=y, omega=omega)
     if q_resolution < 1:
         raise ConfigError("q_resolution must be at least 1")
-    if q_resolution == 1:
-        pts = [(float(y), float(omega))]
-    else:
-        pts = []
-        for e in elements_containing(warp, delta, y, omega):
-            for fy in np.linspace(e.f_lo, e.f_hi, q_resolution):
-                for t in np.linspace(e.t_lo, e.t_hi, q_resolution):
-                    pts.append((float(fy), float(t)))
-        if not pts:
-            pts = [(float(y), float(omega))]
-    ys = np.array([p[0] for p in pts])
-    oms = np.array([p[1] for p in pts])
+    # q_resolution = 1 samples (y, omega) alone, as does an empty cover
+    elems = (elements_containing(warp, delta, y, omega)
+             if q_resolution > 1 else [])
+    _check_nodes(len(elems) * q_resolution ** 2 * _MIN_U_NODES,
+                 f"q_resolution {q_resolution}", "lower it")
+    pts = [(float(fy), float(t)) for e in elems
+           for fy in np.linspace(e.f_lo, e.f_hi, q_resolution)
+           for t in np.linspace(e.t_lo, e.t_hi, q_resolution)]
+    ys, oms = np.array(pts or [(float(y), float(omega))]).T
     vals = _gramian_batch(warp, theta, x, xi,
                           np.concatenate(([y], ys)),
                           np.concatenate(([omega], oms)))

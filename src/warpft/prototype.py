@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, UnsupportedOrderError
-from .quadrature import QuadratureSpec, integrate, integrate_decaying
+from .quadrature import integrate, integrate_decaying
 from .warping import WarpingFunction, WeightSpec, _ret, _split
 
 MAX_DERIVATIVE_ORDER = 4
@@ -41,12 +40,11 @@ _HERMITE = (
 
 @dataclass(frozen=True)
 class Prototype:
-    """A prototype window, possibly shifted (``center``) and scaled."""
+    """A prototype window, centred at 0 and scaled by ``scale``."""
 
     kind: str
     sigma: float = 1.0
     radius: float = 1.0
-    center: float = 0.0
     scale: float = 1.0
 
     @property
@@ -63,8 +61,7 @@ class Prototype:
         if order < 0 or order > MAX_DERIVATIVE_ORDER:
             raise UnsupportedOrderError(
                 f"prototype derivatives available for order <= {MAX_DERIVATIVE_ORDER}")
-        arr, scalar = _split(s)
-        u = arr - self.center
+        u, scalar = _split(s)
         if self.kind == "gaussian":
             out = self._gaussian(u, order)
         elif self.kind == "hann_bump":
@@ -166,8 +163,7 @@ def prototype_from_params(kind: str, **params) -> Prototype:
     return PROTOTYPE_FAMILIES[kind][0](**params)
 
 
-def weighted_l2_norm(theta: Prototype, weight=None,
-                     quad: Optional[QuadratureSpec] = None) -> float:
+def weighted_l2_norm(theta: Prototype, weight=None) -> float:
     """``(∫ |theta(s)|^2 weight(s)^2 ds)^{1/2}``.
 
     Compact prototypes integrate over their support; decaying ones over
@@ -184,12 +180,9 @@ def weighted_l2_norm(theta: Prototype, weight=None,
             return th * th * wv * wv
 
     if theta.compact:
-        lo = theta.center - theta.radius
-        hi = theta.center + theta.radius
-        val = integrate(integrand, lo, hi, quad)
+        val = integrate(integrand, -theta.radius, theta.radius)
     else:
-        val = integrate_decaying(integrand, quad, center=theta.center,
-                                 initial_half_width=max(1.0, theta.sigma))
+        val = integrate_decaying(integrand, max(1.0, theta.sigma))
     val = float(np.real(val))
     if not np.isfinite(val):
         raise DivergenceError("weighted norm overflowed")
@@ -197,31 +190,27 @@ def weighted_l2_norm(theta: Prototype, weight=None,
 
 
 @lru_cache(maxsize=64)
-def l2_norm(theta: Prototype, quad: Optional[QuadratureSpec] = None) -> float:
-    """``||theta||_2``, cached per (frozen) prototype and quadrature spec."""
-    return weighted_l2_norm(theta, None, quad)
+def l2_norm(theta: Prototype) -> float:
+    """``||theta||_2``, cached per (frozen) prototype."""
+    return weighted_l2_norm(theta)
 
 
-def normalized(theta: Prototype, quad: Optional[QuadratureSpec] = None) -> Prototype:
+def normalized(theta: Prototype) -> Prototype:
     """Rescale so that the L2 norm equals 1."""
-    return replace(theta, scale=theta.scale / l2_norm(theta, quad))
+    return replace(theta, scale=theta.scale / l2_norm(theta))
 
 
-def admissibility_inner_product(theta1: Prototype, theta2: Prototype,
-                                quad: Optional[QuadratureSpec] = None) -> complex:
+def admissibility_inner_product(theta1: Prototype, theta2: Prototype) -> complex:
     """``<theta1, theta2>`` in L2; this is the constant appearing next to
     ``<f1, f2>`` in the orthogonality relation."""
+    def integrand(s):
+        return theta1.eval(s) * np.conj(theta2.eval(s))
+
     if theta1.compact and theta2.compact:
-        lo = max(theta1.center - theta1.radius, theta2.center - theta2.radius)
-        hi = min(theta1.center + theta1.radius, theta2.center + theta2.radius)
-        if hi <= lo:
-            return 0.0 + 0.0j
-        val = integrate(lambda s: theta1.eval(s) * np.conj(theta2.eval(s)), lo, hi, quad)
+        r = min(theta1.radius, theta2.radius)
+        val = integrate(integrand, -r, r)
     else:
-        center = 0.5 * (theta1.center + theta2.center)
-        val = integrate_decaying(
-            lambda s: theta1.eval(s) * np.conj(theta2.eval(s)), quad, center=center,
-            initial_half_width=max(1.0, getattr(theta1, "sigma", 1.0)))
+        val = integrate_decaying(integrand, max(1.0, theta1.sigma))
     return complex(val)
 
 
@@ -259,8 +248,7 @@ def _decays(fn, probes) -> bool:
 
 
 def check_theta_conditions(theta: Prototype, warp: WarpingFunction,
-                           v1: WeightSpec, p: int, eps: float,
-                           quad: Optional[QuadratureSpec] = None) -> ThetaConditionReport:
+                           v1: WeightSpec, p: int, eps: float) -> ThetaConditionReport:
     """Check the decay/integrability conditions that put the frame kernel
     in the weighted kernel algebra.
 
@@ -324,7 +312,7 @@ def check_theta_conditions(theta: Prototype, warp: WarpingFunction,
     def norm_entry(name, order, wfn):
         target = theta if order == 0 else _DerivativeView(theta, order)
         try:
-            val = weighted_l2_norm(target, wfn, quad)
+            val = weighted_l2_norm(target, wfn)
             entries.append(ConditionEntry(name, val, bool(np.isfinite(val))))
         except DivergenceError:
             entries.append(ConditionEntry(name, float("inf"), False))
@@ -345,7 +333,6 @@ class _DerivativeView:
         self._theta = theta
         self._order = order
         self.compact = theta.compact
-        self.center = theta.center
         self.radius = theta.radius
         self.sigma = theta.sigma
 

@@ -1,16 +1,15 @@
 """Adaptive Gauss-Legendre quadrature.
 
-Composite 15-point panels refined by interval bisection until each panel
-agrees with its two halves to the panel tolerance.  Infinite domains are
-handled by window doubling with a truncation-growth test: windows stop
-expanding once the integrand drops below ``REL_FLOOR`` of its peak, and
-integrals whose tail contributions keep growing raise
+Composite 15-point panels refined by interval bisection, at most
+``MAX_DEPTH`` levels deep, until each panel agrees with its two halves
+to ``PANEL_TOL``.  Infinite domains are handled by window doubling about
+0 with a truncation-growth test: windows stop expanding once the
+integrand drops below ``REL_FLOOR`` of its peak, and integrals whose
+tail contributions keep growing raise
 :class:`~warpft.errors.DivergenceError`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,21 +17,15 @@ from .errors import DivergenceError, NonConvergenceError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
+#: a panel is accepted once it agrees with its two halves to this
+#: fraction of the integrand's L1 mass; past this depth it is accepted
+#: anyway and its disagreement counted as residual slop
+PANEL_TOL = 1e-10
+MAX_DEPTH = 40
 #: window doubling stops once the boundary samples fall below this
 #: fraction of the running peak, and fails past this half-width
 REL_FLOOR = 1e-16
 MAX_HALF_WIDTH = 1e6
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tuning knobs for the adaptive integrator."""
-
-    panel_tol: float = 1e-10
-    max_depth: int = 40
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 
 def _panel(fn, a, b):
@@ -45,13 +38,12 @@ def _panel(fn, a, b):
     return half * np.sum(v * _WEIGHTS), half * np.sum(np.abs(v) * _WEIGHTS)
 
 
-def integrate(fn, a: float, b: float, quad: QuadratureSpec | None = None):
+def integrate(fn, a: float, b: float):
     """Integrate a vectorized callable over the finite interval [a, b].
 
     ``fn`` may return real or complex values.  Accuracy target is
-    ``panel_tol`` relative to the L1 mass of the integrand.
+    ``PANEL_TOL`` relative to the L1 mass of the integrand.
     """
-    quad = quad or DEFAULT_QUAD
     if b <= a:
         return 0.0
     whole, whole_abs = _panel(fn, a, b)
@@ -67,9 +59,9 @@ def integrate(fn, a: float, b: float, quad: QuadratureSpec | None = None):
         right, right_abs = _panel(fn, mid, hi)
         scale = max(scale, left_abs + right_abs)
         err = abs(est - (left + right))
-        if err <= quad.panel_tol * scale * max((hi - lo) / width, 1e-3):
+        if err <= PANEL_TOL * scale * max((hi - lo) / width, 1e-3):
             total += left + right
-        elif depth >= quad.max_depth:
+        elif depth >= MAX_DEPTH:
             total += left + right
             slop += err
         else:
@@ -82,16 +74,15 @@ def integrate(fn, a: float, b: float, quad: QuadratureSpec | None = None):
     return total
 
 
-def integrate_decaying(fn, quad: QuadratureSpec | None = None, center: float = 0.0,
-                       initial_half_width: float = 1.0):
-    """Integrate over the whole line assuming eventual decay away from ``center``.
+def integrate_decaying(fn, initial_half_width: float = 1.0):
+    """Integrate over the whole line assuming eventual decay away from 0.
 
     The window doubles until boundary samples fall below ``REL_FLOOR`` of
     the running peak.  Growth of successive boundary samples (or overflow)
     is reported as divergence.
     """
     w = float(initial_half_width)
-    probe = np.linspace(center - w, center + w, 65)
+    probe = np.linspace(-w, w, 65)
     vals = np.abs(np.asarray(fn(probe)))
     if not np.all(np.isfinite(vals)):
         raise DivergenceError("integrand overflows inside the initial window")
@@ -99,7 +90,7 @@ def integrate_decaying(fn, quad: QuadratureSpec | None = None, center: float = 0
     prev_edge = None
     grow_count = 0
     while w < MAX_HALF_WIDTH:
-        edge_pts = np.array([center - w, center - 0.95 * w, center + 0.95 * w, center + w])
+        edge_pts = np.array([-w, -0.95 * w, 0.95 * w, w])
         edge_vals = np.asarray(fn(edge_pts))
         if not np.all(np.isfinite(edge_vals)):
             raise DivergenceError("integrand overflows while expanding the window")
@@ -121,4 +112,4 @@ def integrate_decaying(fn, quad: QuadratureSpec | None = None, center: float = 0
         raise DivergenceError(
             f"no decay detected out to half-width {MAX_HALF_WIDTH:.3e}"
         )
-    return integrate(fn, center - w, center + w, quad)
+    return integrate(fn, -w, w)

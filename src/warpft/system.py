@@ -244,23 +244,22 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
     ``xs`` and each atom's entry count.
 
     Only each atom's window is sampled: the active bins between
-    ``F^{-1}(F(x) + c - R)`` and ``F^{-1}(F(x) + c + R)``, where ``c`` is
-    the prototype's centre and ``R = theta.support_radius(truncation)``
-    (the smallest normal double stands in for a truncation of 0),
-    widened by one guard bin on each side and by the two bins around
-    the peak frequency ``F^{-1}(F(x) + c)``.  This rests on the axioms:
-    ``F`` is increasing and ``theta`` is even about ``c`` and does not
-    increase away from it.  So the atom peaks on the bins around the
-    peak frequency and decays monotonically away from them, and once
-    the truncation drops a guard bin it drops every bin beyond it.  The
-    atoms that keep a guard bin are sampled again with ``R`` doubled, up
-    to the edges of the active band.  Each atom equals sampling on every
-    bin, bit for bit.
+    ``F^{-1}(F(x) - R)`` and ``F^{-1}(F(x) + R)``, where
+    ``R = theta.support_radius(truncation)`` (the smallest normal double
+    stands in for a truncation of 0), widened by one guard bin on each
+    side and by the two bins around the peak frequency ``x``.  This
+    rests on the axioms: ``F`` is increasing and ``theta`` is even and
+    does not increase away from 0.  So the atom peaks on the bins around
+    ``x`` and decays monotonically away from them, and once the
+    truncation drops a guard bin it drops every bin beyond it.  The atoms
+    that keep a guard bin are sampled again with ``R`` doubled, up to the
+    edges of the active band.  Each atom equals sampling on every bin,
+    bit for bit.
 
-    ``F(x)``, ``F'(x)`` and the peak frequencies are evaluated on the
-    array ``xs``, and ``theta`` on batches of whole windows laid end to
-    end: the windows that start in one ``SAMPLE_CHUNK``-entry block, so a
-    batch holds at most ``SAMPLE_CHUNK`` entries and its last window.
+    ``F(x)`` and ``F'(x)`` are evaluated on the array ``xs``, and
+    ``theta`` on batches of whole windows laid end to end: the windows
+    that start in one ``SAMPLE_CHUNK``-entry block, so a batch holds at
+    most ``SAMPLE_CHUNK`` entries and its last window.
     ``F`` is evaluated once per bin of a batch's range when bins repeat
     in it, else once per entry.  Each round's kept entries go into one
     store; atoms of later rounds are gathered back into ``xs`` order.
@@ -269,8 +268,6 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
     x = np.array(xs, dtype=float)
     fx = warp.eval(x)
     scale = np.sqrt(warp.derivative(x))
-    u0 = fx + theta.center                      # the atoms' peaks, warped
-    peak_hz = x if theta.center == 0 else warp.inverse(u0)
     k_min, k_max = _active_bins(grid, warp.domain)
     bin_hz = grid.bin_hz
     lo_edge, hi_edge = k_min * bin_hz, k_max * bin_hz
@@ -280,8 +277,8 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
         hz = np.where(hz >= lo_edge, np.minimum(hz, hi_edge), lo_edge)
         return np.clip(rounding(hz / bin_hz), k_min, k_max).astype(np.int64)
 
-    k_peak_lo = bin_of(peak_hz, np.floor)
-    k_peak_hi = bin_of(peak_hz, np.ceil)
+    k_peak_lo = bin_of(x, np.floor)
+    k_peak_hi = bin_of(x, np.ceil)
     radius = float(theta.support_radius(
         truncation if 0 < truncation < 1 else np.finfo(float).tiny))
     todo = np.arange(len(xs))
@@ -290,8 +287,8 @@ def _sample_bank(warp: WarpingFunction, theta: Prototype, xs,
         k_lo, k_hi = np.full(todo.size, k_min), np.full(todo.size, k_max)
         if math.isfinite(radius):
             with np.errstate(over="ignore", invalid="ignore"):
-                lo_hz = warp.inverse(u0[todo] - radius)
-                hi_hz = warp.inverse(u0[todo] + radius)
+                lo_hz = warp.inverse(fx[todo] - radius)
+                hi_hz = warp.inverse(fx[todo] + radius)
             k_lo = np.clip(bin_of(lo_hz, np.ceil) - 1, k_min, k_peak_lo[todo])
             k_hi = np.clip(bin_of(hi_hz, np.floor) + 1, k_peak_hi[todo], k_max)
         # a batch: the windows that start in one SAMPLE_CHUNK-entry block

@@ -275,10 +275,10 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
     return np.fft.ifft(num, out=num)
 
 
-def roundtrip_residual(f, system: WarpedSystem, iterative: bool = False) -> float:
+def roundtrip_residual(f, system: WarpedSystem) -> float:
     """Relative L2 error of analyze-then-synthesize on ``f``."""
     f = _as_signal(f, system.grid.length)
-    rec = synthesize(analyze(f, system), system, iterative=iterative)
+    rec = synthesize(analyze(f, system), system)
     denom = float(np.linalg.norm(f))
     if denom == 0:
         return float(np.linalg.norm(rec))

@@ -346,11 +346,12 @@ def warp_from_params(kind: str, **params) -> WarpingFunction:
 # -- axiom and weight checks ----------------------------------------------
 
 
-def default_grid(warp: WarpingFunction, n: int = 512, span: float = 100.0):
-    """Default check grid: log-spaced on the half-line, symmetric else."""
+def default_grid(warp: WarpingFunction):
+    """Default check grid, 512 points: log-spaced over [0.01, 100] on the
+    half-line, over [-100, 100] symmetric else."""
     if warp.domain == POSITIVE_HALF_LINE:
-        return np.geomspace(1e-4 * span, span, n)
-    return np.linspace(-span, span, n)
+        return np.geomspace(0.01, 100.0, 512)
+    return np.linspace(-100.0, 100.0, 512)
 
 
 @dataclass(frozen=True)

@@ -673,6 +673,23 @@ class TestKernelOps:
         assert vals[0] > vals[1] > vals[2]
 
 
+class TestKernelGridCaps:
+    @pytest.mark.parametrize("argv", [
+        ["--op", "amnorm", "--resolution", "100000"],
+        ["--op", "osc", "--q-resolution", "100000"],
+        ["--op", "oscnorm", "--q-resolution", "100000"],
+    ])
+    def test_exits_5_with_one_line(self, erb_paths, capsys, argv):
+        _, desc = erb_paths
+        capsys.readouterr()
+        rc = main(["kernel", "--system", str(desc)] + argv)
+        err = capsys.readouterr().err
+        assert rc == 5
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "4000000" in lines[0]
+
+
 class TestNonFiniteArguments:
     @pytest.mark.parametrize("argv", [
         ["cover-dump", "--f-lo", "100", "--f-hi", "inf", "--t-lo", "0",

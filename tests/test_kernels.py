@@ -1,5 +1,8 @@
 """Gramian closed forms, stationary-phase bounds, oscillation sweeps."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,12 @@ from warpft import (CapabilityError, ConfigError, DomainError,
                     alpha_like_warp, bump_prototype, erb_warp,
                     gaussian_prototype, hann_prototype, linear_warp, log_warp,
                     power_law_warp)
-from warpft.kernels import (KernelEvalSpec, _gramian_batch, gramian,
-                            kernel_norm_I, osc_norm_estimate, oscillation,
-                            stationary_phase_check, weight_m)
+from warpft import quadrature
+from warpft.discretization import elements_containing
+from warpft.kernels import (_NODE_CAP, KernelEvalSpec, _gramian_batch,
+                            gramian, kernel_norm_I, osc_norm_estimate,
+                            oscillation, stationary_phase_check, weight_m)
 from warpft.prototype import l2_norm, normalized, weighted_l2_norm
-from warpft.quadrature import QuadratureSpec
 from warpft.warping import polynomial_weight
 
 LIN = linear_warp(1.0)
@@ -75,11 +79,14 @@ class TestGramian:
         with pytest.raises(DomainError):
             gramian(LOG, GAUSS, -1.0, 0.0, 2.0, 0.0)
 
-    def test_nonconvergence_reports_last_refinements(self):
-        # a hopeless depth budget against a fast phase forces the error path
-        shallow = QuadratureSpec(panel_tol=1e-14, max_depth=2)
+    def test_nonconvergence_reports_last_refinements(self, monkeypatch):
+        # a hopeless depth budget against a fast phase forces the error
+        # path; the prototype norm is cached at the default settings first
+        l2_norm(GAUSS)
+        monkeypatch.setattr(quadrature, "PANEL_TOL", 1e-14)
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
         with pytest.raises(NonConvergenceError, match="refinements"):
-            gramian(LIN, GAUSS, 0.0, 0.0, 0.3, 5e4, quad=shallow)
+            gramian(LIN, GAUSS, 0.0, 0.0, 0.3, 5e4)
 
     def test_batch_matches_adaptive(self):
         rng = np.random.default_rng(5)
@@ -269,6 +276,50 @@ class TestOscillation:
         with pytest.raises(ConfigError):
             oscillation(LIN, GAUSS, 0.25, True, 0.0, 0.0, 0.0, 0.0,
                         q_resolution=0)
+
+
+class TestGridCaps:
+    """A kernel grid past the node cap is refused at once, before
+    anything of its size is allocated."""
+
+    @staticmethod
+    def refused(fn):
+        """Seconds and peak traced bytes of ``fn``, which must raise
+        CapabilityError."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CapabilityError, match=str(_NODE_CAP)):
+                fn()
+        finally:
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return seconds, peak
+
+    # 10^5 and 10^12 are refused by the grid's size; 977 rows of at
+    # least 4096 s-nodes are refused by the s-chunk's size
+    @pytest.mark.parametrize("resolution", [977, 10 ** 5, 10 ** 12])
+    def test_kernel_norm_resolution(self, resolution):
+        spec = KernelEvalSpec(8.0, 8.0, resolution)
+        seconds, peak = self.refused(
+            lambda: kernel_norm_I(LIN, GAUSS, spec, x=0.0))
+        assert seconds < 2.0 and peak < 1 << 20
+
+    @pytest.mark.parametrize("q_resolution", [45, 10 ** 5, 10 ** 12])
+    def test_oscillation_q_resolution(self, q_resolution):
+        # one cover element: 45^2 points of at least 2048 nodes pass the cap
+        assert len(elements_containing(LIN, 0.25, 1.05, 0.55)) == 1
+        seconds, peak = self.refused(
+            lambda: oscillation(LIN, GAUSS, 0.25, True, 1.0, 0.5, 1.05,
+                                0.55, q_resolution=q_resolution))
+        assert seconds < 2.0 and peak < 1 << 20
+
+    def test_largest_q_resolution_admitted(self):
+        # 44^2 points of 2048 nodes stay below the cap
+        val = oscillation(LIN, GAUSS, 0.25, True, 1.0, 0.5, 1.05, 0.55,
+                          q_resolution=44)
+        assert np.isfinite(val)
 
 
 class TestOscNormEstimate:

@@ -7,7 +7,6 @@ implementation (noted inline).
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from scipy.special import erf
 
 from warpft import (
@@ -31,8 +30,8 @@ from warpft import (
     warped_weight,
     weighted_l2_norm,
 )
+from warpft import quadrature
 from warpft.prototype import PROTOTYPE_FAMILIES
-from warpft.quadrature import QuadratureSpec
 
 
 class TestPointValues:
@@ -51,11 +50,6 @@ class TestPointValues:
 
     def test_gaussian_peak(self):
         assert gaussian_prototype(3.0).eval(0.0) == 1.0
-
-    def test_center_shift(self):
-        th = replace(hann_prototype(1.0), center=4.0)
-        np.testing.assert_allclose(th.eval(4.0), 1.0, rtol=1e-14)
-        assert th.eval(0.0) == 0.0
 
 
 class TestDerivatives:
@@ -86,8 +80,7 @@ class TestDerivatives:
 def _masked_compact(theta, s, order):
     """``Prototype.eval`` of a compact prototype as it read with boolean
     gather and scatter: the reference for the ``np.where`` form."""
-    arr = np.asarray(s, dtype=float)
-    u = arr - theta.center
+    u = np.asarray(s, dtype=float)
     r = theta.radius
     if theta.kind == "hann_bump":
         inside = np.abs(u) < r
@@ -115,13 +108,14 @@ def _masked_compact(theta, s, order):
                        (g4 + 4.0 * g1 * g3 + 3.0 * g2 ** 2
                         + 6.0 * g1 ** 2 * g2 + g1 ** 4) * g)[order]
     out = theta.scale * out
-    return float(out) if arr.ndim == 0 else out
+    return float(out) if u.ndim == 0 else out
 
 
 class TestMaskFreeCompact:
     """The compact prototypes evaluate every point and select the inside
     ones; each value keeps the bits of the masked code, and no numpy
-    warning from the points outside reaches the caller."""
+    warning from the points outside reaches the caller.  The points lie
+    around the support edges, moved by an offset."""
 
     @staticmethod
     def points(r):
@@ -132,19 +126,20 @@ class TestMaskFreeCompact:
         return np.concatenate([near, np.negative(near), [np.nan], grid])
 
     @pytest.mark.parametrize("order", range(5))
-    @pytest.mark.parametrize("theta", [
-        bump_prototype(0.9), normalized(bump_prototype(2.5)),
-        replace(hann_prototype(1.0), center=-0.3),
-        hann_prototype(0.9), normalized(hann_prototype(2.5)),
-        replace(bump_prototype(1.0), center=-0.3),
-    ], ids=lambda t: f"{t.kind}-{t.radius}-{t.center}-{t.scale:.3f}")
-    def test_bits_of_the_masked_code(self, theta, order):
-        s = theta.center + self.points(theta.radius)
+    @pytest.mark.parametrize("case", [
+        (bump_prototype(0.9), 0.0), (normalized(bump_prototype(2.5)), 0.0),
+        (hann_prototype(1.0), -0.3),
+        (hann_prototype(0.9), 0.0), (normalized(hann_prototype(2.5)), 0.0),
+        (bump_prototype(1.0), -0.3),
+    ], ids=lambda c: f"{c[0].kind}-{c[0].radius}-{c[1]}-{c[0].scale:.3f}")
+    def test_bits_of_the_masked_code(self, case, order):
+        theta, offset = case
+        s = offset + self.points(theta.radius)
         got = theta.eval(s, order)
         want = _masked_compact(theta, s, order)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert not got[~(np.abs(s - theta.center) < theta.radius)].any()
+        assert not got[~(np.abs(s) < theta.radius)].any()
         # a 0-d input gives a float with the bits of the masked code, which
         # ran array loops on it too (a numpy scalar's ``**`` is libm pow)
         for x in s[:240].tolist() + [np.float64(s[240]), np.array(s[241])]:
@@ -183,12 +178,13 @@ class TestNorms:
         np.testing.assert_allclose(got, expected, rtol=1e-10)
         np.testing.assert_allclose(got, 2.979628505914140298568, rtol=1e-10)
 
-    def test_quadrature_stability(self):
-        tight = QuadratureSpec(panel_tol=1e-13)
-        for theta in (gaussian_prototype(1.0), hann_prototype(1.0),
-                      bump_prototype(1.0)):
-            a = weighted_l2_norm(theta, polynomial_weight(2.0))
-            b = weighted_l2_norm(theta, polynomial_weight(2.0), tight)
+    def test_quadrature_stability(self, monkeypatch):
+        thetas = (gaussian_prototype(1.0), hann_prototype(1.0),
+                  bump_prototype(1.0))
+        loose = [weighted_l2_norm(t, polynomial_weight(2.0)) for t in thetas]
+        monkeypatch.setattr(quadrature, "PANEL_TOL", 1e-13)
+        for theta, a in zip(thetas, loose):
+            b = weighted_l2_norm(theta, polynomial_weight(2.0))
             assert abs(a - b) < 1e-9 * b
 
     def test_normalization(self):
@@ -216,17 +212,32 @@ class TestAdmissibilityInnerProduct:
         np.testing.assert_allclose(got.real, l2_norm(th) ** 2, rtol=1e-10)
         assert got.imag == 0.0
 
-    def test_disjoint_supports_give_zero(self):
-        a = replace(hann_prototype(1.0), center=-5.0)
-        b = replace(hann_prototype(1.0), center=5.0)
-        assert admissibility_inner_product(a, b) == 0.0
-
     def test_symmetry(self):
-        a = gaussian_prototype(1.0)
-        b = replace(gaussian_prototype(2.0), center=0.7)
-        ab = admissibility_inner_product(a, b)
-        ba = admissibility_inner_product(b, a)
-        np.testing.assert_allclose(ab, np.conj(ba), rtol=1e-10)
+        for a, b in ((gaussian_prototype(1.0), gaussian_prototype(2.0)),
+                     (hann_prototype(0.6), bump_prototype(1.5))):
+            ab = admissibility_inner_product(a, b)
+            ba = admissibility_inner_product(b, a)
+            np.testing.assert_allclose(ab, np.conj(ba), rtol=1e-10)
+
+
+#: bits recorded before the prototype lost its centre and the quadrature
+#: its settable tolerance and depth; every prototype was centred at 0
+_PINNED = [
+    # theta, normalized(theta).scale, <theta, gaussian(2.0)>.real
+    (bump_prototype(0.9), 2.8894312267749234, 0.3933042698458596),
+    (bump_prototype(2.0), 1.938289391813802, 0.8232657428228564),
+    (hann_prototype(1.0), 1.1547005383792517, 0.9839789707116162),
+    (gaussian_prototype(1.0), 0.7511255444649426, 2.2419964865591706),
+]
+
+
+@pytest.mark.parametrize("theta, scale, inner", _PINNED, ids=[
+    f"{t.kind}-{t.sigma if t.kind == 'gaussian' else t.radius}"
+    for t, _, _ in _PINNED])
+def test_norm_and_inner_product_bits_pinned(theta, scale, inner):
+    assert normalized(theta).scale == scale
+    got = admissibility_inner_product(theta, gaussian_prototype(2.0))
+    assert got.real == inner
 
 
 class TestThetaConditions:

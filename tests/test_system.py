@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -262,16 +262,6 @@ class TestWindowedAtoms:
             self.assert_same(linear_warp(1.0), theta, x, grid, truncation)
             self.assert_same(erb_warp(), theta, x, grid, truncation)
 
-    @pytest.mark.parametrize("shift", [-2.5, 0.7])
-    def test_shifted_prototype(self, shift):
-        for proto in _WINDOW_PROTOS.values():
-            theta = replace(normalized(proto), center=shift)
-            for kind in ("linear", "erb", "log"):
-                warp, delta = _WINDOW_WARPS[kind]
-                for ch in design_channels(warp, delta, self.GRID)[::7]:
-                    self.assert_same(warp, theta, ch.center_hz, self.GRID,
-                                     1e-8)
-
     @pytest.mark.parametrize("broken", [np.inf, np.nan])
     def test_overflowing_inverse_still_exact(self, broken):
         # An inverse that overflows puts the window edges at inf or nan;
@@ -310,8 +300,8 @@ def _loop_atom(warp, theta, x, grid, truncation=1e-8):
     are truncated, then rotated into storage order."""
     fx = warp.eval(float(x))
     scale = np.sqrt(warp.derivative(float(x)))
-    u0 = fx + theta.center
-    peak_hz = float(x) if theta.center == 0 else warp.inverse(u0)
+    u0 = fx
+    peak_hz = float(x)
     k_max = grid.length // 2
     k_min = 1 if warp.domain == POSITIVE_HALF_LINE else 1 - k_max
     lo_edge, hi_edge = k_min * grid.bin_hz, k_max * grid.bin_hz
@@ -453,16 +443,6 @@ class TestBankSampler:
             self.assert_bank_same(warp, gaussian_prototype(0.05), xs, grid,
                                   truncation)
 
-    @pytest.mark.parametrize("shift", [-2.5, 0.7])
-    def test_shifted_prototype(self, shift):
-        for proto in _WINDOW_PROTOS.values():
-            theta = replace(normalized(proto), center=shift)
-            for kind in ("linear", "erb", "log"):
-                warp, delta = _WINDOW_WARPS[kind]
-                xs = [ch.center_hz for ch in design_channels(warp, delta,
-                                                             self.GRID)]
-                self.assert_bank_same(warp, theta, xs, self.GRID, 1e-8)
-
     def test_newton_inverse(self):
         # no closed-form inverse: F^{-1} is the guarded Newton iteration
         warp = custom_warp(lambda t: np.sign(t) * np.log1p(np.abs(t) / 50.0),
@@ -526,8 +506,6 @@ class TestBankSampler:
             self.test_gaussian_narrower_than_a_bin(truncation)
         for name in sorted(_PLAIN_BANKS):
             self.test_plain_banks_match_loop(name)
-        for shift in (-2.5, 0.7):
-            self.test_shifted_prototype(shift)
         self.test_newton_inverse()
         self.test_some_channels_double_the_radius()
         self.test_vanishing_channel_named()

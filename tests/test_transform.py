@@ -896,8 +896,8 @@ def _parent_sample_atoms(warp, theta, xs, grid, truncation):
     x = np.array(xs, dtype=float)
     fx = warp.eval(x)
     scale = np.sqrt(warp.derivative(x))
-    u0 = fx + theta.center
-    peak_hz = x if theta.center == 0 else warp.inverse(u0)
+    u0 = fx
+    peak_hz = x
     k_min, k_max = system_module._active_bins(grid, warp.domain)
     bin_hz = grid.bin_hz
     lo_edge, hi_edge = k_min * bin_hz, k_max * bin_hz
