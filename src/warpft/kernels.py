@@ -36,11 +36,10 @@ from .quadrature import integrate
 from .warping import POSITIVE_HALF_LINE, WarpingFunction, WeightSpec, \
     constant_weight
 
-#: the most nodes a kernel grid or temporary may hold: a Gramian has at
-#: least ``_MIN_U_NODES``, and an s-chunk ``_S_CHUNK`` per grid row
+#: the most nodes a kernel grid may hold; a Gramian has at least
+#: ``_MIN_U_NODES``
 _NODE_CAP = 4_000_000
 _MIN_U_NODES = 2048
-_S_CHUNK = 1 << 15
 
 
 def _check_nodes(nodes: int, what: str, remedy: str) -> None:
@@ -202,20 +201,19 @@ def _phase_constants(warp: WarpingFunction, x: float, n: int,
 
 def _oscillatory_matrix(warp, theta, x, z_vals, etas, s_lo, s_hi):
     """Inner integrals over s for every (z, eta) pair, s-chunked so the
-    phase matrix never exceeds ``_NODE_CAP`` entries (64 MB)."""
+    phase matrix never exceeds a few tens of MB."""
     wmax = float(np.max(warp.weight(np.linspace(s_lo, s_hi, 65) + x)))
     wx = float(warp.weight(x))
     rate = np.max(np.abs(etas)) * wmax / wx
     n_s = max(4096, int(16.0 * rate * (s_hi - s_lo)) + 1)
     _check_nodes(n_s, "phase rate", "shrink the eta range")
-    _check_nodes(max(len(z_vals), len(etas)) * min(n_s, _S_CHUNK),
-                 "an s-chunk of the grid", "lower the resolution")
     ds = (s_hi - s_lo) / n_s
     z_arr = np.asarray(z_vals, dtype=float)
     etas = np.asarray(etas, dtype=float)
     out = np.zeros((len(z_arr), len(etas)), dtype=complex)
-    for start in range(0, n_s, _S_CHUNK):
-        idx = np.arange(start, min(start + _S_CHUNK, n_s))
+    chunk = 1 << 15
+    for start in range(0, n_s, chunk):
+        idx = np.arange(start, min(start + chunk, n_s))
         s = s_lo + (idx + 0.5) * ds
         w_ratio = np.asarray(warp.weight(s + x), dtype=float) / wx
         g = np.asarray(warp.inverse(s + x), dtype=float) / wx

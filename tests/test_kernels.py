@@ -297,9 +297,8 @@ class TestGridCaps:
             tracemalloc.stop()
         return seconds, peak
 
-    # 10^5 and 10^12 are refused by the grid's size; 977 rows of at
-    # least 4096 s-nodes are refused by the s-chunk's size
-    @pytest.mark.parametrize("resolution", [977, 10 ** 5, 10 ** 12])
+    # 2001^2 is the smallest square grid above the cap
+    @pytest.mark.parametrize("resolution", [2001, 10 ** 5, 10 ** 12])
     def test_kernel_norm_resolution(self, resolution):
         spec = KernelEvalSpec(8.0, 8.0, resolution)
         seconds, peak = self.refused(
@@ -314,6 +313,14 @@ class TestGridCaps:
             lambda: oscillation(LIN, GAUSS, 0.25, True, 1.0, 0.5, 1.05,
                                 0.55, q_resolution=q_resolution))
         assert seconds < 2.0 and peak < 1 << 20
+
+    def test_wide_prototype_statphase_admitted(self):
+        # the CLI's 128 etas over ~55k s-nodes: the cap bounds the grid,
+        # not the s-chunks of a wide prototype
+        etas = np.concatenate([-np.arange(1, 65)[::-1], np.arange(1, 65)])
+        rep = stationary_phase_check(LIN, gaussian_prototype(4.0), 0, 0.0,
+                                     etas.astype(float))
+        assert np.all(np.isfinite(rep.lhs))
 
     def test_largest_q_resolution_admitted(self):
         # 44^2 points of 2048 nodes stay below the cap
