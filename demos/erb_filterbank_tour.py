@@ -33,7 +33,7 @@ phase = 2 * np.pi * (200.0 * t + 0.5 * (4000.0 - 200.0) / dur * t ** 2)
 f = np.exp(1j * phase)
 
 coeffs = analyze(f, system)
-print(f"total coefficients: {coeffs.total_coefficients()} "
+print(f"total coefficients: {coeffs.values.size} "
       f"(signal length {grid.length})")
 
 # per-channel energy peaks where the chirp crosses the channel band

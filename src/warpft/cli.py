@@ -84,7 +84,7 @@ def _cmd_analyze(args) -> int:
                          f"expects {system.grid.length}")
     coeffs = analyze(signal, system)
     write_coefficients(args.out, coeffs)
-    print(f"coefficients = {coeffs.total_coefficients()}")
+    print(f"coefficients = {coeffs.values.size}")
     return _EXIT_OK
 
 

@@ -194,7 +194,10 @@ def elements_containing(warp: WarpingFunction, delta: float, y: float,
             continue   # membership decided in warped coordinates: exact
         f_lo = float(warp.inverse(delta * l))
         f_hi = float(warp.inverse(delta * (l + 1)))
-        tau = delta * delta / (f_hi - f_lo)
+        tau = delta * delta / (f_hi - f_lo) if f_hi > f_lo else 0.0
+        if not 0 < tau < np.inf:
+            raise ConfigError(f"delta = {delta} gives the cover row at "
+                              f"y = {y} no finite positive width")
         kk = omega / tau
         ks = {int(np.floor(kk))}
         if kk == np.floor(kk):

@@ -7,9 +7,10 @@ digits so they round-trip) or little-endian binary:
 * signals — raw interleaved f64 re/im pairs, length from file size;
 * coefficients — magic ``WTC1``, u32 version, u32 channel count,
   per-channel ``{f64 center_hz, f64 hop_seconds, u64 frame_count}``
-  headers, then per-channel interleaved f64 re/im frames.  Reading
-  checks every header against the system it is read for and refuses a
-  payload value that is not finite.
+  headers, then the payload: :attr:`Coefficients.values`, every
+  channel's frames end to end in channel order, as interleaved f64
+  re/im pairs.  Reading checks every header against the system it is
+  read for and refuses a payload value that is not finite.
 """
 
 from __future__ import annotations
@@ -189,14 +190,13 @@ def write_coefficients(path, coeffs: Coefficients):
     headers = np.empty(coeffs.channel_count, _HEADER)
     headers["center"] = coeffs.centers_hz
     headers["hop"] = coeffs.hop_seconds
-    headers["frames"] = coeffs.frame_counts()
+    headers["frames"] = coeffs.frames
     with open(path, "wb") as fh:
         fh.write(_COEFF_MAGIC)
         fh.write(struct.pack("<II", _VERSION, coeffs.channel_count))
         fh.write(headers)
-        # each block as stored when it already is little-endian and contiguous
-        fh.writelines(np.ascontiguousarray(block, "<c16")
-                      for block in coeffs.data)
+        # as stored when it already is little-endian and contiguous
+        fh.write(np.ascontiguousarray(coeffs.values, "<c16"))
 
 
 def read_coefficients(path, system: WarpedSystem) -> Coefficients:
@@ -250,6 +250,5 @@ def read_coefficients(path, system: WarpedSystem) -> Coefficients:
                                 side="right"))
         raise FormatError(f"{path}: channel {channels.index[l]} "
                           "holds a value that is not finite")
-    bounds = frames_end.tolist()
-    data = [payload[a:b] for a, b in zip([0] + bounds, bounds)]
-    return Coefficients(data, centers, hops, system.grid.length)
+    return Coefficients(payload, channels.frames, centers, hops,
+                        system.grid.length)

@@ -41,6 +41,10 @@ from .warping import POSITIVE_HALF_LINE, WarpingFunction, WeightSpec, \
 _NODE_CAP = 4_000_000
 _MIN_U_NODES = 2048
 
+#: the offset z of the pair ``theta . conj(T_z theta)`` that
+#: :func:`stationary_phase_check` checks
+STATPHASE_Z = 0.3
+
 
 def _check_nodes(nodes: int, what: str, remedy: str) -> None:
     if nodes > _NODE_CAP:
@@ -70,6 +74,8 @@ class KernelEvalSpec:
                      eta_half_width=self.eta_half_width)
         if self.resolution < 16:
             raise ConfigError("resolution must be at least 16 nodes per axis")
+        check_finite(z_spacing=2.0 * self.z_half_width / self.resolution,
+                     eta_spacing=2.0 * self.eta_half_width / self.resolution)
 
 
 def _require_eligible(warp: WarpingFunction):
@@ -202,10 +208,15 @@ def _phase_constants(warp: WarpingFunction, x: float, n: int,
 def _oscillatory_matrix(warp, theta, x, z_vals, etas, s_lo, s_hi):
     """Inner integrals over s for every (z, eta) pair, s-chunked so the
     phase matrix never exceeds a few tens of MB."""
-    wmax = float(np.max(warp.weight(np.linspace(s_lo, s_hi, 65) + x)))
-    wx = float(warp.weight(x))
-    rate = np.max(np.abs(etas)) * wmax / wx
-    n_s = max(4096, int(16.0 * rate * (s_hi - s_lo)) + 1)
+    with np.errstate(all="ignore"):  # a rate that is not finite is refused
+        wmax = float(np.max(warp.weight(np.linspace(s_lo, s_hi, 65) + x)))
+        wx = float(warp.weight(x))
+        rate = np.max(np.abs(etas)) * wmax / wx
+        nodes = 16.0 * rate * (s_hi - s_lo)
+    if not math.isfinite(rate):
+        raise ConfigError(f"the phase rate at x = {x} is not finite; "
+                          "move x or shrink the eta range")
+    n_s = max(4096, int(min(nodes, _NODE_CAP)) + 1)  # inf: past the cap
     _check_nodes(n_s, "phase rate", "shrink the eta range")
     ds = (s_hi - s_lo) / n_s
     z_arr = np.asarray(z_vals, dtype=float)
@@ -246,10 +257,10 @@ class StationaryPhaseReport:
 
 
 def stationary_phase_check(warp: WarpingFunction, theta: Prototype, n: int,
-                           x: float, eta_grid: Sequence[float],
-                           z: float = 0.3) -> StationaryPhaseReport:
+                           x: float, eta_grid: Sequence[float]
+                           ) -> StationaryPhaseReport:
     """Check the oscillatory-decay bound of repeated integration by
-    parts for ``f = theta . conj(T_z theta)``.
+    parts for ``f = theta . conj(T_z theta)``, z = :data:`STATPHASE_Z`.
 
     For each eta the left side is
     ``| int (w(s+x)/w(x)) f(s) e^{-2 pi i eta Finv(s+x)/w(x)} ds |``;
@@ -262,18 +273,18 @@ def stationary_phase_check(warp: WarpingFunction, theta: Prototype, n: int,
     _require_eligible(warp)
     if n not in (0, 1, 2):
         raise UnsupportedOrderError("stationary-phase orders 0..2 supported")
-    check_finite(x=x, z=z)
+    check_finite(x=x)
     if theta.kind == "hann_bump" and n >= 2:
         raise UnsupportedOrderError(
             "hann_bump is C^1 only; order-2 bounds need classical third "
             "derivatives")
     etas = np.asarray(eta_grid, dtype=float)
-    r = _radius(theta)
+    r, z = _radius(theta), STATPHASE_Z
     s_lo = max(-r, z - r)
     s_hi = min(r, z + r)
     if s_hi <= s_lo:
-        raise ConfigError("translated prototypes do not overlap; "
-                          "pick |z| below twice the support radius")
+        raise ConfigError(f"prototypes translated by z = {z} do not "
+                          "overlap; widen the prototype")
     lhs = np.abs(_oscillatory_matrix(warp, theta, x, [z], etas,
                                      s_lo, s_hi)[0])
 

@@ -495,7 +495,7 @@ class WarpedSystem:
         for a, b in zip(heads, ends):
             cuts = [*range(a, b, CHUNK_ROWS), b]
             runs.append((int(frames[a]), slice(coef[a], coef[b]), [
-                (slice(c, d), slice(coef[c], coef[d]),
+                (slice(coef[c], coef[d]),
                  *(v[entry[c]:entry[d]] for v in (support, values, slot)))
                 for c, d in zip(cuts, cuts[1:])]))
         half = 0
@@ -505,8 +505,8 @@ class WarpedSystem:
                               for m, block, _ in runs])
             half = int(np.argmin(abs(cost[:-1] - cost[-1] / 2))) + 1
         chunks = [c for _, _, cs in runs for c in cs]
-        return (runs, half, max(c[1].stop - c[1].start for c in chunks),
-                max(c[2].size for c in chunks))
+        return (runs, half, max(c[0].stop - c[0].start for c in chunks),
+                max(c[1].size for c in chunks))
 
     def frame_fibers(self, bins: np.ndarray
                      ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
@@ -659,31 +659,31 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
 
 
 class Coefficients:
-    """Warped transform coefficients: one complex array per channel.
+    """Warped transform coefficients: every channel's frames end to end,
+    in channel order, as one complex array ``values``, and the metadata
+    (frame count, centre, hop in seconds) to serialize them standalone."""
 
-    Carries enough channel metadata (centre, hop in seconds, frame
-    count) to be serialized standalone.
-    """
-
-    def __init__(self, data: List[np.ndarray], centers_hz: np.ndarray,
-                 hop_seconds: np.ndarray, length: int):
-        if not (len(data) == len(centers_hz) == len(hop_seconds)):
-            raise ShapeError("coefficient metadata lengths disagree")
-        self.data = [np.asarray(c, dtype=complex) for c in data]
+    def __init__(self, values: np.ndarray, frames: np.ndarray,
+                 centers_hz: np.ndarray, hop_seconds: np.ndarray, length: int):
+        self.values = np.asarray(values, dtype=complex)
+        self.frames = np.asarray(frames, dtype=int)
         self.centers_hz = np.asarray(centers_hz, dtype=float)
         self.hop_seconds = np.asarray(hop_seconds, dtype=float)
         self.length = int(length)
+        if not (len(self.frames) == len(self.centers_hz)
+                == len(self.hop_seconds)
+                and self.values.shape == (self.frames.sum(),)):
+            raise ShapeError("coefficient metadata lengths disagree")
+
+    @property
+    def data(self) -> List[np.ndarray]:
+        """Each channel's frames, as views of ``values``."""
+        return np.split(self.values, np.cumsum(self.frames)[:-1])
 
     @property
     def channel_count(self) -> int:
-        return len(self.data)
-
-    def frame_counts(self) -> np.ndarray:
-        return np.array([c.size for c in self.data], dtype=int)
-
-    def total_coefficients(self) -> int:
-        return int(sum(c.size for c in self.data))
+        return len(self.frames)
 
     def matches_system(self, system: WarpedSystem) -> bool:
         return (self.length == system.grid.length and np.array_equal(
-            self.frame_counts(), system.channels.frames))
+            self.frames, system.channels.frames))

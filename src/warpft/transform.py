@@ -15,14 +15,16 @@ adjoint and the frame operator are built on this pair.
 Hops are powers of two, so consecutive channels often share one frame
 count: the channels fall into a few runs of them (eleven for the
 132-channel ERB bank at N = 2^16; see :meth:`WarpedSystem.bank_layout`).
+The coefficients lie end to end in channel order in one array, so the
+channels of a run, and of each of its chunks, fill one block of it.
 Both maps work on chunks of at most :data:`~warpft.system.CHUNK_ROWS`
 channels of a run, read from the system's bank in channel order: a
 gather, an in-place multiply and one ``np.add.at`` per chunk.
 :func:`_fold` runs one in-place FFT per run and :func:`_unfold` one per
-chunk.  :func:`_fold` scales the spectrum once by ``1/N`` and inverts
-with ``norm="forward"`` (no scaling): ``1/N``, ``1/M_l`` and ``1/n_l``
-are powers of two, so this gives the bits of ``ifft(.) / n_l`` without
-a pass over the coefficients.
+chunk, on a copy in its scratch.  :func:`_fold` scales the spectrum
+once by ``1/N`` and inverts with ``norm="forward"`` (no scaling):
+``1/N``, ``1/M_l`` and ``1/n_l`` are powers of two, so this gives the
+bits of ``ifft(.) / n_l`` without a pass over the coefficients.
 
 The runs are independent batches of FFTs, and numpy's FFT releases the
 interpreter lock.  So on a bank of at least
@@ -55,7 +57,7 @@ from __future__ import annotations
 import csv
 import os
 import threading
-from typing import Callable, Iterator, List, Optional, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -130,19 +132,18 @@ def _as_signal(f, n: int) -> np.ndarray:
     return np.asarray(arr, dtype=complex)
 
 
-def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
+def _fold(fhat: np.ndarray, system: WarpedSystem) -> np.ndarray:
     """Analysis in the DFT domain: ``V`` applied to the spectrum ``fhat``.
 
     Per channel the product ``fhat * g_l`` is aliased onto the ``M_l``
     residues of the frame lattice and inverted with an ``M_l``-point
     FFT; that equals ``ifft_N(fhat * g_l)[::n_l]`` for any hop dividing
-    N, painless or not.  The coefficients lie end to end in channel
-    order in one store, so the channels of a run fill the rows of one
-    block of it: per chunk of the layout, the products are added onto
-    their slots in index order, which sums each coefficient in its
-    atom's support order.  One FFT per run inverts the block in place;
-    the store's rows are the coefficients.  With two lanes each fills
-    and inverts the blocks of its own runs.
+    N, painless or not.  Returns the coefficients, end to end in channel
+    order: the channels of a run fill the rows of one block of them.
+    Per chunk of the layout, the products are added onto their slots in
+    index order, which sums each coefficient in its atom's support
+    order.  One FFT per run inverts the block in place.  With two lanes
+    each fills and inverts the blocks of its own runs.
     """
     runs, half, _, entries = system.bank_layout()
     lanes = _lanes(runs, half)
@@ -153,7 +154,7 @@ def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
 
     def fold(runs: list, prod: np.ndarray) -> None:
         for frames, block, chunks in runs:
-            for _, coeffs, support, values, slot in chunks:
+            for coeffs, support, values, slot in chunks:
                 # valid indices: "clip" changes none, and takes no buffer
                 gathered = fhat.take(support, out=prod[:support.size],
                                      mode="clip")
@@ -168,23 +169,23 @@ def _fold(fhat: np.ndarray, system: WarpedSystem) -> List[np.ndarray]:
                   lambda: fold(lanes[1], prods[1]))
     else:
         fold(runs, prods[0])
-    return [row for frames, block, _ in runs
-            for row in store[block].reshape(-1, frames)]
+    return store
 
 
-def _spreads(data: list, runs: list, size: int, entries: int) -> Iterator:
+def _spreads(c: np.ndarray, runs: list, size: int, entries: int) -> Iterator:
     """Per chunk of ``runs``: its entries' bins and spread values, the
-    FFT of its rows gathered at their slots and weighted.  A chunk's
-    spread values are overwritten by the next chunk's; the scratch they
-    live in is taken by the call, not by the iteration."""
+    FFT of its rows of ``c`` gathered at their slots and weighted.  A
+    chunk's spread values are overwritten by the next chunk's; the
+    scratch they live in is taken by the call, not by the iteration."""
     rows, spread = np.empty(size, complex), np.empty(entries, complex)
 
     def run():
         for frames, _, chunks in runs:
-            for channels, coeffs, support, values, slot in chunks:
-                blk = rows[:coeffs.stop - coeffs.start]
-                np.concatenate(data[channels], out=blk)
-                blk = blk.reshape(-1, frames)
+            for coeffs, support, values, slot in chunks:
+                blk = rows[:coeffs.stop - coeffs.start].reshape(-1, frames)
+                # a copy transformed in place: an FFT from c[coeffs] into
+                # blk faulted ~67 pages per CLI round trip at N = 2^12, this 0
+                blk[...] = c[coeffs].reshape(-1, frames)
                 np.fft.fft(blk, axis=1, out=blk)
                 weighted = blk.ravel().take(slot, out=spread[:slot.size],
                                             mode="clip")
@@ -193,8 +194,9 @@ def _spreads(data: list, runs: list, size: int, entries: int) -> Iterator:
     return run()
 
 
-def _unfold(data: List[np.ndarray], system: WarpedSystem) -> np.ndarray:
-    """Synthesis in the DFT domain: the spectrum of ``V* c``.
+def _unfold(c: np.ndarray, system: WarpedSystem) -> np.ndarray:
+    """Synthesis in the DFT domain: the spectrum of ``V* c``, for
+    coefficients ``c`` end to end in channel order.
 
     The rows of a chunk of the layout share one in-place FFT; the
     spread rows are added onto their atoms' supports, so each bin sums
@@ -211,12 +213,12 @@ def _unfold(data: List[np.ndarray], system: WarpedSystem) -> np.ndarray:
             np.add.at(out, support, spread)
 
     if len(lanes) > 1:
-        first = _spreads(data, lanes[0], size, entries)
+        first = _spreads(c, lanes[0], size, entries)
         add(_in_lanes(lambda: add(first), lambda: [
             (support, spread.copy())
-            for support, spread in _spreads(data, lanes[1], size, entries)]))
+            for support, spread in _spreads(c, lanes[1], size, entries)]))
     else:
-        add(_spreads(data, runs, size, entries))
+        add(_spreads(c, runs, size, entries))
     return out
 
 
@@ -228,14 +230,15 @@ def _check_layout(coeffs: Coefficients, system: WarpedSystem) -> None:
 def analyze(f, system: WarpedSystem) -> Coefficients:
     """Warped transform coefficients of ``f`` (length must match the grid)."""
     fhat = np.fft.fft(_as_signal(f, system.grid.length))
-    return Coefficients(_fold(fhat, system), system.channel_positions(),
-                        system.hop_seconds(), system.grid.length)
+    return Coefficients(_fold(fhat, system), system.channels.frames,
+                        system.channel_positions(), system.hop_seconds(),
+                        system.grid.length)
 
 
 def adjoint(coeffs: Coefficients, system: WarpedSystem) -> np.ndarray:
     """Apply the synthesis map ``V* c = sum_{l,k} c_l[k] g_{l,k}``."""
     _check_layout(coeffs, system)
-    return np.fft.ifft(_unfold(coeffs.data, system))
+    return np.fft.ifft(_unfold(coeffs.values, system))
 
 
 def apply_frame_operator(f, system: WarpedSystem) -> np.ndarray:
@@ -260,7 +263,7 @@ def synthesize(coeffs: Coefficients, system: WarpedSystem,
         raise IllConditionedError(
             "frame profile nearly vanishes inside the covered band")
     _check_layout(coeffs, system)
-    num = _unfold(coeffs.data, system)
+    num = _unfold(coeffs.values, system)
     # solved from num before num is divided in place
     fibers = [(bins, (inverses @ num[bins][..., None])[..., 0])
               for bins, inverses in system.fiber_inverses()]
@@ -285,36 +288,24 @@ def roundtrip_residual(f, system: WarpedSystem) -> float:
     return float(np.linalg.norm(rec - f) / denom)
 
 
-def moyal_residual(f1, f2, system1: WarpedSystem,
-                   system2: Optional[WarpedSystem] = None) -> float:
+def moyal_residual(f1, f2, system: WarpedSystem) -> float:
     """Orthogonality-relation defect for a pair of signals.
 
     The weighted coefficient pairing (cell measure times the warp weight
-    at each channel slot) should match ``<f1, f2> <theta2, theta1>``;
-    the absolute difference is returned.  ``system2`` defaults to
-    ``system1`` and must share its grid, warp and channel layout.
+    at each channel slot) should match ``<f1, f2> ||theta||^2``; the
+    absolute difference is returned.
     """
-    s1 = system1
-    s2 = system2 if system2 is not None else system1
-    if (s1.grid.length != s2.grid.length
-            or s1.grid.sample_rate != s2.grid.sample_rate
-            or s1.delta != s2.delta
-            or not np.array_equal(s1.channel_positions(),
-                                  s2.channel_positions())
-            or not np.array_equal(s1.hop_seconds(), s2.hop_seconds())):
-        raise ShapeError("moyal_residual needs systems on a shared layout")
-    c1 = analyze(f1, s1)
-    c2 = analyze(f2, s2)
-    fs = s1.grid.sample_rate
+    c1, c2 = analyze(f1, system), analyze(f2, system)
+    fs = system.grid.sample_rate
     lhs = 0.0 + 0.0j
-    for a, b, l, hop in zip(c1.data, c2.data, s1.channels.index.tolist(),
-                            s1.channels.hop_samples.tolist()):
-        slot = s1.delta * (l + 0.5)
-        wslot = float(s1.warp.weight(slot))
-        lhs += s1.delta * wslot * (hop / fs) * np.vdot(b, a)
-    inner = np.vdot(_as_signal(f2, s1.grid.length),
-                    _as_signal(f1, s1.grid.length)) / fs
-    rhs = inner * admissibility_inner_product(s2.theta, s1.theta)
+    for a, b, l, hop in zip(c1.data, c2.data, system.channels.index.tolist(),
+                            system.channels.hop_samples.tolist()):
+        slot = system.delta * (l + 0.5)
+        wslot = float(system.warp.weight(slot))
+        lhs += system.delta * wslot * (hop / fs) * np.vdot(b, a)
+    inner = np.vdot(_as_signal(f2, system.grid.length),
+                    _as_signal(f1, system.grid.length)) / fs
+    rhs = inner * admissibility_inner_product(system.theta, system.theta)
     return float(abs(lhs - rhs))
 
 
@@ -328,28 +319,22 @@ def stft_reference(f, system: WarpedSystem) -> Coefficients:
     """
     n = system.grid.length
     sig = _as_signal(f, n)
-    data = []
-    for atom, ch in zip(system.atoms, system.channels):
+    out = Coefficients(np.empty(system.channels.frames.sum(), complex),
+                       system.channels.frames, system.channel_positions(),
+                       system.hop_seconds(), n)
+    for atom, ch, frames in zip(system.atoms, system.channels, out.data):
         window = np.fft.ifft(atom.dense(n))
-        frames = np.empty(ch.frames, dtype=complex)
         for k in range(ch.frames):
             rolled = np.roll(sig, -k * ch.hop_samples)
             frames[k] = np.vdot(window, rolled)
-        data.append(frames)
-    return Coefficients(data, system.channel_positions(),
-                        system.hop_seconds(), n)
+    return out
 
 
 def coefficient_deviation(a: Coefficients, b: Coefficients) -> float:
     """Largest absolute entrywise difference between two coefficient sets."""
-    if a.channel_count != b.channel_count:
-        raise ShapeError("channel counts differ")
-    dev = 0.0
-    for ca, cb in zip(a.data, b.data):
-        if ca.size != cb.size:
-            raise ShapeError("frame counts differ")
-        dev = max(dev, float(np.max(np.abs(ca - cb))) if ca.size else 0.0)
-    return dev
+    if not np.array_equal(a.frames, b.frames):
+        raise ShapeError("channel or frame counts differ")
+    return float(np.max(np.abs(a.values - b.values), initial=0.0))
 
 
 def export_spectrogram(coeffs: Coefficients, path: str) -> None:

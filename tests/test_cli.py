@@ -678,13 +678,18 @@ class TestKernelGridCaps:
         ["--op", "amnorm", "--resolution", "100000"],
         ["--op", "osc", "--q-resolution", "100000"],
         ["--op", "oscnorm", "--q-resolution", "100000"],
+        # a finite phase rate whose node count overflows to inf
+        ["--op", "amnorm", "--eta-half", "6e306"],
     ])
     def test_exits_5_with_one_line(self, erb_paths, capsys, argv):
         _, desc = erb_paths
         capsys.readouterr()
-        rc = main(["kernel", "--system", str(desc)] + argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["kernel", "--system", str(desc)] + argv)
         err = capsys.readouterr().err
         assert rc == 5
+        assert [w for w in caught if w.category is RuntimeWarning] == []
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert "4000000" in lines[0]
@@ -708,6 +713,15 @@ class TestNonFiniteArguments:
         ["kernel", "--op", "osc", "--delta", "0"],
         ["kernel", "--op", "gramian", "--x", "nan"],
         ["kernel", "--op", "gramian", "--xi", "inf"],
+        # a cover row of zero width
+        ["kernel", "--op", "oscnorm", "--deltas", "1e-300"],
+        # a phase rate that is not finite
+        ["kernel", "--op", "amnorm", "--x", "1e308"],
+        ["kernel", "--op", "statphase", "--x", "1e308"],
+        # a half-width whose node spacing is not finite
+        ["kernel", "--op", "amnorm", "--eta-half", "1e308"],
+        ["kernel", "--op", "amnorm", "--z-half", "1e308"],
+        ["kernel", "--op", "oscnorm", "--z-half", "1e308"],
     ])
     def test_exits_2_with_one_line(self, erb_paths, tmp_path, capsys, argv):
         _, desc = erb_paths

@@ -234,7 +234,7 @@ def _parent_write_coefficients(path, coeffs):
         fh.write(struct.pack("<II", 1, len(coeffs.data)))
         for center, hop, frames in zip(coeffs.centers_hz,
                                        coeffs.hop_seconds,
-                                       coeffs.frame_counts()):
+                                       coeffs.frames):
             fh.write(struct.pack("<ddQ", center, hop, frames))
         for block in coeffs.data:
             fh.write(np.asarray(block, dtype=np.complex128)
@@ -283,7 +283,8 @@ def _parent_read_coefficients(path, system):
         l = int(np.searchsorted(ends, np.argmin(finite) // 2, side="right"))
         raise FormatError(f"{path}: channel {system.channels[l].index} "
                           "holds a value that is not finite")
-    return Coefficients(data, centers, hops, system.grid.length)
+    return Coefficients(np.concatenate(data), system.channels.frames,
+                        centers, hops, system.grid.length)
 
 
 def _bits(a):
@@ -422,9 +423,9 @@ class TestContainerAgainstStructReader:
         coeffs = analyze(_signal(system), system)
         # and blocks that are strided views, which the writer makes contiguous
         strided = Coefficients(
-            [np.repeat(c, 2)[::2] for c in coeffs.data], coeffs.centers_hz,
-            coeffs.hop_seconds, coeffs.length)
-        assert not strided.data[0].flags.c_contiguous
+            np.repeat(coeffs.values, 2)[::2], coeffs.frames,
+            coeffs.centers_hz, coeffs.hop_seconds, coeffs.length)
+        assert not strided.values.flags.c_contiguous
         for c in (coeffs, strided):
             write_coefficients(tmp_path / "new.wtc", c)
             _parent_write_coefficients(tmp_path / "old.wtc", c)

@@ -102,7 +102,7 @@ class TestStationaryPhase:
     def test_order_zero_linear_is_fourier_bound(self):
         # oracle: for w = 1 the integral is the Fourier transform of
         # f = theta . T_z theta, and c_0 = ||f'||_1
-        rep = stationary_phase_check(LIN, GAUSS, 0, 0.0, ETA_FULL, z=0.3)
+        rep = stationary_phase_check(LIN, GAUSS, 0, 0.0, ETA_FULL)
         r = GAUSS.support_radius(1e-10)
         s = np.linspace(max(-r, 0.3 - r), min(r, 0.3 + r), 8193)
         f = GAUSS.eval(s) * GAUSS.eval(s - 0.3)
@@ -117,14 +117,14 @@ class TestStationaryPhase:
         assert rep.passed
 
     def test_order_one_log_bump_all_points_pass(self):
-        rep = stationary_phase_check(LOG, BUMP, 1, 0.0, ETA_FULL, z=0.3)
+        rep = stationary_phase_check(LOG, BUMP, 1, 0.0, ETA_FULL)
         assert rep.decay_ok and rep.flat_ok
         inband = np.abs(rep.eta) >= 1.0
         assert np.all(rep.lhs[inband] <= rep.rhs_decay[inband])
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_log_bump_slope(self, n):
-        rep = stationary_phase_check(LOG, BUMP, n, 0.0, ETA_FULL, z=0.3)
+        rep = stationary_phase_check(LOG, BUMP, n, 0.0, ETA_FULL)
         assert rep.passed
         assert rep.slope <= -(n + 1) + 0.1
 
@@ -136,8 +136,7 @@ class TestStationaryPhase:
             for theta in (GAUSS, BUMP, hann):
                 top = 1 if theta.kind == "hann_bump" else 2
                 for n in range(top + 1):
-                    rep = stationary_phase_check(warp, theta, n, 0.4, etas,
-                                                 z=0.3)
+                    rep = stationary_phase_check(warp, theta, n, 0.4, etas)
                     assert rep.decay_ok, (warp.kind, theta.kind, n)
                     assert rep.flat_ok, (warp.kind, theta.kind, n)
 
@@ -156,8 +155,9 @@ class TestStationaryPhase:
                                    1.0, [1.0])
 
     def test_disjoint_translation_rejected(self):
-        with pytest.raises(ConfigError):
-            stationary_phase_check(LOG, BUMP, 0, 0.0, [1.0], z=5.0)
+        # support radius 0.1: the pair offset by z = 0.3 does not overlap
+        with pytest.raises(ConfigError, match="do not overlap"):
+            stationary_phase_check(LOG, bump_prototype(0.1), 0, 0.0, [1.0])
 
 
 class TestKernelNormI:
@@ -229,9 +229,9 @@ class TestPinnedValues:
         (2, 421.4909508170993, 4.175917861761295)])
     def test_stationary_phase_c_n(self, n, log_bump, lin_gauss):
         etas = [1.0, 2.0, 4.0]
-        got = stationary_phase_check(LOG, BUMP, n, 0.0, etas, z=0.3).c_n
+        got = stationary_phase_check(LOG, BUMP, n, 0.0, etas).c_n
         assert got == pytest.approx(log_bump, rel=1e-13)
-        got = stationary_phase_check(LIN, GAUSS, n, 0.5, etas, z=0.3).c_n
+        got = stationary_phase_check(LIN, GAUSS, n, 0.5, etas).c_n
         assert got == pytest.approx(lin_gauss, rel=1e-13)
 
     def test_osc_norm_linear_gaussian(self):

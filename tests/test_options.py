@@ -104,7 +104,7 @@ _PARAMETERS = {
     "l2_norm": ("theta",),
     "linear_warp": ("c",),
     "log_warp": (),
-    "moyal_residual": ("f1", "f2", "system1", "system2"),
+    "moyal_residual": ("f1", "f2", "system"),
     "normalized": ("theta",),
     "osc_norm_estimate": ("warp", "theta", "delta", "spec", "gamma_on",
                           "q_resolution", "box_resolution"),
@@ -119,7 +119,7 @@ _PARAMETERS = {
     "read_descriptor": ("path",),
     "read_signal": ("path",),
     "roundtrip_residual": ("f", "system"),
-    "stationary_phase_check": ("warp", "theta", "n", "x", "eta_grid", "z"),
+    "stationary_phase_check": ("warp", "theta", "n", "x", "eta_grid"),
     "stft_reference": ("f", "system"),
     "system_from_config": ("cfg",),
     "system_to_config": ("system",),
@@ -177,4 +177,4 @@ def test_kernel_eval_spec_fields():
 
 def test_coefficients_arguments():
     assert _parameters(Coefficients.__init__) == (
-        "self", "data", "centers_hz", "hop_seconds", "length")
+        "self", "values", "frames", "centers_hz", "hop_seconds", "length")

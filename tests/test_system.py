@@ -702,22 +702,35 @@ class TestFrameProfile:
 class TestCoefficients:
     def test_metadata_validation(self):
         with pytest.raises(ShapeError):
-            Coefficients([np.zeros(4, complex)], np.array([1.0, 2.0]),
-                         np.array([0.1]), 64)
+            Coefficients(np.zeros(4, complex), np.array([4]),
+                         np.array([1.0, 2.0]), np.array([0.1]), 64)
+        with pytest.raises(ShapeError):  # frame counts that miss a value
+            Coefficients(np.zeros(4, complex), np.array([3]),
+                         np.array([1.0]), np.array([0.1]), 64)
 
     def test_matches_system(self):
         grid = SignalGrid(1024, 1024.0)
         sys = build_system(linear_warp(1.0), gaussian_prototype(16.0), 64.0,
                            grid, time_scale=1.0 / 16384)
-        data = [np.zeros(ch.frames, complex) for ch in sys.channels]
-        good = Coefficients(data, sys.channel_positions(),
+        frames = sys.channels.frames
+        values = np.zeros(frames.sum(), complex)
+        good = Coefficients(values, frames, sys.channel_positions(),
                             np.array([ch.hop_samples / 1024.0
                                       for ch in sys.channels]), 1024)
         assert good.matches_system(sys)
-        bad = Coefficients(data[:-1], sys.channel_positions()[:-1],
+        bad = Coefficients(values[:-frames[-1]], frames[:-1],
+                           sys.channel_positions()[:-1],
                            np.array([ch.hop_samples / 1024.0
                                      for ch in sys.channels[:-1]]),
                            1024)
         assert not bad.matches_system(sys)
-        assert good.total_coefficients() == sum(ch.frames
-                                                for ch in sys.channels)
+        assert good.values.size == sum(ch.frames for ch in sys.channels)
+
+    def test_rows_are_views_of_values(self):
+        values = np.arange(7, dtype=complex)
+        c = Coefficients(values, np.array([2, 0, 5]), np.zeros(3), np.ones(3),
+                         64)
+        assert [row.tolist() for row in c.data] == [[0, 1], [],
+                                                    [2, 3, 4, 5, 6]]
+        c.data[2][1] += 10  # a row written in place writes the values
+        assert c.values[3] == 13 and c.values is values
