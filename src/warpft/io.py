@@ -11,11 +11,20 @@ digits so they round-trip) or little-endian binary:
   channel's frames end to end in channel order, as interleaved f64
   re/im pairs.  Reading checks every header against the system it is
   read for and refuses a payload value that is not finite.
+
+Descriptors, signals and containers are written over what the output
+path holds, from its start, and a regular file left longer is then cut
+to length: the bytes are those of a fresh file, and the file system is
+spared freeing the old blocks only to allocate new ones.  A write cut
+short leaves a file the reader refuses: a descriptor or signal is one
+write, and a container's magic goes in last, over a placeholder.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from typing import Dict
 
@@ -152,9 +161,31 @@ def system_to_config(system: WarpedSystem) -> Dict[str, str]:
     return out
 
 
+def _write_over(path, parts, magic=b""):
+    """Write ``magic`` and then ``parts`` to ``path`` from its start,
+    creating it if missing but not truncating it first; a regular file
+    that was longer is cut to the written length afterwards.  In a
+    regular file ``magic`` goes in last, over zeros, so that until the
+    write is complete the file does not start with it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with open(fd, "wb") as fh:
+        st = os.fstat(fd)
+        regular = stat.S_ISREG(st.st_mode)
+        fh.write(bytes(len(magic)) if regular else magic)
+        for part in parts:
+            fh.write(part)
+        if regular:
+            size = fh.tell()
+            fh.seek(0)
+            fh.write(magic)
+            if st.st_size > size:
+                fh.truncate(size)
+
+
 def write_descriptor(path, system: WarpedSystem):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_config(system_to_config(system)))
+    _write_over(path, [format_config(system_to_config(system))
+                       .encode("ascii")])
 
 
 def read_descriptor(path) -> WarpedSystem:
@@ -165,18 +196,26 @@ def read_descriptor(path) -> WarpedSystem:
 
 
 def write_signal(path, signal: np.ndarray):
-    np.asarray(signal, dtype=np.complex128).astype("<c16").tofile(path)
+    _write_over(path, [np.ascontiguousarray(signal, "<c16")])
 
 
 def read_signal(path) -> np.ndarray:
     try:
-        raw = np.fromfile(path, dtype=np.uint8)
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):  # its size is no length
+                raise FormatError(f"cannot read signal {path}: not a "
+                                  "regular file")
+            size = st.st_size
+            if size % 16:
+                raise FormatError(f"signal file {path} is not a whole "
+                                  "number of f64 re/im pairs")
+            signal = np.empty(size // 16, "<c16")
+            if fh.readinto(signal) != size:
+                raise FormatError(f"signal file {path} shrank while read")
     except OSError as exc:
         raise FormatError(f"cannot read signal {path}: {exc}") from None
-    if raw.size % 16:
-        raise FormatError(f"signal file {path} is not a whole number of "
-                          "f64 re/im pairs")
-    signal = raw.view("<c16").astype(np.complex128)
+    signal = signal.astype(np.complex128, copy=False)
     bad = np.flatnonzero(~np.isfinite(signal))
     if bad.size:
         raise FormatError(f"signal file {path}: sample {bad[0]} is not finite")
@@ -191,44 +230,50 @@ def write_coefficients(path, coeffs: Coefficients):
     headers["center"] = coeffs.centers_hz
     headers["hop"] = coeffs.hop_seconds
     headers["frames"] = coeffs.frames
-    with open(path, "wb") as fh:
-        fh.write(_COEFF_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, coeffs.channel_count))
-        fh.write(headers)
-        # as stored when it already is little-endian and contiguous
-        fh.write(np.ascontiguousarray(coeffs.values, "<c16"))
+    _write_over(path, [struct.pack("<II", _VERSION, coeffs.channel_count),
+                       headers,
+                       # as stored when little-endian and contiguous
+                       np.ascontiguousarray(coeffs.values, "<c16")],
+                magic=_COEFF_MAGIC)
 
 
 def read_coefficients(path, system: WarpedSystem) -> Coefficients:
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_container(fh, path, system)
     except OSError as exc:
         raise FormatError(f"cannot read coefficients {path}: {exc}") from None
-    if blob[:4] != _COEFF_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, "
+
+
+def _read_container(fh, path, system: WarpedSystem) -> Coefficients:
+    """The checks of :func:`read_coefficients`, in the order of the bytes
+    they need; the payload is read straight into the returned array."""
+    head = fh.read(12)
+    if head[:4] != _COEFF_MAGIC:
+        raise FormatError(f"{path}: bad magic {head[:4]!r}, "
                           f"expected {_COEFF_MAGIC!r}")
-    if len(blob) < 12:
+    if len(head) < 12:
         raise FormatError(f"{path}: truncated header")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = struct.unpack_from("<II", head, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
     channels = system.channels
     if count != len(channels):
         raise ShapeError(f"{path}: container has {count} channels, "
                          f"system has {len(channels)}")
-    off = 12 + 24 * count
-    if off > len(blob):
+    raw = fh.read(24 * count)
+    if len(raw) < 24 * count:
         raise FormatError(f"{path}: truncated channel headers")
-    headers = np.frombuffer(blob, _HEADER, count, 12)
+    headers = np.frombuffer(raw, _HEADER)
     centers, hops = system.channel_positions(), system.hop_seconds()
+    frames_end = np.cumsum(channels.frames)
+    payload = np.empty(frames_end[-1], "<c16")
+    got = fh.readinto(payload)  # bytes of payload the file holds
     # channels are checked in order: the first whose header disagrees, or
     # whose frames run past the end of the file, is the one reported
-    frames_end = np.cumsum(channels.frames)
-    ends = off + 16 * frames_end
     wrong = ((headers["center"] != centers) | (headers["hop"] != hops)
              | (headers["frames"] != channels.frames.astype(np.uint64)))
-    bad = np.flatnonzero(wrong | (ends > len(blob)))
+    bad = np.flatnonzero(wrong | (16 * frames_end > got))
     if bad.size:
         i = int(bad[0])
         center, hop, frames = headers[i].tolist()
@@ -241,9 +286,10 @@ def read_coefficients(path, system: WarpedSystem) -> Coefficients:
                              f"{frames} frames, system expects "
                              f"{channels.frames[i]}")
         raise FormatError(f"{path}: truncated payload")
-    if ends[-1] != len(blob):
-        raise FormatError(f"{path}: {len(blob) - ends[-1]} trailing bytes")
-    payload = np.frombuffer(blob, "<c16", offset=off).astype(np.complex128)
+    trailing = len(fh.read())
+    if trailing:
+        raise FormatError(f"{path}: {trailing} trailing bytes")
+    payload = payload.astype(np.complex128, copy=False)
     finite = np.isfinite(payload.view(float))
     if not finite.all():  # name the channel of the first bad entry
         l = int(np.searchsorted(frames_end, np.argmin(finite) // 2,

@@ -355,13 +355,17 @@ def kernel_norm_I(warp: WarpingFunction, theta: Prototype,
     inner = np.abs(_oscillatory_matrix(warp, theta, x, z_vals, etas,
                                        s_lo, s_hi))
 
-    wx = float(warp.weight(x))
-    cx = np.sqrt(np.asarray(warp.weight(z_vals + x), dtype=float) / wx)
-    x_hz = float(warp.inverse(x))
-    z_hz = np.asarray(warp.inverse(z_vals + x), dtype=float)
-    mt = weight_m(spec.m1, spec.m2,
-                  x_hz, z_hz[:, None], xi, xi - etas[None, :] / wx)
+    with np.errstate(all="ignore"):  # weights not finite are refused
+        wx = float(warp.weight(x))
+        cx = np.sqrt(np.asarray(warp.weight(z_vals + x), dtype=float) / wx)
+        x_hz = float(warp.inverse(x))
+        z_hz = np.asarray(warp.inverse(z_vals + x), dtype=float)
+        mt = weight_m(spec.m1, spec.m2,
+                      x_hz, z_hz[:, None], xi, xi - etas[None, :] / wx)
     mt = np.broadcast_to(np.asarray(mt, dtype=float), inner.shape)
+    if not (np.isfinite(cx).all() and np.isfinite(mt).all()):
+        raise ConfigError(f"the weights at x = {x} are not finite on the "
+                          "z box; shrink the z range")
     cell = inner * mt * cx[:, None]
     value = float(cell.sum() * dz * de)
 

@@ -475,9 +475,9 @@ class WarpedSystem:
         frame count ``M``: ``(M, block, chunks)``, with ``block`` its
         slice of the coefficients laid end to end in channel order, and
         its chunks of at most :data:`CHUNK_ROWS` channels.  A chunk is
-        ``(channels, coeffs, support, values, slot)``: its channel and
-        coefficient slices, its entries (views of the bank), and each
-        entry's ``row * M + (bin mod M)`` in the chunk's rows."""
+        ``(coeffs, support, values, slot)``: its coefficient slice, its
+        entries (views of the bank), and each entry's
+        ``row * M + (bin mod M)`` in the chunk's rows."""
         values, support, sizes = self.bank
         frames = self.channels.frames
         # the runs' first channels, and each channel's row in its chunk

@@ -722,6 +722,8 @@ class TestNonFiniteArguments:
         ["kernel", "--op", "amnorm", "--eta-half", "1e308"],
         ["kernel", "--op", "amnorm", "--z-half", "1e308"],
         ["kernel", "--op", "oscnorm", "--z-half", "1e308"],
+        # a warp weight that overflows on the z box
+        ["kernel", "--op", "amnorm", "--z-half", "1e307"],
     ])
     def test_exits_2_with_one_line(self, erb_paths, tmp_path, capsys, argv):
         _, desc = erb_paths

@@ -1,5 +1,6 @@
 """Config parsing, descriptors, and binary container round trips."""
 
+import io
 import os
 import struct
 import tempfile
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warpft.io as wio
 from warpft import ConfigError, FormatError, ShapeError
+from warpft.cli import main
 from warpft.io import (fmt, format_config, parse_config, read_coefficients,
                        read_descriptor, read_signal, system_from_config,
                        system_to_config, write_coefficients,
@@ -160,6 +163,19 @@ class TestSignalFiles:
         path.write_bytes(b"\x00" * 100)
         with pytest.raises(FormatError):
             read_signal(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                        reason="needs /dev/fd to name a pipe")
+    def test_pipe_refused(self):
+        # a pipe has no size to take the length from: refused, not empty
+        r, w = os.pipe()
+        try:
+            os.write(w, b"\x00" * 64)
+            os.close(w)
+            with pytest.raises(FormatError, match="not a regular file"):
+                read_signal(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
 
 class TestCoefficientContainer:
@@ -431,3 +447,122 @@ class TestContainerAgainstStructReader:
             _parent_write_coefficients(tmp_path / "old.wtc", c)
             assert ((tmp_path / "new.wtc").read_bytes()
                     == (tmp_path / "old.wtc").read_bytes())
+
+
+# -- the writers as they truncated their path on opening, kept as the
+# reference for the ones that write over it and cut it to length after
+
+
+def _truncating_write_descriptor(path, system):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(format_config(system_to_config(system)))
+
+
+def _truncating_write_signal(path, signal):
+    np.asarray(signal, dtype=np.complex128).astype("<c16").tofile(path)
+
+
+# (writer, its truncating reference, what they write)
+_WRITERS = {
+    "descriptor": (write_descriptor, _truncating_write_descriptor,
+                   lambda system: system),
+    "signal": (write_signal, _truncating_write_signal, _signal),
+    "container": (write_coefficients, _parent_write_coefficients,
+                  lambda system: analyze(_signal(system), system)),
+}
+
+
+class _CutPayload(io.BufferedWriter):
+    """A file whose write of ``nbytes`` bytes or more fails, as a full
+    disk or a killed process would cut it."""
+
+    def __init__(self, raw, nbytes):
+        super().__init__(raw)
+        self.nbytes = nbytes
+
+    def write(self, data):
+        if memoryview(data).nbytes >= self.nbytes:
+            raise OSError(28, "No space left on device")
+        return super().write(data)
+
+
+class TestWriteOver:
+    """Descriptors, signals and containers written over an existing file
+    equal, byte for byte, the file the truncating writers made."""
+
+    @pytest.mark.parametrize("before", ["missing", "shorter", "equal",
+                                        "longer"])
+    @pytest.mark.parametrize("name", sorted(_WRITERS))
+    def test_bytes_equal_truncating_writer(self, name, before, tmp_path):
+        write, reference, make = _WRITERS[name]
+        value = make(_erb_system())
+        reference(tmp_path / "want", value)
+        want = (tmp_path / "want").read_bytes()
+        path = tmp_path / "got"
+        size = {"shorter": len(want) // 2, "equal": len(want),
+                "longer": 3 * len(want) + 5}.get(before)
+        if size is not None:  # stale bytes that differ from every new one
+            path.write_bytes(bytes(~np.frombuffer(want * 4, np.uint8)
+                                   [:size]))
+        write(path, value)
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--config", "{cfg}"],
+        ["analyze", "--system", "{desc}", "--signal", "{sig}"],
+        ["synthesize", "--system", "{desc}", "--coeffs", "{wtc}"],
+    ])
+    def test_devnull_output(self, argv, tmp_path):
+        # a character device is written, never truncated or rewound
+        system = _erb_system()
+        paths = {k: str(tmp_path / k) for k in ("cfg", "desc", "sig", "wtc")}
+        (tmp_path / "cfg").write_text(format_config(system_to_config(system)))
+        write_descriptor(paths["desc"], system)
+        signal = _signal(system)
+        write_signal(paths["sig"], signal)
+        write_coefficients(paths["wtc"], analyze(signal, system))
+        argv = [a.format(**paths) for a in argv] + ["--out", os.devnull]
+        assert main(argv) == 0
+        assert not os.path.isfile(os.devnull)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                        reason="needs /dev/fd to name a pipe")
+    def test_pipe_round_trip(self, tmp_path):
+        # a pipe cannot be rewound: the magic goes first, as it always did,
+        # and the reader takes no length from the file's size
+        system = _CONTAINER_SYSTEMS[0]
+        coeffs = analyze(_signal(system), system)
+        _parent_write_coefficients(tmp_path / "want", coeffs)
+        want = (tmp_path / "want").read_bytes()
+        assert len(want) < 4096  # fits the pipe's buffer
+        r, w = os.pipe()
+        with open(r, "rb") as reader:
+            try:
+                write_coefficients(f"/dev/fd/{w}", coeffs)
+            finally:
+                os.close(w)
+            assert reader.read() == want
+        r, w = os.pipe()
+        try:
+            with open(w, "wb") as writer:
+                writer.write(want)
+            back = read_coefficients(f"/dev/fd/{r}", system)
+        finally:
+            os.close(r)
+        assert _bits(back.values) == _bits(coeffs.values)
+
+    @pytest.mark.parametrize("before", ["missing", "equal"])
+    def test_cut_after_headers_refused(self, before, tmp_path, monkeypatch):
+        system = _erb_system()
+        coeffs = analyze(_signal(system), system)
+        path = tmp_path / "c.wtc"
+        if before == "equal":  # a good container of another signal
+            write_coefficients(path, analyze(_signal(system), system))
+            read_coefficients(path, system)
+        with monkeypatch.context() as patch:
+            patch.setattr(wio, "open", lambda fd, mode: _CutPayload(
+                io.FileIO(fd, "w"), coeffs.values.nbytes), raising=False)
+            with pytest.raises(OSError, match="No space"):
+                write_coefficients(path, coeffs)
+        with pytest.raises(FormatError, match="bad magic"):
+            read_coefficients(path, system)
