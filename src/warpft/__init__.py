@@ -22,16 +22,13 @@ from .errors import (
 )
 from .quadrature import integrate, integrate_decaying
 from .warping import (
-    AxiomReport,
     WarpingFunction,
     WeightSpec,
     alpha_like_warp,
     check_moderateness,
     check_quasi_submultiplicative,
-    check_warping_axioms,
     constant_weight,
     custom_warp,
-    default_grid,
     erb_warp,
     exponential_weight,
     induced_v1,
@@ -44,10 +41,8 @@ from .warping import (
 )
 from .prototype import (
     Prototype,
-    ThetaConditionReport,
     admissibility_inner_product,
     bump_prototype,
-    check_theta_conditions,
     gaussian_prototype,
     hann_prototype,
     l2_norm,
@@ -83,7 +78,6 @@ from .discretization import (
     Cover,
     CoverElement,
     CoverReport,
-    QSetBounds,
     WeightBoundReport,
     check_cover_admissible,
     elements_containing,
@@ -91,7 +85,6 @@ from .discretization import (
     frame_bounds_painless,
     frame_bounds_power_iteration,
     induced_cover,
-    q_set_bounds,
     weight_bound_C,
 )
 from .kernels import (

@@ -9,13 +9,14 @@ with ``tau_l = delta^2 / |I_l|``, so every element has area exactly
 ``delta^2`` regardless of the warp.  This module holds finite windows
 of that cover as arrays over their elements, checks the covering-
 admissibility constants (neighbor count, measure moderateness) on them,
-bounds the element clusters ``Q_{y,omega}`` around a point, evaluates
-the weight constant ``C_{m,U}``, and computes the exact frame bounds of
-sampled systems from the fibers of their frame operator.
+finds the elements containing a point, evaluates the weight constant
+``C_{m,U}``, and computes the exact frame bounds of sampled systems from
+the fibers of their frame operator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple
@@ -183,8 +184,12 @@ def elements_containing(warp: WarpingFunction, delta: float, y: float,
     """Cover elements whose closed rectangle contains ``(y, omega)``."""
     check_finite(positive=True, delta=delta)
     check_finite(y=y, omega=omega)
-    wy = float(warp.eval(float(y)))
+    with np.errstate(over="ignore"):   # an index not finite is refused
+        wy = float(warp.eval(float(y)))
     ell = wy / delta
+    if not math.isfinite(ell):
+        raise ConfigError(f"delta = {delta} puts y = {y} in a cover row "
+                          "whose index F(y)/delta is not finite; raise delta")
     ls = {int(np.floor(ell))}
     if ell == np.floor(ell):          # sitting on a channel boundary
         ls.add(int(ell) - 1)
@@ -192,13 +197,18 @@ def elements_containing(warp: WarpingFunction, delta: float, y: float,
     for l in sorted(ls):
         if not (delta * l <= wy <= delta * (l + 1)):
             continue   # membership decided in warped coordinates: exact
-        f_lo = float(warp.inverse(delta * l))
-        f_hi = float(warp.inverse(delta * (l + 1)))
+        with np.errstate(over="ignore"):   # a row past the axis is refused
+            f_lo = float(warp.inverse(delta * l))
+            f_hi = float(warp.inverse(delta * (l + 1)))
         tau = delta * delta / (f_hi - f_lo) if f_hi > f_lo else 0.0
         if not 0 < tau < np.inf:
             raise ConfigError(f"delta = {delta} gives the cover row at "
                               f"y = {y} no finite positive width")
         kk = omega / tau
+        if not math.isfinite(kk):
+            raise ConfigError(f"omega = {omega} lies in a cover column whose "
+                              f"index is not finite at delta = {delta}; "
+                              "move omega in")
         ks = {int(np.floor(kk))}
         if kk == np.floor(kk):
             ks.add(int(kk) - 1)
@@ -214,47 +224,6 @@ def _quasi_constant(warp: WarpingFunction) -> float:
     """Quasi-submultiplicativity constant, cached per warp (the grid
     measurement is expensive for warps with iterative inverses)."""
     return check_quasi_submultiplicative(warp)
-
-
-@dataclass(frozen=True)
-class QSetBounds:
-    """Analytic rectangle bounding the element cluster at ``(y, omega)``."""
-
-    i_lo: float          # frequency interval I_y
-    i_hi: float
-    j_half: float        # time half-width of omega + J_y
-    omega: float
-    contained: bool      # enumerated cluster verified inside the rectangle
-    elements: tuple
-
-    @property
-    def t_lo(self) -> float:
-        return self.omega - self.j_half
-
-    @property
-    def t_hi(self) -> float:
-        return self.omega + self.j_half
-
-
-def q_set_bounds(warp: WarpingFunction, y: float, omega: float,
-                 delta: float) -> QSetBounds:
-    """Bound the union of cover elements containing ``(y, omega)`` by
-    ``I_y x (omega + J_y)`` with ``I_y = Finv([F(y)-delta, F(y)+delta])``
-    and ``|J_y| = C delta w(delta)/w(F(y))``, ``C`` the
-    quasi-submultiplicativity constant of the weight.  The cluster is
-    enumerated and the containment checked exactly."""
-    check_finite(positive=True, delta=delta)
-    check_finite(y=y, omega=omega)
-    wy = float(warp.eval(float(y)))
-    i_lo = float(warp.inverse(wy - delta))
-    i_hi = float(warp.inverse(wy + delta))
-    c = _quasi_constant(warp)
-    j_half = c * delta * float(warp.weight(delta)) / float(warp.weight(wy))
-    elems = elements_containing(warp, delta, y, omega)
-    ok = all(i_lo <= e.f_lo and e.f_hi <= i_hi
-             and omega - j_half <= e.t_lo and e.t_hi <= omega + j_half
-             for e in elems)
-    return QSetBounds(i_lo, i_hi, j_half, float(omega), ok, tuple(elems))
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,15 @@ def gramian(warp: WarpingFunction, theta: Prototype, x: float, xi: float,
     if hi <= lo:
         return 0.0 + 0.0j
     nu = xi - omega
+    with np.errstate(all="ignore"):   # a phase not finite is refused
+        ends = np.abs(np.asarray(warp.inverse(np.array([lo, hi])), dtype=float))
+        top = 2.0 * np.pi * abs(nu) * np.max(ends)
+    if not np.isfinite(ends).all():
+        raise ConfigError(f"the atoms at x = {x} and y = {y} reach past the "
+                          "largest finite frequency; move x and y in")
+    if not math.isfinite(top):
+        raise ConfigError(f"xi - omega = {nu} gives a phase that is not "
+                          "finite; bring xi and omega closer")
     a = l2_norm(theta) ** 2
 
     def integrand(u):
@@ -146,8 +155,15 @@ def _gramian_batch(warp: WarpingFunction, theta: Prototype, x: float,
     fys = np.asarray(warp.eval(np.asarray(ys, dtype=float)), dtype=float)
     nus = xi - np.asarray(omegas, dtype=float)
     lo, hi = fx - r, fx + r
-    wmax = float(np.max(warp.weight(np.linspace(lo, hi, 65))))
-    n_u = max(_MIN_U_NODES, int(16.0 * np.max(np.abs(nus)) * wmax * r) + 1)
+    with np.errstate(all="ignore"):  # a rate that is not finite is refused
+        wmax = float(np.max(warp.weight(np.linspace(lo, hi, 65))))
+        rate = np.max(np.abs(nus)) * wmax
+        nodes = 16.0 * rate * r
+    if not math.isfinite(rate):
+        raise ConfigError(f"the phase rate at xi = {xi} is not finite "
+                          "over the omega of the cells; bring xi and "
+                          "omega closer")
+    n_u = max(_MIN_U_NODES, int(min(nodes, _NODE_CAP)) + 1)  # inf: past the cap
     _check_nodes(n_u, "phase rate", "shrink the box")
     du = (hi - lo) / n_u
     u = lo + (np.arange(n_u) + 0.5) * du
@@ -383,8 +399,12 @@ def kernel_norm_I(warp: WarpingFunction, theta: Prototype,
     tail_eta = np.inf
     for n_ord in range(1, max_n + 1):
         big_c = _phase_constants(warp, x, n_ord, s)
-        factor = (2.0 * (n_ord + 1) * big_c
-                  / ((2.0 * np.pi) ** (n_ord + 1) * n_ord * hb ** n_ord))
+        # hb ** n_ord underflows to 0 for a tiny box
+        den = (2.0 * np.pi) ** (n_ord + 1) * n_ord * hb ** n_ord
+        factor = 2.0 * (n_ord + 1) * big_c / den if den else math.inf
+        if not math.isfinite(factor):
+            raise ConfigError(f"eta_half_width = {hb} gives an eta-tail "
+                              "bound that is not finite; widen the eta box")
         cand = float(np.sum(cx * c_tab[n_ord - 1, near]) * dz
                      * m_edge * factor)
         tail_eta = min(tail_eta, cand)
@@ -464,13 +484,17 @@ def osc_norm_estimate(warp: WarpingFunction, theta: Prototype, delta: float,
     check_finite(positive=True, delta=delta)
     probe_slots = (0.5, 3.5, 9.5)
     probes = []
-    for slot in probe_slots:
-        xw = delta * slot
-        x_hz = float(warp.inverse(xw))
-        f_hi = float(warp.inverse(xw + delta))
-        f_lo = float(warp.inverse(xw - delta))
-        tau = delta * delta / max(f_hi - f_lo, 1e-300)
-        probes.append((x_hz, 0.5 * tau))
+    with np.errstate(over="ignore"):   # probes not finite are refused
+        for slot in probe_slots:
+            xw = delta * slot
+            x_hz = float(warp.inverse(xw))
+            f_hi = float(warp.inverse(xw + delta))
+            f_lo = float(warp.inverse(xw - delta))
+            tau = delta * delta / max(f_hi - f_lo, 1e-300)
+            probes.append((x_hz, 0.5 * tau))
+    if not np.isfinite(probes).all():
+        raise ConfigError(f"delta = {delta} puts the probe points past the "
+                          "largest finite frequency; lower delta")
 
     def mass(x0, xi0, y0, om0):
         return (oscillation(warp, theta, delta, gamma_on, x0, xi0, y0, om0,

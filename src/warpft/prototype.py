@@ -1,4 +1,4 @@
-"""Prototype windows and their admissibility checks.
+"""Prototype windows, their derivatives and weighted norms.
 
 A prototype ``theta`` lives on the warped axis; warped atoms are built
 by translating it to each channel position.  Three built-in families:
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, UnsupportedOrderError
 from .quadrature import integrate, integrate_decaying
-from .warping import WarpingFunction, WeightSpec, _ret, _split
+from .warping import _ret, _split
 
 MAX_DERIVATIVE_ORDER = 4
 
@@ -212,129 +212,3 @@ def admissibility_inner_product(theta1: Prototype, theta2: Prototype) -> complex
     else:
         val = integrate_decaying(integrand, max(1.0, theta1.sigma))
     return complex(val)
-
-
-# -- admissibility conditions for the kernel-algebra membership ------------
-
-
-@dataclass(frozen=True)
-class ConditionEntry:
-    name: str
-    value: float
-    finite: bool
-
-
-@dataclass(frozen=True)
-class ThetaConditionReport:
-    entries: tuple
-    p: int
-    eps: float
-
-    @property
-    def passed(self) -> bool:
-        return all(e.finite for e in self.entries)
-
-    def failures(self):
-        return [e for e in self.entries if not e.finite]
-
-
-def _decays(fn, probes) -> bool:
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.abs(np.asarray(fn(probes), dtype=float))
-    if not np.all(np.isfinite(vals)):
-        return False
-    peak = max(float(np.max(vals)), 1e-300)
-    return bool(np.all(vals[-4:] <= 1e-10 * peak))
-
-
-def check_theta_conditions(theta: Prototype, warp: WarpingFunction,
-                           v1: WeightSpec, p: int, eps: float) -> ThetaConditionReport:
-    """Check the decay/integrability conditions that put the frame kernel
-    in the weighted kernel algebra.
-
-    With ``w`` the warp weight and ``v1`` a submultiplicative majorant
-    for the composed frequency weight, the auxiliary weights are::
-
-        w1(s) = v1(s) (1+|s|)^{1+eps} w(-s)^{1/2}
-        w2(s) = w1(-s) w(s)
-        w3(s) = w1(-s) w(-s)^{p+1}
-
-    Checked: (a) decay of ``w(-s)^j theta^{(k+1)}`` for ``k <= j <= p+1``,
-    (b) ``theta`` in L2_{w1} and L2_{w2}, (c) ``theta^{(k)}`` in L2_{w1}
-    and L2_{w3} for ``k <= p+2``.  Divergent or overflowing entries are
-    flagged with ``finite=False``.
-    """
-    from .warping import POSITIVE_HALF_LINE
-
-    if p < 0:
-        raise ConfigError("p must be >= 0")
-    if warp.domain == POSITIVE_HALF_LINE and p != 0:
-        raise ConfigError("half-line warps require p = 0")
-    if p + 2 > MAX_DERIVATIVE_ORDER:
-        raise UnsupportedOrderError(
-            f"p={p} needs derivatives of order {p + 2} > {MAX_DERIVATIVE_ORDER}")
-
-    def w(s):
-        return warp.weight(s)
-
-    def w1(s):
-        s = np.asarray(s, dtype=float)
-        return v1(s) * (1.0 + np.abs(s)) ** (1.0 + eps) * np.sqrt(w(-s))
-
-    def w2(s):
-        s = np.asarray(s, dtype=float)
-        return w1(-s) * w(s)
-
-    def w3(s):
-        s = np.asarray(s, dtype=float)
-        return w1(-s) * w(-s) ** (p + 1)
-
-    entries = []
-
-    # (a) decay of theta and of w(-s)^j * theta^(k+1)
-    half = theta.support_radius(1e-16) if not theta.compact else theta.radius
-    probes = np.concatenate([-np.geomspace(half, 64.0 * half, 25)[::-1],
-                             np.geomspace(half, 64.0 * half, 25)])
-    entries.append(ConditionEntry("decay theta", 0.0, _decays(theta.eval, probes)))
-    for j in range(p + 2):
-        for k in range(j + 1):
-            def fn(s, j=j, k=k):
-                s = np.asarray(s, dtype=float)
-                tv = theta.eval(s, k + 1)
-                with np.errstate(over="ignore"):
-                    wv = w(-s) ** j
-                # a vanished prototype kills any weight growth
-                return np.where(tv == 0.0, 0.0, tv * wv)
-            entries.append(ConditionEntry(
-                f"decay w(-s)^{j} theta^({k + 1})", 0.0, _decays(fn, probes)))
-
-    # (b) and (c): weighted L2 norms
-    def norm_entry(name, order, wfn):
-        target = theta if order == 0 else _DerivativeView(theta, order)
-        try:
-            val = weighted_l2_norm(target, wfn)
-            entries.append(ConditionEntry(name, val, bool(np.isfinite(val))))
-        except DivergenceError:
-            entries.append(ConditionEntry(name, float("inf"), False))
-
-    norm_entry("theta in L2_w1", 0, w1)
-    norm_entry("theta in L2_w2", 0, w2)
-    for k in range(p + 3):
-        norm_entry(f"theta^({k}) in L2_w1", k, w1)
-        norm_entry(f"theta^({k}) in L2_w3", k, w3)
-
-    return ThetaConditionReport(tuple(entries), p, eps)
-
-
-class _DerivativeView:
-    """Minimal prototype-like wrapper exposing a fixed derivative order."""
-
-    def __init__(self, theta: Prototype, order: int):
-        self._theta = theta
-        self._order = order
-        self.compact = theta.compact
-        self.radius = theta.radius
-        self.sigma = theta.sigma
-
-    def eval(self, s, order: int = 0):
-        return self._theta.eval(s, self._order + order)

@@ -11,9 +11,11 @@ real warped axis.  Its defining axioms:
 The induced weight ``w = (F^{-1})'`` controls every estimate downstream:
 sampling densities, kernel decay rates and admissible analysis weights.
 This module provides the built-in warp families, their inverses and
-weights with symbolic derivatives to second order, plus grid-based
-checks for the axioms, quasi-submultiplicativity of ``w`` and
-moderateness of weight pairs.
+weights with symbolic derivatives to second order, plus grid measurements
+of the quasi-submultiplicativity constant of ``w`` and of the
+moderateness constant of a weight pair, which the cover weight bound
+and the stationary-phase flat bound read.  Nothing here checks the
+axioms: a system is built from any increasing warp.
 """
 
 from __future__ import annotations
@@ -317,7 +319,8 @@ def alpha_like_warp(l: float = 1.0) -> WarpingFunction:
 
 def custom_warp(fn, fn_inverse=None, fn_derivative=None,
                 domain: str = REAL_LINE) -> WarpingFunction:
-    """Wrap arbitrary callables as a warp probe for the axiom checks."""
+    """Wrap arbitrary callables as a warp; without ``fn_inverse`` the
+    inverse is a guarded Newton iteration."""
     if domain not in (REAL_LINE, POSITIVE_HALF_LINE):
         raise ConfigError(f"unknown domain {domain!r}")
     return WarpingFunction("custom", fn=fn, fn_inverse=fn_inverse,
@@ -343,66 +346,7 @@ def warp_from_params(kind: str, **params) -> WarpingFunction:
     return WARP_FAMILIES[kind][0](**params)
 
 
-# -- axiom and weight checks ----------------------------------------------
-
-
-def default_grid(warp: WarpingFunction):
-    """Default check grid, 512 points: log-spaced over [0.01, 100] on the
-    half-line, over [-100, 100] symmetric else."""
-    if warp.domain == POSITIVE_HALF_LINE:
-        return np.geomspace(0.01, 100.0, 512)
-    return np.linspace(-100.0, 100.0, 512)
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    monotone_increasing: bool
-    positive_derivative: bool
-    derivative_nonincreasing: bool
-    odd_symmetry: bool
-    notes: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return (self.monotone_increasing and self.positive_derivative
-                and self.derivative_nonincreasing and self.odd_symmetry)
-
-
-def check_warping_axioms(warp: WarpingFunction, grid=None) -> AxiomReport:
-    """Verify the warp axioms on a grid.
-
-    The decrease of ``F'`` in ``|t|`` is checked non-strictly (with a
-    relative slack of 1e-9) so that linear warps qualify.
-    """
-    t = np.asarray(grid if grid is not None else default_grid(warp), dtype=float)
-    t = np.sort(t)
-    ft = warp.eval(t)
-    dt = warp.derivative(t)
-    notes = []
-
-    monotone = bool(np.all(np.diff(ft) > 0))
-    if not monotone:
-        notes.append("F not strictly increasing on the grid")
-    positive = bool(np.all(dt > 0))
-    if not positive:
-        notes.append("F' not everywhere positive on the grid")
-
-    order = np.argsort(np.abs(t), kind="stable")
-    d_sorted = dt[order]
-    slack = 1e-9 * (1.0 + np.abs(d_sorted[:-1]))
-    nonincr = bool(np.all(np.diff(d_sorted) <= slack))
-    if not nonincr:
-        notes.append("F' increases with |t| somewhere on the grid")
-
-    if warp.domain == REAL_LINE:
-        tt = t[t != 0]
-        odd = bool(np.all(np.abs(warp.eval(-tt) + warp.eval(tt))
-                          <= 1e-12 * np.maximum(1.0, np.abs(warp.eval(tt)))))
-        if not odd:
-            notes.append("F fails odd symmetry")
-    else:
-        odd = True  # not applicable on the half-line
-    return AxiomReport(monotone, positive, nonincr, odd, tuple(notes))
+# -- weight checks -------------------------------------------------------
 
 
 def check_quasi_submultiplicative(warp: WarpingFunction, grid=None) -> float:

@@ -22,7 +22,6 @@ from warpft import (
     moyal_residual,
     osc_norm_estimate,
     oscillation,
-    q_set_bounds,
     roundtrip_residual,
     stationary_phase_check,
     stft_reference,
@@ -36,6 +35,8 @@ from warpft.warping import (
     log_warp,
     polynomial_weight,
 )
+
+from paper_hypotheses import q_set_bounds
 
 LIN = linear_warp(1.0)
 LOG = log_warp()

@@ -724,8 +724,49 @@ class TestNonFiniteArguments:
         ["kernel", "--op", "oscnorm", "--z-half", "1e308"],
         # a warp weight that overflows on the z box
         ["kernel", "--op", "amnorm", "--z-half", "1e307"],
+        # an eta box so small that the eta-tail bound is not finite
+        ["kernel", "--op", "amnorm", "--eta-half", "1e-300"],
+        ["kernel", "--op", "amnorm", "--eta-half", "5e-324"],
+        # a Gramian phase rate that is not finite
+        ["kernel", "--op", "osc", "--xi", "1e308"],
+        ["kernel", "--op", "gramian", "--xi", "1e308"],
+        # a cover row or column index that is not finite
+        ["kernel", "--op", "osc", "--omega", "1e308"],
+        ["kernel", "--op", "osc", "--delta", "5e-324", "--y", "1e-12"],
+        ["kernel", "--op", "oscnorm", "--deltas", "5e-324"],
+        # a cover row past the largest finite frequency
+        ["kernel", "--op", "osc", "--delta", "1e6"],
+        ["kernel", "--op", "oscnorm", "--deltas", "1e6"],
     ])
     def test_exits_2_with_one_line(self, erb_paths, tmp_path, capsys, argv):
+        assert self._one_line(erb_paths, tmp_path, capsys, argv)[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        # a finite phase rate whose node count is not: clipped to the cap
+        ["kernel", "--op", "osc", "--xi", "5e306"],
+        ["kernel", "--op", "osc", "--omega", "1e306"],
+    ])
+    def test_exits_5_with_one_line(self, erb_paths, tmp_path, capsys, argv):
+        assert self._one_line(erb_paths, tmp_path, capsys, argv)[0] == 5
+
+    @pytest.mark.parametrize("argv, name", [
+        (["kernel", "--op", "amnorm", "--eta-half", "1e-300"], "eta_half"),
+        (["kernel", "--op", "gramian", "--xi", "1e308"], "xi"),
+        (["kernel", "--op", "osc", "--omega", "1e308"], "omega"),
+        (["kernel", "--op", "osc", "--delta", "5e-324", "--y", "1e-12"],
+         "delta"),
+        (["kernel", "--op", "oscnorm", "--deltas", "5e-324"], "delta"),
+        (["kernel", "--op", "oscnorm", "--deltas", "1e6"], "delta"),
+    ])
+    def test_error_names_the_option(self, erb_paths, tmp_path, capsys, argv,
+                                    name):
+        assert name in self._one_line(erb_paths, tmp_path, capsys, argv)[1]
+
+    @staticmethod
+    def _one_line(erb_paths, tmp_path, capsys, argv):
+        """Run ``argv`` on the ERB descriptor; check that it printed one
+        ``error:`` line, no warning and no ``nan``, and return its exit
+        code and that line."""
         _, desc = erb_paths
         capsys.readouterr()
         argv = argv[:1] + ["--system", str(desc)] + argv[1:]
@@ -734,12 +775,13 @@ class TestNonFiniteArguments:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(argv)
-        err = capsys.readouterr().err
-        assert rc == 2
+        out, err = capsys.readouterr()
         assert [w for w in caught if w.category is RuntimeWarning] == []
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert "nan" not in out
+        return rc, lines[0]
 
 
 def _element_loop_dump(cover):

@@ -13,12 +13,13 @@ from warpft import (ConfigError, DomainError, NotPainlessError,
 from warpft.discretization import (_MAX_ELEMENTS, CoverElement, CoverReport,
                                    check_cover_admissible, elements_containing,
                                    frame_bounds, frame_bounds_painless,
-                                   induced_cover, q_set_bounds,
-                                   weight_bound_C)
+                                   induced_cover, weight_bound_C)
 from warpft.system import SignalGrid, build_system
 from warpft.transform import apply_frame_operator
 from warpft.warping import (constant_weight, exponential_weight,
                             polynomial_weight)
+
+from paper_hypotheses import q_set_bounds
 
 
 def _flat_linear_system():

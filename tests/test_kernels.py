@@ -42,6 +42,11 @@ class TestGramian:
     def test_disjoint_compact_supports(self):
         assert gramian(LIN, BUMP, 0.0, 0.0, 5.0, 0.0) == 0.0
 
+    def test_atoms_past_the_largest_frequency_refused(self):
+        # F(1e308) + r is past log(max float): Finv overflows on the overlap
+        with pytest.raises(ConfigError, match="largest finite frequency"):
+            gramian(LOG, BUMP, 1e308, 0.0, 1e308, 0.0)
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_gaussian_ambiguity_modulus(self, sigma):
         # oracle: |<M_om T_y g, M_xi T_x g>| for a normalized Gaussian is

@@ -43,8 +43,6 @@ _PINNED_BELOW = (
 #: every other exported name and its parameters
 _PARAMETERS = {
     "Atom": ("values", "support", "center_hz"),
-    "AxiomReport": ("monotone_increasing", "positive_derivative",
-                    "derivative_nonincreasing", "odd_symmetry", "notes"),
     "Channel": ("index", "center_hz", "band_lo_hz", "band_hi_hz",
                 "bandwidth_hz", "tau_seconds", "hop_samples", "frames"),
     "ChannelTable": ("index", "center_hz", "band_lo_hz", "band_hi_hz",
@@ -61,11 +59,9 @@ _PARAMETERS = {
     "PainlessReport": ("painless", "support_hz", "limit_hz", "alias_free",
                        "violations"),
     "Prototype": ("kind", "sigma", "radius", "scale"),
-    "QSetBounds": ("i_lo", "i_hi", "j_half", "omega", "contained", "elements"),
     "SignalGrid": ("length", "sample_rate"),
     "StationaryPhaseReport": ("order", "eta", "lhs", "rhs_decay", "flat_bound",
                               "c_n", "big_c", "decay_ok", "flat_ok", "slope"),
-    "ThetaConditionReport": ("entries", "p", "eps"),
     "WarpedSystem": ("warp", "theta", "delta", "grid", "channels", "bank",
                      "time_scale", "truncation", "normalize"),
     "WarpingFunction": ("kind", "c", "d", "l", "c1", "c2", "fn", "fn_inverse",
@@ -81,12 +77,9 @@ _PARAMETERS = {
     "bump_prototype": ("radius",),
     "check_moderateness": ("w_target", "v", "grid"),
     "check_quasi_submultiplicative": ("warp", "grid"),
-    "check_theta_conditions": ("theta", "warp", "v1", "p", "eps"),
-    "check_warping_axioms": ("warp", "grid"),
     "coefficient_deviation": ("a", "b"),
     "constant_weight": (),
     "custom_warp": ("fn", "fn_inverse", "fn_derivative", "domain"),
-    "default_grid": ("warp",),
     "design_channels": ("warp", "delta", "grid", "time_scale"),
     "elements_containing": ("warp", "delta", "y", "omega"),
     "erb_warp": ("c1", "c2"),
@@ -114,7 +107,6 @@ _PARAMETERS = {
     "polynomial_weight": ("p",),
     "power_law_warp": ("c", "d", "l"),
     "prototype_from_params": ("kind", "params"),
-    "q_set_bounds": ("warp", "y", "omega", "delta"),
     "read_coefficients": ("path", "system"),
     "read_descriptor": ("path",),
     "read_signal": ("path",),

@@ -16,7 +16,6 @@ from warpft import (
     admissibility_inner_product,
     alpha_like_warp,
     bump_prototype,
-    check_theta_conditions,
     erb_warp,
     exponential_weight,
     gaussian_prototype,
@@ -32,6 +31,9 @@ from warpft import (
 )
 from warpft import quadrature
 from warpft.prototype import PROTOTYPE_FAMILIES
+from warpft.warping import POSITIVE_HALF_LINE, WARP_FAMILIES
+
+from paper_hypotheses import check_theta_conditions
 
 
 class TestPointValues:
@@ -278,6 +280,18 @@ class TestThetaConditions:
         assert got.keys() == expected.keys()
         for name, value in expected.items():
             assert got[name] == pytest.approx(value, rel=1e-13), name
+
+    @pytest.mark.parametrize("prototype_kind", PROTOTYPE_FAMILIES)
+    @pytest.mark.parametrize("warp_kind", WARP_FAMILIES)
+    def test_every_builtin_family_passes(self, warp_kind, prototype_kind):
+        # each pair at its defaults, with the largest p the checker
+        # admits: half-line warps take p = 0 only
+        warp = WARP_FAMILIES[warp_kind][0]()
+        p = 0 if warp.domain == POSITIVE_HALF_LINE else 2
+        report = check_theta_conditions(
+            PROTOTYPE_FAMILIES[prototype_kind][0](), warp,
+            induced_v1(polynomial_weight(1.0), warp), p=p, eps=0.5)
+        assert report.passed, [e.name for e in report.failures()]
 
     def test_gaussian_log_large_rate_divergent(self):
         # huge exponential rate overflows the weighted integrals

@@ -19,7 +19,6 @@ from warpft import (
     alpha_like_warp,
     check_moderateness,
     check_quasi_submultiplicative,
-    check_warping_axioms,
     constant_weight,
     custom_warp,
     erb_warp,
@@ -33,6 +32,8 @@ from warpft import (
     warped_weight,
 )
 from warpft.warping import POSITIVE_HALF_LINE, WARP_FAMILIES
+
+from paper_hypotheses import check_warping_axioms
 
 ALL_WARPS = [
     linear_warp(1.0),
