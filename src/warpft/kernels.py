@@ -135,6 +135,9 @@ def gramian(warp: WarpingFunction, theta: Prototype, x: float, xi: float,
 
     try:
         return complex(integrate(integrand, lo, hi) / a)
+    except CapabilityError as exc:
+        raise CapabilityError(f"{exc}: the phase varies too fast; bring "
+                              "xi and omega closer") from None
     except NonConvergenceError:
         ests = []
         for n_u in (1 << 14, 1 << 15):

@@ -2,7 +2,8 @@
 
 Composite 15-point panels refined by interval bisection, at most
 ``MAX_DEPTH`` levels deep, until each panel agrees with its two halves
-to ``PANEL_TOL``.  Infinite domains are handled by window doubling about
+to ``PANEL_TOL``, and at most ``MAX_PANELS`` panels per integral.
+Infinite domains are handled by window doubling about
 0 with a truncation-growth test: windows stop expanding once the
 integrand drops below ``REL_FLOOR`` of its peak, and integrals whose
 tail contributions keep growing raise
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError, NonConvergenceError
+from .errors import CapabilityError, DivergenceError, NonConvergenceError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -22,6 +23,9 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 #: anyway and its disagreement counted as residual slop
 PANEL_TOL = 1e-10
 MAX_DEPTH = 40
+#: the most panels one integral evaluates (15 nodes each): a phase too
+#: fast to resolve with them is refused instead of bisected for minutes
+MAX_PANELS = 1 << 16
 #: window doubling stops once the boundary samples fall below this
 #: fraction of the running peak, and fails past this half-width
 REL_FLOOR = 1e-16
@@ -42,7 +46,9 @@ def integrate(fn, a: float, b: float):
     """Integrate a vectorized callable over the finite interval [a, b].
 
     ``fn`` may return real or complex values.  Accuracy target is
-    ``PANEL_TOL`` relative to the L1 mass of the integrand.
+    ``PANEL_TOL`` relative to the L1 mass of the integrand.  An integral
+    that needs more than ``MAX_PANELS`` panels raises
+    :class:`~warpft.errors.CapabilityError`.
     """
     if b <= a:
         return 0.0
@@ -52,7 +58,13 @@ def integrate(fn, a: float, b: float):
     total = 0.0 + 0.0j if np.iscomplexobj(np.asarray(whole)) else 0.0
     slop = 0.0
     stack = [(a, b, whole, 0)]
+    panels = 1
     while stack:
+        panels += 2
+        if panels > MAX_PANELS:
+            raise CapabilityError(
+                f"quadrature on [{a:.6g}, {b:.6g}] needs more than "
+                f"{MAX_PANELS} panels")
         lo, hi, est, depth = stack.pop()
         mid = 0.5 * (lo + hi)
         left, left_abs = _panel(fn, lo, mid)

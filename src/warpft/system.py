@@ -55,11 +55,6 @@ FIBER_CAP = 1024
 #: unfold work a chunk at a time, which bounds their scratch
 CHUNK_ROWS = 8
 
-#: the fewest coefficients for which the transform splits a bank into two
-#: lanes (:meth:`WarpedSystem.bank_layout`); below it a lane's FFTs are too
-#: short to pay for handing them to another thread
-LANE_MIN_COEFFICIENTS = 1 << 17
-
 
 @dataclass(frozen=True)
 class SignalGrid:
@@ -462,14 +457,10 @@ class WarpedSystem:
         return np.bincount(support, weights, minlength=self.grid.length)
 
     @_once
-    def bank_layout(self) -> Tuple[list, int, int, int]:
-        """How the transform batches the bank: ``(runs, half,
-        coefficients, entries)``.  ``runs[:half]`` and ``runs[half:]``
-        are two lanes of about equal FFT cost (``rows * M * log2 M``
-        summed); ``half`` is 0 when the bank has one run or fewer than
-        :data:`LANE_MIN_COEFFICIENTS` coefficients.  ``coefficients``
-        and ``entries`` are the counts of the largest chunk, which size
-        a lane's scratch.
+    def bank_layout(self) -> Tuple[list, int, int]:
+        """How the transform batches the bank: ``(runs, coefficients,
+        entries)``, the runs in channel order and the counts of the
+        largest chunk, which size the fold's and unfold's scratch.
 
         A run is a maximal stretch of consecutive channels that share a
         frame count ``M``: ``(M, block, chunks)``, with ``block`` its
@@ -498,14 +489,8 @@ class WarpedSystem:
                 (slice(coef[c], coef[d]),
                  *(v[entry[c]:entry[d]] for v in (support, values, slot)))
                 for c, d in zip(cuts, cuts[1:])]))
-        half = 0
-        if len(runs) > 1 and coef[-1] >= LANE_MIN_COEFFICIENTS:
-            # FFT cost rows * M * log2 M, summed over the leading runs
-            cost = np.cumsum([(block.stop - block.start) * np.log2(m)
-                              for m, block, _ in runs])
-            half = int(np.argmin(abs(cost[:-1] - cost[-1] / 2))) + 1
         chunks = [c for _, _, cs in runs for c in cs]
-        return (runs, half, max(c[0].stop - c[0].start for c in chunks),
+        return (runs, max(c[0].stop - c[0].start for c in chunks),
                 max(c[1].size for c in chunks))
 
     def frame_fibers(self, bins: np.ndarray

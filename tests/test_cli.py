@@ -745,6 +745,10 @@ class TestNonFiniteArguments:
         # a finite phase rate whose node count is not: clipped to the cap
         ["kernel", "--op", "osc", "--xi", "5e306"],
         ["kernel", "--op", "osc", "--omega", "1e306"],
+        # a Gramian phase too fast for the quadrature's panel budget
+        ["kernel", "--op", "gramian", "--xi", "1e5"],
+        ["kernel", "--op", "gramian", "--x", "1e300", "--y", "1e300",
+         "--xi", "1"],
     ])
     def test_exits_5_with_one_line(self, erb_paths, tmp_path, capsys, argv):
         assert self._one_line(erb_paths, tmp_path, capsys, argv)[0] == 5

@@ -93,6 +93,22 @@ class TestGramian:
         with pytest.raises(NonConvergenceError, match="refinements"):
             gramian(LIN, GAUSS, 0.0, 0.0, 0.3, 5e4)
 
+    def test_panel_budget_refused(self, monkeypatch):
+        """An integral past ``MAX_PANELS`` is refused, naming the count,
+        before it evaluates more panels than that."""
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
+        panels = []
+
+        def fast(u):
+            panels.append(u.size)
+            return np.cos(1e4 * u)
+
+        with pytest.raises(CapabilityError, match="more than 64 panels"):
+            quadrature.integrate(fast, 0.0, 1.0)
+        assert len(panels) == 63
+        with pytest.raises(CapabilityError, match="xi and omega"):
+            gramian(LIN, GAUSS, 0.0, 0.0, 0.3, 5e4)
+
     def test_batch_matches_adaptive(self):
         rng = np.random.default_rng(5)
         ys = rng.uniform(-2, 2, 8)

@@ -4,7 +4,6 @@ import heapq
 import os
 import subprocess
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -25,8 +24,8 @@ from warpft import transform as transform_module
 from warpft.discretization import frame_bounds, frame_bounds_painless
 from warpft.prototype import (PROTOTYPE_FAMILIES, hann_prototype, l2_norm,
                               prototype_from_params)
-from warpft.system import (CHUNK_ROWS, LANE_MIN_COEFFICIENTS, Coefficients,
-                           SignalGrid, build_atom, build_system)
+from warpft.system import (CHUNK_ROWS, Coefficients, SignalGrid, build_atom,
+                           build_system)
 from warpft.warping import WARP_FAMILIES
 from warpft.transform import (_fold, _unfold,
                               adjoint, analyze,
@@ -174,7 +173,7 @@ class TestFoldedCore:
         vhat = np.zeros(n, dtype=complex)
         vhat[idx] = _random_signal(idx.size, np.random.default_rng(23))
         got = _fiber_product(sys, idx, vhat)[idx]
-        ref = _unfold(_fold(vhat, sys), sys)[idx]
+        ref = _unfold(_fold(vhat * (1.0 / n), sys), sys)[idx]
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
         ref = np.fft.fft(apply_frame_operator(np.fft.ifft(vhat), sys))[idx]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -231,7 +230,7 @@ def _dense_frame_operator(system, idx):
     for cols in probes:
         e = np.zeros(n, dtype=complex)
         e[cols] = 1.0
-        out = _unfold(_fold(e, system), system)
+        out = _unfold(_fold(e * (1.0 / n), system), system)
         for j in cols:
             near = np.arange(lo[j], hi[j] + 1) % n
             near = near[at[near] >= 0]
@@ -425,7 +424,7 @@ class TestGroupedCore:
     def test_fold_equals_per_channel_fold(self, name):
         sys = GROUPED_SYSTEMS[name]()
         fhat = _random_signal(sys.grid.length, np.random.default_rng(29))
-        got = _rows(_fold(fhat, sys), sys)
+        got = _rows(_fold(fhat * (1.0 / fhat.size), sys), sys)
         ref = _per_channel_fold(fhat, sys)
         assert len(got) == len(ref)
         for l, (g, r) in enumerate(zip(got, ref)):
@@ -621,12 +620,11 @@ class TestFlatLayoutOracle:
         views of the one stored bank, each slot is the entry's row
         within the chunk times the frame count plus its residue, and the
         chunks' coefficient slices lie end to end in channel order.  The
-        lane's scratch sizes are its largest chunk's."""
+        scratch sizes are its largest chunk's."""
         sys = ORACLE_SYSTEMS["interleaved"]()
         layout = sys.bank_layout()
         assert sys.bank_layout() is layout
-        runs, half, size, entries = layout
-        assert half == 0
+        runs, size, entries = layout
         assert len(runs) > len(_frame_groups(sys.channels))
         channels, coefficients = [], 0
         for frames, block, chunks in runs:
@@ -659,48 +657,16 @@ class TestFlatLayoutOracle:
         assert entries == max(c[1].size for c in chunks)
 
 
-# -- two lanes: banks of at least LANE_MIN_COEFFICIENTS coefficients, run
-# with lanes forced on and off by setting the usable-CPU count
+# -- banks of at least 2^17 coefficients in many runs, on the one thread
+# the transform runs on
 
-LANE_SYSTEMS = {
+LARGE_SYSTEMS = {
     "erb-stream": ORACLE_SYSTEMS["erb-stream"],
     "erb-r2-32768": lambda: build_system(
         erb_warp(9.265, 228.8), bump_prototype(2.0), 0.5,
         SignalGrid(1 << 15, 16000.0)),
     "interleaved-16384": lambda: _interleaved_system(1.0 / 1024, 1 << 14),
 }
-
-
-class _CountingWorker:
-    """The lane worker, counting what is handed to it."""
-
-    def __init__(self, worker):
-        self.worker = worker
-        self.calls = 0
-
-    def submit(self, fn):
-        self.calls += 1
-        return self.worker.submit(fn)
-
-
-@pytest.fixture
-def worker(monkeypatch):
-    spy = _CountingWorker(transform_module._worker())
-    monkeypatch.setattr(transform_module, "_worker", lambda: spy)
-    return spy
-
-
-def _run_all(sys, f, c):
-    """Every map built on the lanes, on signal ``f`` and coefficients ``c``."""
-    fhat = np.fft.fft(f)
-    out = {"fold": [_fold(fhat, sys)], "unfold": [_unfold(c.values, sys)],
-           "analyze": [analyze(f, sys).values], "adjoint": [adjoint(c, sys)],
-           "frame_operator": [apply_frame_operator(f, sys)]}
-    try:
-        out["synthesize"] = [synthesize(c, sys, iterative=True)]
-    except WarpFTError as exc:
-        out["synthesize"] = type(exc)
-    return out
 
 
 def _env_with_src():
@@ -710,94 +676,58 @@ def _env_with_src():
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
-class TestLanes:
-    """Two lanes give the bits of one, and run only on large banks with
-    more than one usable CPU."""
+class TestOneThread:
+    """Large banks run every map on the calling thread, with the bits of
+    the grouped and per-channel oracles."""
 
-    @pytest.mark.parametrize("name", sorted(LANE_SYSTEMS))
-    def test_bitwise_equal_to_one_lane(self, name, monkeypatch, worker):
-        sys = LANE_SYSTEMS[name]()
+    @pytest.mark.parametrize("name", sorted(LARGE_SYSTEMS))
+    def test_bitwise_equal_to_oracles(self, name):
+        """Fold, analysis, unfold, the adjoint, the frame operator and
+        synthesis (or its refusal), against the oracles; the scratch
+        fits the largest chunk."""
+        sys = LARGE_SYSTEMS[name]()
         n = sys.grid.length
-        runs, half = sys.bank_layout()[:2]
-        assert sys.channels.frames.sum() >= LANE_MIN_COEFFICIENTS
-        assert 0 < half < len(runs)
+        runs, size, entries = sys.bank_layout()
+        assert sys.channels.frames.sum() >= 1 << 17 and len(runs) > 1
+        chunks = [c for run in runs for c in run[2]]
+        assert size == max(c[0].stop - c[0].start for c in chunks)
+        assert entries == max(c[1].size for c in chunks)
         rng = np.random.default_rng(53)
         f = _random_signal(n, rng)
         c = _random_coefficients(sys, rng)
-        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 1)
-        assert transform_module._lanes(runs, half) == [runs]
-        one = _run_all(sys, f, c)
-        assert worker.calls == 0
-        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
-        lanes = transform_module._lanes(runs, half)
-        assert len(lanes) == 2 and 0 < len(lanes[0]) < len(runs)
-        assert lanes[0] + lanes[1] == runs
-        two = _run_all(sys, f, c)
-        # fold, unfold, analyze, adjoint, the frame operator's two and
-        # synthesize's, unless it refuses the system first
-        refused = isinstance(one["synthesize"], type)
-        synthesized = one["synthesize"] if refused else two["synthesize"][0]
-        assert worker.calls == 6 + (not refused)
-        assert two.keys() == one.keys()
-        if refused:
-            assert two.pop("synthesize") is one.pop("synthesize")
-        for key in one:
-            for got, want in zip(two[key], one[key], strict=True):
-                _assert_bits(got, want)
-        fold = _rows(two["fold"][0], sys)
-        for got, want in zip(fold, _grouped_fold(np.fft.fft(f), sys),
-                             strict=True):
+        fold = _fold(np.fft.fft(f, norm="forward"), sys)
+        _assert_bits(analyze(f, sys).values, fold)
+        ref = _grouped_fold(np.fft.fft(f), sys)
+        for got, want in zip(_rows(fold, sys), ref, strict=True):
             _assert_bits(got, want)
-        _assert_bits(two["unfold"][0], _per_channel_unfold(c.data, sys))
-        _assert_adjoint_oracles(two["adjoint"][0], _adjoint_of, c.data, sys)
-        _assert_adjoint_oracles(two["frame_operator"][0], _adjoint_of,
-                                fold, sys)
-        _assert_adjoint_oracles(synthesized, _synthesize_with, c, sys)
+        _assert_bits(_unfold(c.values, sys), _per_channel_unfold(c.data, sys))
+        _assert_adjoint_oracles(adjoint(c, sys), _adjoint_of, c.data, sys)
+        _assert_adjoint_oracles(apply_frame_operator(f, sys), _adjoint_of,
+                                _rows(fold, sys), sys)
+        _assert_adjoint_oracles(_outcome(synthesize, c, sys, True),
+                                _synthesize_with, c, sys)
 
-    def test_split_balances_fft_cost(self):
-        """The first lane is the leading runs whose FFT cost comes
-        closest to half; the scratch fits the largest chunk of either."""
-        for name in sorted(LANE_SYSTEMS):
-            sys = LANE_SYSTEMS[name]()
-            runs, split, size, entries = sys.bank_layout()
-            cost = [len(_run_channels(sys, run)) * run[0] * np.log2(run[0])
-                    for run in runs]
-            half = sum(cost) / 2
-            gaps = [abs(sum(cost[:k]) - half) for k in range(1, len(cost))]
-            assert gaps[split - 1] == min(gaps)
-            chunks = [c for run in runs for c in run[2]]
-            assert size == max(c[0].stop - c[0].start for c in chunks)
-            assert entries == max(c[1].size for c in chunks)
+    def test_forward_spectrum_is_the_scaled_spectrum(self):
+        """``fft(f, norm="forward")``, the one spectrum analysis takes,
+        has the bits of ``fft(f) * (1/N)`` for every grid length from 2^4
+        to 2^18; ``1/N`` is a power of two."""
+        rng = np.random.default_rng(71)
+        for log2n in range(4, 19):
+            f = _random_signal(1 << log2n, rng)
+            _assert_bits(np.fft.fft(f, norm="forward"),
+                         np.fft.fft(f) * (1.0 / (1 << log2n)))
 
-    def test_small_banks_and_one_cpu_stay_inline(self, monkeypatch, worker):
-        """The README's erb.cfg bank at 2^12 never hands work over, nor
-        does the erb-stream bank when one CPU is usable."""
-        small = build_system(erb_warp(9.265, 228.8), bump_prototype(0.9),
-                             0.5, SignalGrid(4096, 16000.0))
-        assert small.bank_layout()[1] == 0
-        rng = np.random.default_rng(59)
-        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
-        f = _random_signal(small.grid.length, rng)
-        _run_all(small, f, analyze(f, small))
-        assert worker.calls == 0
-        big = LANE_SYSTEMS["erb-stream"]()
-        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 1)
-        f = _random_signal(big.grid.length, rng)
-        _run_all(big, f, analyze(f, big))
-        assert worker.calls == 0
-
-    def test_no_worker_thread_below_the_cutoff(self):
-        """A process whose banks all stay below the cutoff starts no
-        thread and imports no executor; importing the transform starts
-        no thread either."""
+    def test_round_trip_starts_no_thread(self):
+        """An ERB round trip at N = 2^16 starts no thread and imports no
+        executor; importing the transform starts no thread either."""
         script = (
             "import sys, threading, numpy as np\n"
             "from warpft import analyze, synthesize, erb_warp, bump_prototype\n"
             "from warpft.system import SignalGrid, build_system\n"
             "assert threading.active_count() == 1\n"
             "s = build_system(erb_warp(9.265, 228.8), bump_prototype(0.9), "
-            "0.5, SignalGrid(4096, 16000.0))\n"
-            "f = np.random.default_rng(1).standard_normal(4096)\n"
+            "0.5, SignalGrid(1 << 16, 16000.0))\n"
+            "f = np.random.default_rng(1).standard_normal(1 << 16)\n"
             "synthesize(analyze(f, s), s)\n"
             "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
         proc = subprocess.run([executable, "-c", script], env=_env_with_src(),
@@ -805,17 +735,16 @@ class TestLanes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1 False"
 
-    def test_concurrent_callers(self, monkeypatch):
-        """Four threads (more than the cores) share the one worker and a
-        system whose layout none has built yet, switching often: every
-        result keeps the bits of one caller alone."""
-        make = LANE_SYSTEMS["erb-stream"]
+    def test_concurrent_callers(self):
+        """Four threads (more than the cores) share a system whose layout
+        none has built yet, switching often: every result keeps the bits
+        of one caller alone."""
+        make = LARGE_SYSTEMS["erb-stream"]
         ref = make()
         f = _random_signal(ref.grid.length, np.random.default_rng(67))
         want = analyze(f, ref)
         want_back = adjoint(want, ref)
         sys = make()
-        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
         errors = []
 
         def work():
@@ -840,68 +769,6 @@ class TestLanes:
             setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_runs_lanes(self):
-        """A child forked after the lanes ran inherits no worker thread;
-        it starts its own instead of waiting on the parent's."""
-        script = (
-            "import os, signal, numpy as np\n"
-            "from warpft import transform as t, erb_warp, bump_prototype\n"
-            "from warpft.system import SignalGrid, build_system\n"
-            "t._USABLE_CPUS = 2\n"
-            "s = build_system(erb_warp(9.265, 228.8), bump_prototype(0.9), "
-            "0.5, SignalGrid(1 << 16, 16000.0))\n"
-            "f = np.random.default_rng(1).standard_normal(1 << 16)\n"
-            "want = t.analyze(f, s).data\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    signal.alarm(20)\n"
-            "    got = t.analyze(f, s).data\n"
-            "    os._exit(0 if all(map(np.array_equal, got, want)) else 3)\n"
-            "print(os.waitpid(pid, 0)[1])\n")
-        proc = subprocess.run([executable, "-c", script], env=_env_with_src(),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
-
-    @pytest.mark.parametrize("where", ["worker", "caller"])
-    @pytest.mark.parametrize("stage", ["fold", "unfold"])
-    def test_exception_waits_for_the_worker(self, where, stage, monkeypatch):
-        """A lane's exception reaches the caller, and only once the
-        worker's lane has finished."""
-        sys = LANE_SYSTEMS["erb-stream"]()
-        monkeypatch.setattr(transform_module, "_USABLE_CPUS", 2)
-        runs, half = sys.bank_layout()[:2]
-        first = runs[:half]
-        # the FFTs of the worker's lane: one per run, or one per chunk
-        lane = (len(first) if stage == "fold"
-                else sum(len(run[2]) for run in first))
-        name = "ifft" if stage == "fold" else "fft"
-        real = getattr(np.fft, name)
-        finished = []
-
-        def fft(*args, **kwargs):
-            on_worker = threading.current_thread() is not threading.main_thread()
-            if on_worker:
-                time.sleep(0.2)
-                finished.append(True)
-            if on_worker == (where == "worker"):
-                raise RuntimeError(where)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, fft)
-        f = _random_signal(sys.grid.length, np.random.default_rng(61))
-        with pytest.raises(RuntimeError, match=where):
-            if stage == "fold":
-                _fold(np.fft.fft(f), sys)
-            else:
-                _unfold(np.zeros(sys.channels.frames.sum(), complex), sys)
-        # the worker's lane ended (at its first FFT when it raised)
-        # before the caller returned, and nothing of it ran later
-        assert len(finished) == (1 if where == "worker" else lane)
-        time.sleep(0.3)
-        assert len(finished) == (1 if where == "worker" else lane)
 
 
 def _parent_sample_atoms(warp, theta, xs, grid, truncation):
@@ -1413,6 +1280,10 @@ class TestOperatorIdentities:
     @example(bank=(alpha_like_warp(1.0), bump_prototype(5333.333333333333),
                    5333.333333333333, SignalGrid(256, 16000.0),
                    8.789062500000002e-09), seed=0)
+    # four channels; one interior bin's profile is 2.5e-12 of the peak,
+    # so the interior profile spans 4e11 and its L2 round trip is 4e-11
+    @example(bank=(alpha_like_warp(1.0), bump_prototype(2071.6513872039145),
+                   4000.0, SignalGrid(256, 16000.0), 1.5625e-08), seed=0)
     def test_drawn_bank_identities(self, bank, seed):
         """A drawn bank builds or raises ConfigError (too few or too many
         channels, an atom that vanishes on the grid).  When it builds,
@@ -1420,12 +1291,14 @@ class TestOperatorIdentities:
         sliding-window reference (up to N = 2^10; it takes O(N^2) per
         channel), ``_fold`` gives the grouped core's bits and ``_unfold``
         the per-channel adjoint's, and the frame bounds bracket the
-        Rayleigh quotient of a signal on the fully covered band.  A painless bank reconstructs a
-        signal on its covered bins to machine precision on the interior
-        band, and on every covered bin ``j`` within ``eps * peak /
-        profile[j]`` of the spectrum's peak (the diagonal solve's
-        rounding); to 1e-12 in L2 when the covered profile spans at most
-        10^4."""
+        Rayleigh quotient of a signal on the fully covered band.  A
+        painless bank reconstructs a signal on its covered bins, on every
+        covered bin ``j`` within ``eps * peak / profile[j]`` of the
+        spectrum's peak (the diagonal solve's rounding); to 1e-12 in L2
+        on the interior band when the profile there spans at most 10^4,
+        and on all covered bins when the covered profile does.  The
+        interior band is where every translate reaches, which admits a
+        profile down to ``DIAG_FLOOR`` times its peak."""
         warp, theta, delta, grid, time_scale = bank
         try:
             sys = build_system(warp, theta, delta, grid,
@@ -1447,9 +1320,9 @@ class TestOperatorIdentities:
             dev = coefficient_deviation(vf, stft_reference(f, sys))
             assert dev <= 1e-10 * peak
 
-        fhat = np.fft.fft(f)
-        for got, want in zip(_rows(_fold(fhat, sys), sys),
-                             _grouped_fold(fhat, sys), strict=True):
+        fold = _fold(np.fft.fft(f, norm="forward"), sys)
+        ref = _grouped_fold(np.fft.fft(f), sys)
+        for got, want in zip(_rows(fold, sys), ref, strict=True):
             _assert_bits(got, want)
         _assert_bits(_unfold(c.values, sys), _per_channel_unfold(c.data, sys))
 
@@ -1463,8 +1336,10 @@ class TestOperatorIdentities:
             assert np.all(np.abs(err[covered]) <= 64 * eps * np.abs(fhat).max()
                           * (profile.max() / profile))
             interior = sys.interior_bins()
-            assert (np.linalg.norm(err[interior])
-                    <= 1e-12 * np.linalg.norm(fhat[interior]))
+            inner = sys.frame_diag()[interior]
+            if interior.size and inner.max() <= 1e4 * inner.min():
+                assert (np.linalg.norm(err[interior])
+                        <= 1e-12 * np.linalg.norm(fhat[interior]))
             if profile.max() <= 1e4 * profile.min():
                 assert roundtrip_residual(np.fft.ifft(fhat), sys) <= 1e-12
 
