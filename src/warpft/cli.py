@@ -2,8 +2,9 @@
 
 Subcommands: ``design``, ``analyze``, ``synthesize``, ``diagnose``,
 ``kernel``, ``cover-dump``, ``spectrogram``, each described once in the
-table ``_SUBCOMMANDS`` (help, handler, options); :func:`main` builds the
-parser of only the subcommand it runs.  Exit codes: 0 success,
+table ``_SUBCOMMANDS`` (help, handler, options); :func:`main` reads a
+valid call with the parser of its subcommand alone, and any other with
+the parser of all of them, which words its error.  Exit codes: 0 success,
 2 configuration, 3 shape mismatch, 4 file format, 5 capability,
 1 internal.  A failing subcommand prints one ``error:`` line to stderr,
 never a traceback.  Numeric text output uses 17 significant digits; the
@@ -15,8 +16,10 @@ doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -293,29 +296,52 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with only ``command``'s subparser when it names one,
-    else with all of them; usage lines list all of them either way."""
-    parser = argparse.ArgumentParser(
-        prog="warpft",
-        description="Warped time-frequency transforms: design, analysis, "
-                    "synthesis, diagnostics, kernel sweeps.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
-    if len(names) == 1:
-        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
-    for name in names:
-        help_text, fn, options = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+#: what reads as a negative number, not a flag: a minus sign before a
+#: digit, or before a point and a digit
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+class _Trial(argparse.ArgumentParser):
+    """A parser that raises the error it would print and exit with."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _build_parser(name=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; given ``name``, its subparser alone
+    as a :class:`_Trial`, less ``-h`` (which costs as much as two options
+    to add).  Each reads a negative number in exponent form, ``-5e-05``,
+    as a value, not a flag (Python 3.10-3.13 admit ``-1`` and ``-1.5``)."""
+    if name:
+        parser = _Trial(prog=f"warpft {name}", add_help=False)
+        subparsers = {name: parser}
+    else:
+        parser = argparse.ArgumentParser(
+            prog="warpft",
+            description="Warped time-frequency transforms: design, "
+                        "analysis, synthesis, diagnostics, kernel sweeps.")
+        sub = parser.add_subparsers(dest="command", required=True)
+        subparsers = {n: sub.add_parser(n, help=help_text)
+                      for n, (help_text, _, _) in _SUBCOMMANDS.items()}
+    for n, p in subparsers.items():
+        _, fn, options = _SUBCOMMANDS[n]
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for flag, keywords in options.items():
             p.add_argument(flag, **keywords)
-        p.set_defaults(fn=fn)
+        p.set_defaults(command=n, fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    # the full parser reads what the subcommand's parser refuses or leaves
+    args, extra = None, True
+    if argv and argv[0] in _SUBCOMMANDS:
+        with contextlib.suppress(argparse.ArgumentError):
+            args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
+    if extra:
+        args = _build_parser().parse_args(argv)
     try:
         return globals()[args.fn](args)
     except WarpFTError as exc:

@@ -22,9 +22,10 @@ A system holds its channels as one table of arrays (:class:`ChannelTable`)
 and its atoms once, as one bank in channel order (the retained values
 and bins, and each atom's entry count).  All else it knows is a function
 of these, computed on first use and kept per system: the per-channel
-:class:`Channel` and :class:`Atom` objects, the painless report, the
-frame profile, the transform's layout (runs of channels that share a
-frame count), and the interior and covered bins and their fibers.
+:class:`Channel` and :class:`Atom` objects, the transform's layout
+(runs of channels that share a frame count, and each entry's residue
+mod it, which the painless report and the fibers read), the frame
+profile, and the interior and covered bins and their fibers.
 
 Half-line warps analyze the analytic part only: non-positive bins are
 zeroed and reconstructions live on positive frequencies.
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import accumulate
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -51,9 +53,14 @@ DIAG_FLOOR = 1e-12
 #: the largest frame-operator fiber decomposed; a larger one is refused
 FIBER_CAP = 1024
 
-#: channels per chunk of the bank layout; the transform's fold and
-#: unfold work a chunk at a time, which bounds their scratch
-CHUNK_ROWS = 8
+#: the most coefficients a system may have.  A CLI round trip peaks at
+#: ~26 bytes per coefficient (ERB, delta = 0.05, N = 2^14: 8.8e6 of
+#: them), so this holds one to ~1.7 GB
+COEFFICIENT_CAP = 1 << 26
+
+#: the most coefficients, and entries, of a chunk of the bank layout
+#: (one channel at least), which bounds the fold's and unfold's scratch
+CHUNK_SCRATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -374,16 +381,14 @@ def painless_check(system: "WarpedSystem") -> PainlessReport:
     support width in Hz must not exceed ``1/tau_l``, and the support bins
     must occupy distinct residues modulo the per-channel frame count
     (which makes the subsampled analysis alias-free)."""
-    _, support, sizes = system.bank
-    sup = sizes * system.grid.bin_hz
+    sup = system.bank[2] * system.grid.bin_hz
     lim = 1.0 / system.channels.tau_seconds
-    # one count per (channel, residue); channel l's residues start at
-    # offsets[l], and the counts take as many entries as the coefficients
-    frames = system.channels.frames
-    offsets = np.cumsum(frames) - frames
-    residues = support % np.repeat(frames, sizes) + np.repeat(offsets, sizes)
-    alias = np.maximum.reduceat(
-        np.bincount(residues, minlength=int(frames.sum())), offsets) <= 1
+    # one count per (channel, residue): per slot of a chunk's rows
+    alias = np.concatenate([
+        np.bincount(slot, minlength=coeffs.stop - coeffs.start
+                    ).reshape(-1, frames).max(axis=1) <= 1
+        for frames, _, chunks in system.bank_layout()[0]
+        for coeffs, _, _, slot in chunks])
     bad = tuple(np.flatnonzero((sup > lim) | ~alias).tolist())
     return PainlessReport(len(bad) == 0, sup, lim, alias, bad)
 
@@ -465,33 +470,38 @@ class WarpedSystem:
         A run is a maximal stretch of consecutive channels that share a
         frame count ``M``: ``(M, block, chunks)``, with ``block`` its
         slice of the coefficients laid end to end in channel order, and
-        its chunks of at most :data:`CHUNK_ROWS` channels.  A chunk is
-        ``(coeffs, support, values, slot)``: its coefficient slice, its
-        entries (views of the bank), and each entry's
-        ``row * M + (bin mod M)`` in the chunk's rows."""
+        its chunks of as many channels as fit :data:`CHUNK_SCRATCH`
+        coefficients and, at its widest atom's size each, entries.  A
+        chunk is ``(coeffs, support, values, slot)``: its coefficient
+        slice, its entries (views of the bank), and each entry's
+        ``row * M + (bin mod M)`` in the chunk's rows, the residues that
+        :func:`painless_check` and :meth:`frame_fibers` read too."""
         values, support, sizes = self.bank
-        frames = self.channels.frames
-        # the runs' first channels, and each channel's row in its chunk
-        heads = np.flatnonzero(np.diff(frames, prepend=0)).tolist()
-        ends = heads[1:] + [len(frames)]
-        row = np.concatenate([np.arange(b - a) for a, b in zip(heads, ends)])
-        row %= CHUNK_ROWS
-        # frames is a power of two: the mask is the residue mod frames
-        slot = np.repeat(frames - 1, sizes)
+        frames, counts = self.channels.frames.tolist(), sizes.tolist()
+        coef = [0, *accumulate(frames)]
+        entry = [0, *accumulate(counts)]
+        # per run, its chunks' first channels and its end; a chunk takes
+        # as many channels as fit CHUNK_SCRATCH coefficients, and entries
+        # at the run's widest atom's size each
+        heads = [l for l in range(len(frames))
+                 if not l or frames[l] != frames[l - 1]]
+        cuts = []
+        for a, b in zip(heads, heads[1:] + [len(frames)]):
+            step = CHUNK_SCRATCH // max(frames[a], *counts[a:b])
+            cuts.append([*range(a, b, max(1, step)), b])
+        chunks = [(c, d) for run in cuts for c, d in zip(run, run[1:])]
+        # frames is a power of two: the mask is the residue mod frames;
+        # a channel's rows start at its offset in its chunk
+        slot = np.repeat(self.channels.frames - 1, sizes)
         slot &= support
-        slot += np.repeat(row * frames, sizes)
-        coef = [0] + np.cumsum(frames).tolist()
-        entry = [0] + np.cumsum(sizes).tolist()
-        runs = []
-        for a, b in zip(heads, ends):
-            cuts = [*range(a, b, CHUNK_ROWS), b]
-            runs.append((int(frames[a]), slice(coef[a], coef[b]), [
-                (slice(coef[c], coef[d]),
-                 *(v[entry[c]:entry[d]] for v in (support, values, slot)))
-                for c, d in zip(cuts, cuts[1:])]))
-        chunks = [c for _, _, cs in runs for c in cs]
-        return (runs, max(c[0].stop - c[0].start for c in chunks),
-                max(c[1].size for c in chunks))
+        slot += np.repeat([coef[l] - coef[c] for c, d in chunks
+                           for l in range(c, d)], sizes)
+        runs = [(frames[run[0]], slice(coef[run[0]], coef[run[-1]]), [
+            (slice(coef[c], coef[d]),
+             *(v[entry[c]:entry[d]] for v in (support, values, slot)))
+            for c, d in zip(run, run[1:])]) for run in cuts]
+        return (runs, max(coef[d] - coef[c] for c, d in chunks),
+                max(entry[d] - entry[c] for c, d in chunks))
 
     def frame_fibers(self, bins: np.ndarray
                      ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
@@ -514,8 +524,10 @@ class WarpedSystem:
         entries = np.repeat(aliased, sizes)
         j, g, sizes = support[entries], values[entries], sizes[ls]
         hop = np.repeat(self.channels.hop_samples[ls], sizes)
-        # a class per channel and residue mod n / hop, its entries in order
-        cls = np.repeat(ls, sizes) * n + j % (n // hop)
+        # a class per channel and residue mod M_l (a coefficient), in order
+        cls = np.concatenate([slot + coeffs.start
+                              for _, _, chunks in self.bank_layout()[0]
+                              for coeffs, _, _, slot in chunks])[entries]
         keep = inside[j]
         order = np.flatnonzero(keep)[np.argsort(cls[keep], kind="stable")]
         j, g, hop, cls = (v[order] for v in (j, g, hop, cls))
@@ -627,7 +639,8 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
     Every atom is sampled in one batched pass (see :func:`build_atom`).
     ``normalize=True`` (the default) rescales the prototype to unit L2
     norm first, which fixes the reconstruction constant at 1.
-    ``truncation`` must lie in ``[0, 1)``.
+    ``truncation`` must lie in ``[0, 1)``.  A design of more than
+    :data:`COEFFICIENT_CAP` coefficients is refused before it is sampled.
     """
     if not 0 <= truncation < 1:
         raise ConfigError(f"truncation must lie in [0, 1), got {truncation}")
@@ -638,6 +651,12 @@ def build_system(warp: WarpingFunction, theta: Prototype, delta: float,
             raise ConfigError(
                 f"prototype cannot be normalized: {exc}") from None
     channels = design_channels(warp, delta, grid, time_scale)
+    coefficients = int(channels.frames.sum())
+    if coefficients > COEFFICIENT_CAP:
+        raise CapabilityError(
+            f"the design has {coefficients:,} coefficients, more than "
+            f"COEFFICIENT_CAP = {COEFFICIENT_CAP:,}; raise delta or "
+            "time_scale, or shorten the grid")
     bank = _sample_bank(warp, theta, channels.center_hz, grid, truncation)
     return WarpedSystem(warp, theta, delta, grid, channels, bank,
                         time_scale, truncation, normalize)

@@ -17,8 +17,9 @@ count: the channels fall into a few runs of them (eleven for the
 132-channel ERB bank at N = 2^16; see :meth:`WarpedSystem.bank_layout`).
 The coefficients lie end to end in channel order in one array, so the
 channels of a run, and of each of its chunks, fill one block of it.
-Both maps work on chunks of at most :data:`~warpft.system.CHUNK_ROWS`
-channels of a run, read from the system's bank in channel order: a
+Both maps work on chunks of a run, of as many channels as fit in
+:data:`~warpft.system.CHUNK_SCRATCH` coefficients and entries (a whole
+run up to N = 2^14), read from the system's bank in channel order: a
 gather, an in-place multiply and one ``np.add.at`` per chunk.
 :func:`_fold` runs one in-place FFT per run and :func:`_unfold` one per
 chunk, on a copy in its scratch.  Analysis takes the spectrum with

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import tempfile
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpft import cli
 from warpft.cli import _build_parser, main
 from warpft.discretization import (Cover, frame_bounds,
                                    frame_bounds_painless, induced_cover)
@@ -146,25 +149,153 @@ def _actions(subparser):
              a.choices, a.help) for a in subparser._actions]
 
 
+#: each subcommand with a valid call, its last option required
+VALID_CALLS = {
+    "design": ["--config", "a", "--out", "b"],
+    "analyze": ["--system", "s", "--signal", "x", "--out", "o"],
+    "synthesize": ["--verify", "r", "--system", "s", "--coeffs", "c",
+                   "--out", "o"],
+    "diagnose": ["--trials", "1", "--system", "s"],
+    "kernel": ["--system", "s", "--xi=-5e-05", "--op", "gramian"],
+    "cover-dump": ["--system", "s", "--f-lo", "0", "--f-hi", "1", "--t-lo",
+                   "0", "--t-hi", "1", "--out", "o"],
+    "spectrogram": ["--system", "s", "--coeffs", "c", "--out", "o"],
+}
+
+
+def _subcommand_args(argv):
+    """``argv`` as ``main`` reads it with its subcommand's parser alone;
+    ``None`` when it names no subcommand, or that parser refuses it or
+    leaves any of it over, so that ``main`` builds the full parser."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    try:
+        args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
+    except argparse.ArgumentError:
+        return None
+    return None if extra else args
+
+
+def _full_parse(argv):
+    """What the parser of every subcommand does with ``argv``: its
+    namespace, or the exit code and output of its exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _not_called():
+    raise AssertionError("the full parser was built")
+
+
+def _main_exit(argv):
+    """The exit code and output of ``main(argv)``, which must exit while
+    it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
 class TestParser:
-    """``main`` builds only the subparser it runs; that parser reads its
-    arguments and words its messages as the full one does."""
+    """``main`` reads a call with only the parser of its subcommand; that
+    parser reads its arguments and words its help as the full one does,
+    and a call it refuses or leaves over goes to the full one."""
 
     @pytest.mark.parametrize("cmd", SUBCOMMANDS)
     def test_one_subcommand_parser_matches_full(self, cmd):
+        """The one-subcommand parser has the prog, the options and the
+        defaults of the full parser's subparser, less its ``-h``."""
         full, one = _build_parser(), _build_parser(cmd)
+        sub = _subparsers(full)[cmd]
         assert list(_subparsers(full)) == SUBCOMMANDS
-        assert list(_subparsers(one)) == [cmd]
-        assert _actions(_subparsers(one)[cmd]) == _actions(
-            _subparsers(full)[cmd])
-        assert (_subparsers(one)[cmd].format_help()
-                == _subparsers(full)[cmd].format_help())
-        assert one.format_usage() == full.format_usage()
+        assert _actions(sub)[0][:2] == (["-h", "--help"], "help")
+        assert _actions(one) == _actions(sub)[1:]
+        assert one.prog == sub.prog == f"warpft {cmd}"
+        assert one._defaults == sub._defaults
 
     @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"],
                                       ["--config", "x"]])
     def test_no_subcommand_gets_the_full_parser(self, argv):
-        assert list(_subparsers(_build_parser(*argv[:1]))) == SUBCOMMANDS
+        assert _subcommand_args(argv) is None
+        assert list(_subparsers(_build_parser())) == SUBCOMMANDS
+
+    @pytest.mark.parametrize("cmd", SUBCOMMANDS)
+    def test_valid_call_read_alike(self, cmd):
+        """A valid call is read by the one-subcommand parser, into the
+        namespace the full parser gives."""
+        argv = [cmd] + VALID_CALLS[cmd]
+        args = _subcommand_args(argv)
+        assert args is not None and vars(args) == _full_parse(argv)
+
+    @pytest.mark.parametrize("case", ["help", "missing", "unknown", "stray"])
+    @pytest.mark.parametrize("cmd", SUBCOMMANDS)
+    def test_same_help_and_errors(self, cmd, case):
+        """``--help``, a missing required option, an unknown option and a
+        stray argument: the one-subcommand parser leaves each to the full
+        parser, and ``main`` exits with its code and output."""
+        valid = VALID_CALLS[cmd]
+        argv = [cmd] + {"help": valid + ["--help"],
+                        "missing": valid[:-2],
+                        "unknown": valid + ["--bogus", "1"],
+                        "stray": valid + ["stray"]}[case]
+        want = _full_parse(argv)
+        assert isinstance(want, tuple) and want[0] == (case != "help") * 2
+        assert _main_exit(argv) == want
+        assert _subcommand_args(argv) is None
+        if case == "help":
+            assert want[1].startswith(f"usage: warpft {cmd} ")
+            assert want[2] == ""
+        elif case == "missing":
+            assert want[2].startswith(f"usage: warpft {cmd} ")
+            assert "the following arguments are required" in want[2]
+        else:
+            assert "{" + ",".join(SUBCOMMANDS) + "}" in want[2]
+            assert "error: unrecognized arguments: " in want[2]
+
+    @pytest.mark.parametrize("cmd", SUBCOMMANDS)
+    def test_edge_calls_read_alike(self, cmd):
+        """Calls at the edges of the two parsers' differences: help asked
+        in short or abbreviated form, or after an error, the help flag
+        where a value belongs, ``--`` and an abbreviated option.  Each
+        exits as the full parser does, or is read into its namespace."""
+        valid = VALID_CALLS[cmd]
+        for tail in (["-h"], ["--he"], ["--bogus", "-h"], valid[:-1] + ["-h"],
+                     valid[:-1] + ["--", valid[-1]], ["--"] + valid,
+                     [valid[0][:4]] + valid[1:]):
+            argv = [cmd] + tail
+            want = _full_parse(argv)
+            if isinstance(want, dict):
+                assert vars(_subcommand_args(argv)) == want
+            else:
+                assert _main_exit(argv) == want
+
+    def test_valid_call_builds_one_parser(self, tmp_path, capsys,
+                                          monkeypatch):
+        """A valid call that then fails runs its subcommand without
+        building the full parser."""
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda name=None: _build_parser(name) if name
+                            else _not_called())
+        assert main(["design", "--config", str(tmp_path / "none.cfg"),
+                     "--out", str(tmp_path / "x.desc")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--xi", "-5e-05"], ["--x", "-1e308"], ["--y", "-1.5E+3"],
+        ["--omega", "-.5e-3"], ["--x", "-2."], ["--deltas", "-1e-3"]])
+    def test_negative_exponent_is_a_value(self, argv):
+        """A negative number in exponent form is read as the value of the
+        option before it, as in the ``=`` form."""
+        head = ["kernel", "--system", "s", "--op", "osc"]
+        spaced = _subcommand_args(head + argv)
+        assert spaced is not None
+        assert vars(spaced) == _full_parse(head + argv) == _full_parse(
+            head + [f"{argv[0]}={argv[1]}"])
 
     def test_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -269,6 +400,62 @@ class TestConfigValues:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "radius" in err[0]
         assert "painless" not in captured.out
+
+
+class TestCoefficientCap:
+    """A design of more coefficients than COEFFICIENT_CAP exits 5 with one
+    line, at ``design`` and when a descriptor is read, before its bank
+    is sampled: fast, in a bounded allocation, and writing no file."""
+
+    # 6,638 channels and 349,011,968 coefficients (5.2 GiB as complex128)
+    HUGE = {"delta = 0.5": "delta = 0.01", "length = 4096": "length = 65536"}
+
+    @classmethod
+    def huge(cls, text):
+        for old, new in cls.HUGE.items():
+            assert old in text
+            text = text.replace(old, new)
+        return text
+
+    @staticmethod
+    def refused(capsys, argv):
+        """Run ``argv``; check that it exits 5 with one ``error:`` line
+        naming the count and the cap, and return the seconds and peak
+        traced bytes the call took."""
+        capsys.readouterr()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            rc = main(argv)
+        finally:
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert rc == 5 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "349,011,968 coefficients" in err
+        assert "COEFFICIENT_CAP = 67,108,864" in err
+        return seconds, peak
+
+    def test_design_refused(self, tmp_path, capsys):
+        cfg, desc = tmp_path / "huge.cfg", tmp_path / "huge.desc"
+        cfg.write_text(self.huge(ERB_CFG))
+        seconds, peak = self.refused(
+            capsys, ["design", "--config", str(cfg), "--out", str(desc)])
+        assert seconds < 2.0 and peak < 1 << 20
+        assert not desc.exists()
+
+    def test_descriptor_refused(self, erb_paths, tmp_path, capsys):
+        _, desc = erb_paths
+        huge = tmp_path / "huge.desc"
+        huge.write_text(self.huge(desc.read_text()))
+        out = tmp_path / "c.wtc"
+        seconds, peak = self.refused(capsys, [
+            "analyze", "--system", str(huge), "--signal",
+            str(tmp_path / "absent.f64"), "--out", str(out)])
+        assert seconds < 2.0 and peak < 1 << 20
+        assert not out.exists()
 
 
 class TestLastResort:
@@ -765,6 +952,22 @@ class TestNonFiniteArguments:
     def test_error_names_the_option(self, erb_paths, tmp_path, capsys, argv,
                                     name):
         assert name in self._one_line(erb_paths, tmp_path, capsys, argv)[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--op", "gramian", "--xi", "-5e-05"],
+        ["kernel", "--op", "osc", "--x", "-1e308"],
+    ])
+    def test_spaced_negative_exponent(self, erb_paths, capsys, argv):
+        """A negative value in exponent form after its option runs as it
+        does in the ``=`` form, which argparse reads on every Python."""
+        _, desc = erb_paths
+        capsys.readouterr()
+        runs = []
+        for tail in (argv[-2:], ["=".join(argv[-2:])]):
+            rc = main(argv[:1] + ["--system", str(desc)] + argv[1:-2] + tail)
+            runs.append((rc, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert "usage:" not in runs[0][2]
 
     @staticmethod
     def _one_line(erb_paths, tmp_path, capsys, argv):

@@ -699,6 +699,31 @@ class TestFrameProfile:
         assert diag[inner].min() > 1e-3 * diag.max()
 
 
+class TestCoefficientCap:
+    def test_cap_admits_its_count_and_refuses_before_sampling(
+            self, monkeypatch):
+        """A design of exactly COEFFICIENT_CAP coefficients builds; one
+        past it raises CapabilityError, naming the count, without the
+        bank sampler being called."""
+        warp, theta = erb_warp(), bump_prototype(0.9)
+        grid = SignalGrid(4096, 16000.0)
+        total = int(design_channels(warp, 0.5, grid).frames.sum())
+        calls, sample = [], _sample_bank
+
+        def counting(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(system_module, "_sample_bank", counting)
+        monkeypatch.setattr(system_module, "COEFFICIENT_CAP", total)
+        system = build_system(warp, theta, 0.5, grid)
+        assert system.channels.frames.sum() == total and len(calls) == 1
+        monkeypatch.setattr(system_module, "COEFFICIENT_CAP", total - 1)
+        with pytest.raises(CapabilityError, match=f"has {total:,} coeff"):
+            build_system(warp, theta, 0.5, grid)
+        assert len(calls) == 1
+
+
 class TestCoefficients:
     def test_metadata_validation(self):
         with pytest.raises(ShapeError):

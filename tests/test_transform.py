@@ -24,7 +24,7 @@ from warpft import transform as transform_module
 from warpft.discretization import frame_bounds, frame_bounds_painless
 from warpft.prototype import (PROTOTYPE_FAMILIES, hann_prototype, l2_norm,
                               prototype_from_params)
-from warpft.system import (CHUNK_ROWS, Coefficients, SignalGrid, build_atom,
+from warpft.system import (Coefficients, SignalGrid, build_atom,
                            build_system)
 from warpft.warping import WARP_FAMILIES
 from warpft.transform import (_fold, _unfold,
@@ -363,7 +363,7 @@ def _per_channel_unfold(data, system):
 
 
 GROUPED_SYSTEMS = dict(SYSTEMS)
-# one frame count shared by every channel (and more than CHUNK_ROWS of them)
+# one frame count shared by every channel
 GROUPED_SYSTEMS["one-group"] = _linear_system
 # a log bank one octave per channel: no two channels share a frame count
 GROUPED_SYSTEMS["no-shared-group"] = lambda: build_system(
@@ -386,18 +386,75 @@ def _run_channels(system, run):
     return [l for chunk in run[2] for l in _chunk_channels(system, chunk[0])]
 
 
+def _bound_chunks(system):
+    """The chunks a scratch bound of ``CHUNK_SCRATCH`` gives: each run's
+    channels in order, ``k`` to a chunk (the last may hold fewer), where
+    ``k`` is the most channels whose coefficients, and whose entries
+    counted at the run's widest atom, fit the bound, and one at least."""
+    cap = system_module.CHUNK_SCRATCH
+    chunks = []
+    for frames, ls in _runs_by_channel(system):
+        widest = max(system.atoms[l].support_bins for l in ls)
+        k = max(1, cap // max(frames, widest))
+        chunks += [ls[i:i + k] for i in range(0, len(ls), k)]
+    return chunks
+
+
+def _runs_by_channel(system):
+    """The maximal stretches of consecutive channels sharing a frame
+    count, as ``(frames, channels)`` in channel order."""
+    runs = []
+    for l, ch in enumerate(system.channels):
+        if not runs or runs[-1][0] != ch.frames:
+            runs.append((ch.frames, []))
+        runs[-1][1].append(l)
+    return runs
+
+
+def _layout_chunks(system):
+    """The channels of each chunk of the system's layout, in order."""
+    return [_chunk_channels(system, c[0])
+            for run in _runs(system) for c in run[2]]
+
+
 class TestGroupedCore:
-    def test_group_shapes(self):
-        """A bank of one frame count is one run of several chunks; a bank
-        whose channels all differ in frame count is a run per channel."""
-        one = GROUPED_SYSTEMS["one-group"]()
-        assert len(_frame_groups(one.channels)) == len(_runs(one)) == 1
-        assert len(one.channels) > CHUNK_ROWS
-        assert len(_runs(one)[0][2]) == -(-len(one.channels) // CHUNK_ROWS)
+    def test_group_shapes(self, monkeypatch):
+        """A bank of one frame count is one run, cut into the chunks the
+        scratch bound gives (several under a bound below its size, one
+        under the default), whether its coefficients or, in the bank
+        with more entries than frames, its entries reach the bound; a
+        bank whose channels all differ in frame count is a run per
+        channel."""
+        for cap in (1, 1000, 2000, 1 << 16):
+            monkeypatch.setattr(system_module, "CHUNK_SCRATCH", cap)
+            one = GROUPED_SYSTEMS["one-group"]()
+            assert len(_frame_groups(one.channels)) == len(_runs(one)) == 1
+            assert _layout_chunks(one) == _bound_chunks(one)
+            count = len(_runs(one)[0][2])
+            assert (count == 1) == (cap == 1 << 16)
+            assert count == len(one.channels) or cap > 1
+            wide = GROUPED_SYSTEMS["linear-not-painless"]()
+            assert len(_runs(wide)) == 1
+            assert wide.bank[2].min() > wide.channels.frames[0]
+            assert _layout_chunks(wide) == _bound_chunks(wide)
+            assert (len(_layout_chunks(wide)) == 1) == (cap == 1 << 16)
         lone = GROUPED_SYSTEMS["no-shared-group"]()
         assert all(len(ls) == 1 for _, _, ls in _frame_groups(lone.channels))
         assert all(len(_run_channels(lone, run)) == 1 for run in _runs(lone))
         assert len(_runs(lone)) == len(lone.channels) > 2
+
+    def test_whole_run_chunks(self):
+        """Under the default bound the README bank (N = 2^12) takes one
+        chunk, so one FFT, per run; at N = 2^16 a run is cut so that the
+        scratch holds at most 2^16 coefficients and entries."""
+        readme = _erb_system()
+        assert len(_runs(readme)) == len(_layout_chunks(readme)) == 11
+        assert _layout_chunks(readme) == _bound_chunks(readme)
+        stream = ORACLE_SYSTEMS["erb-stream"]()
+        runs, size, entries = stream.bank_layout()
+        assert len(runs) == 11 < len(_layout_chunks(stream))
+        assert _layout_chunks(stream) == _bound_chunks(stream)
+        assert size == 1 << 16 and entries <= 1 << 16
 
     @pytest.mark.parametrize("name", sorted(GROUPED_SYSTEMS))
     def test_groups_partition_channels(self, name):
@@ -615,26 +672,37 @@ class TestFlatLayoutOracle:
         _assert_adjoint_oracles(_outcome(synthesize, coeffs, sys, True),
                                 _synthesize_with, coeffs, sys)
 
-    def test_layout_views_the_bank(self):
+    def test_layout_views_the_bank(self, monkeypatch):
         """Each chunk's entries are its channels' atoms end to end, as
         views of the one stored bank, each slot is the entry's row
         within the chunk times the frame count plus its residue, and the
-        chunks' coefficient slices lie end to end in channel order.  The
-        scratch sizes are its largest chunk's."""
+        chunks' coefficient slices lie end to end in channel order.  A
+        chunk holds as many channels of its run as fit the scratch
+        bound, one at least.  The scratch sizes are its largest
+        chunk's.  Under the default bound and one that cuts runs."""
+        for cap in (300, 1 << 16):
+            monkeypatch.setattr(system_module, "CHUNK_SCRATCH", cap)
+            self._layout_views_the_bank(cap)
+
+    @staticmethod
+    def _layout_views_the_bank(cap):
         sys = ORACLE_SYSTEMS["interleaved"]()
         layout = sys.bank_layout()
         assert sys.bank_layout() is layout
         runs, size, entries = layout
         assert len(runs) > len(_frame_groups(sys.channels))
+        firsts = [ls[0] for ls in _bound_chunks(sys)]
+        assert (len(firsts) > len(runs)) == (cap < 1 << 16)
         channels, coefficients = [], 0
         for frames, block, chunks in runs:
             members = _run_channels(sys, (frames, block, chunks))
-            assert [_chunk_channels(sys, c[0])[0] for c in chunks] == list(
-                range(members[0], members[-1] + 1, CHUNK_ROWS))
+            assert [_chunk_channels(sys, c[0])[0] for c in chunks] == [
+                l for l in firsts if members[0] <= l <= members[-1]]
             assert block.start == coefficients
             for coeffs, support, values, slot in chunks:
                 atoms = [sys.atoms[l] for l in _chunk_channels(sys, coeffs)]
-                assert 0 < len(atoms) <= CHUNK_ROWS
+                assert len(atoms) == 1 or max(
+                    len(atoms) * frames, support.size) <= cap
                 assert coeffs == slice(coefficients,
                                        coefficients + len(atoms) * frames)
                 coefficients = coeffs.stop
@@ -969,6 +1037,35 @@ def _parent_fiber_inverses(system):
     return [(b, np.linalg.inv(s)) for b, s in fibers]
 
 
+def _assert_residue_readers(sys):
+    """The painless report, the frame profile and the fibers on the
+    interior and covered bins have the bits of the per-atom code, which
+    counts the residues mod ``M_l`` itself; a fiber past FIBER_CAP is
+    refused alike."""
+    report = sys.painless_report
+    want = _parent_painless_check(sys)
+    assert report.painless == want[0]
+    _assert_bits(report.support_hz, want[1])
+    _assert_bits(report.limit_hz, want[2])
+    assert np.array_equal(report.alias_free, want[3])
+    assert report.violations == want[4]
+
+    _assert_bits(sys.frame_diag(), _parent_frame_diag(sys))
+    for bins in (sys.interior_bins(), sys.covered_bins()[0]):
+        try:
+            want = _parent_frame_fibers(sys, bins)
+        except CapabilityError:
+            with pytest.raises(CapabilityError):
+                sys.frame_fibers(bins)
+            continue
+        singles, fibers = sys.frame_fibers(bins)
+        assert np.array_equal(singles, want[0])
+        assert len(fibers) == len(want[1])
+        for (b, s), (wb, ws) in zip(fibers, want[1]):
+            assert np.array_equal(b, wb)
+            _assert_bits(s, ws)
+
+
 class TestSingleBankOracle:
     """The one stored bank, held in channel order, and the painless
     report, profile, fibers, bounds and fiber inverses read from it give
@@ -996,29 +1093,7 @@ class TestSingleBankOracle:
             assert atom.center_hz == sys.channels[l].center_hz
             assert np.shares_memory(atom.values, values)
 
-        report = sys.painless_report
-        want = _parent_painless_check(sys)
-        assert report.painless == want[0]
-        _assert_bits(report.support_hz, want[1])
-        _assert_bits(report.limit_hz, want[2])
-        assert np.array_equal(report.alias_free, want[3])
-        assert report.violations == want[4]
-
-        _assert_bits(sys.frame_diag(), _parent_frame_diag(sys))
-        for bins in (sys.interior_bins(), sys.covered_bins()[0]):
-            try:
-                want = _parent_frame_fibers(sys, bins)
-            except CapabilityError:
-                with pytest.raises(CapabilityError):
-                    sys.frame_fibers(bins)
-                continue
-            singles, fibers = sys.frame_fibers(bins)
-            assert np.array_equal(singles, want[0])
-            assert len(fibers) == len(want[1])
-            for (b, s), (wb, ws) in zip(fibers, want[1]):
-                assert np.array_equal(b, wb)
-                _assert_bits(s, ws)
-
+        _assert_residue_readers(sys)
         want = _outcome(_parent_frame_bounds, sys)
         assert _outcome(frame_bounds, sys) == want
         want = _outcome(_parent_fiber_inverses, sys)
@@ -1380,6 +1455,36 @@ class TestOperatorIdentities:
         except (ConfigError, CapabilityError):
             return
         _assert_oracle_bounds(sys)
+
+
+class TestResiduesCountedOnce:
+    """``painless_check`` and ``frame_fibers`` read each entry's residue
+    mod ``M_l`` from the layout's slots, with the bits of the code that
+    counted them again."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_oracle_systems(self, name):
+        _assert_residue_readers(ORACLE_SYSTEMS[name]())
+
+    @pytest.mark.parametrize("cap", [1, 100])
+    def test_under_any_chunk_bound(self, cap, monkeypatch):
+        """Chunks of one channel, and several chunks per run."""
+        monkeypatch.setattr(system_module, "CHUNK_SCRATCH", cap)
+        for name in ("interleaved-fibers", "linear-not-painless"):
+            sys = ORACLE_SYSTEMS[name]()
+            assert len(_layout_chunks(sys)) > len(_runs(sys))
+            _assert_residue_readers(sys)
+
+    @settings(max_examples=25, deadline=None)
+    @given(bank=_drawn_banks(max_log2n=10))
+    def test_drawn_banks(self, bank):
+        warp, theta, delta, grid, time_scale = bank
+        try:
+            sys = build_system(warp, theta, delta, grid,
+                               time_scale=time_scale)
+        except ConfigError:
+            return
+        _assert_residue_readers(sys)
 
 
 class TestAgainstReferenceStft:
